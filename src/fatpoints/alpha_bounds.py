@@ -36,6 +36,7 @@ versions exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
 from typing import Sequence
 
@@ -47,6 +48,11 @@ from .report import ALPHA_LOWER, CHAR_ZERO, BoundReport, fmt_rational
 def _ceil(x) -> int:
     f = Fraction(x)
     return -((-f.numerator) // f.denominator)
+
+
+def _ceil_div(a: int, b: int) -> int:
+    # ceil(a / b) for integers with b > 0.
+    return -((-a) // b)
 
 
 def _clean(z) -> list[int]:
@@ -139,7 +145,7 @@ def nef_variant_bound(z, variant: str, r: int, d: int, j: int | None = None) -> 
             raise ValueError("variant (d) needs j")
         if not 0 <= j <= d * d:
             raise ValueError("variant (d) needs 0 <= j <= d^2")
-        value = _prefix_spread_bound(w, r, d, j)
+        value = _prefix_spread_bound(w, list(accumulate(w, initial=0)), r, d, j)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     params = [("r", r), ("d", d)]
@@ -148,20 +154,29 @@ def nef_variant_bound(z, variant: str, r: int, d: int, j: int | None = None) -> 
     return BoundReport(f"nef-{variant}", ALPHA_LOWER, value, tuple(params))
 
 
-def _prefix_spread_bound(w: list[int], r: int, d: int, j: int) -> int:
-    # Weight family (d): exact rational evaluation, fractional last slot.
+def _prefix_spread_bound(w: list[int], sums: list[int], r: int, d: int, j: int) -> int:
+    """Weight family (d) in integers; sums[k] = w[0] + ... + w[k-1].
+
+    The first d^2 - j weights are 1, the next q + j (q = r - d^2) are
+    j/(q+j), and one fractional slot of weight q - j*m_cut/(q+j) follows,
+    m_cut = floor(q(q+j)/j); everything is cleared over d(q+j).  When
+    d^2 >= r the family degenerates to (c), ceil((m_1 + ... + m_r)/d),
+    for every j.
+    """
     n = len(w)
-    if d * d >= r:
-        return _ceil(Fraction(sum(w[:r]), d))
+    dd = d * d
+    if dd >= r:
+        return _ceil_div(sums[r], d)
     if j == 0:
-        return _ceil(Fraction(sum(w[:d * d]), d))
-    q = r - d * d
-    m_cut = (q * (q + j)) // j
-    head = sum(w[:d * d - j])
-    tail = Fraction(sum(w[d * d - j:min(m_cut + r, n)]) * j, q + j)
-    if m_cut + r < n:
-        tail += w[m_cut + r] * (q - Fraction(j * m_cut, q + j))
-    return _ceil((head + tail) / d)
+        return _ceil_div(sums[dd], d)
+    q = r - dd
+    qj = q + j
+    m_cut = (q * qj) // j
+    stop = m_cut + r
+    num = sums[dd - j] * qj + (sums[min(stop, n)] - sums[dd - j]) * j
+    if stop < n:
+        num += w[stop] * (q * qj - j * m_cut)
+    return _ceil_div(num, d * qj)
 
 
 def best_variant_d_search(z) -> BoundReport:
@@ -169,21 +184,46 @@ def best_variant_d_search(z) -> BoundReport:
 
     Scans r over the positive multiplicities, d up to the first value
     with d^2 >= r, and 1 <= j <= d^2; ties keep the first (smallest)
-    parameters.
+    parameters.  For that last d the value is the family-(c) one, the
+    same for every j, so only j = 1 can be recorded.
+
+    A pair (r, d) with d^2 < r is skipped when no j can beat the current
+    best.  With q = r - d^2 and w nonincreasing, the family-(d) weights
+    of any j satisfy:
+
+    * the first r weights lie in [0, 1] and sum to d^2, so they
+      contribute at most m_1 + ... + m_{d^2} = P[d^2];
+    * every weight past r sits on an entry at most w[r] (0-indexed, or
+      no entry when r = n), is at most j/(q+j) <= d^2/(q+d^2) = d^2/r,
+      and all of them sum to at most q over n - r slots, so together
+      they weigh at most min(q, (n-r) d^2 / r) and contribute at most
+      that times w[r].
+
+    Hence every j gives at most
+    ceil((P[d^2] r + min(q r, (n-r) d^2) w[r]) / (r d)), and when that
+    is <= best the strict comparison can record none of them.
     """
     w = _clean(z)
     n = len(w)
     if n == 0:
         raise ValueError("the empty subscheme has no bound parameters")
+    sums = list(accumulate(w, initial=0))
     best, best_r, best_d, best_j = 0, 0, 0, 0
     for r in range(1, n + 1):
-        d = 0
+        w_r = w[r] if r < n else 0
+        d = 1
         while d * d < r:
+            dd = d * d
+            reach = sums[dd] * r + min((r - dd) * r, (n - r) * dd) * w_r
+            if _ceil_div(reach, r * d) > best:
+                for j in range(1, dd + 1):
+                    value = _prefix_spread_bound(w, sums, r, d, j)
+                    if value > best:
+                        best, best_r, best_d, best_j = value, r, d, j
             d += 1
-            for j in range(1, d * d + 1):
-                value = _prefix_spread_bound(w, r, d, j)
-                if value > best:
-                    best, best_r, best_d, best_j = value, r, d, j
+        value = _prefix_spread_bound(w, sums, r, d, 1)
+        if value > best:
+            best, best_r, best_d, best_j = value, r, d, 1
     return BoundReport("nef-d", ALPHA_LOWER, best,
                        (("r", best_r), ("d", best_d), ("j", best_j)))
 
@@ -260,6 +300,18 @@ def _unloading_certifies_uniform(t: int, n: int, m: int, r: int, d: int) -> bool
     return deg < top
 
 
+def _unloading_certifier(w: list[int]):
+    """certifies(t, r, d) for w sorted nonincreasing.
+
+    One positive value throughout selects the counter engine, which
+    needs r <= len(w); anything else the vector engine.
+    """
+    if w and w[0] == w[-1] > 0:
+        n, m = len(w), w[0]
+        return lambda t, r, d: _unloading_certifies_uniform(t, n, m, r, d)
+    return lambda t, r, d: _unloading_certifies(t, w, r, d)
+
+
 def unloading_alpha(z, r: int, d: int) -> BoundReport:
     """First degree the unloading procedure fails to rule out.
 
@@ -271,14 +323,14 @@ def unloading_alpha(z, r: int, d: int) -> BoundReport:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={z.n}")
     if d < 1:
         raise ValueError("d must be positive")
-    nm = _uniform_nm(z)
-    if nm is not None and r <= nm[0]:
-        certifies = lambda t: _unloading_certifies_uniform(t, nm[0], nm[1], r, d)
-    else:
-        v = sorted(z.mults, reverse=True)
-        certifies = lambda t: _unloading_certifies(t, list(v), r, d)
+    # The counter engine takes the positive part when it is uniform and
+    # holds r points; the vector engine takes every multiplicity.
+    w = _clean(z)
+    if r > len(w) or w[0] != w[-1]:
+        w = sorted(z.mults, reverse=True)
+    certifies = _unloading_certifier(w)
     t = 0
-    while certifies(t):
+    while certifies(t, r, d):
         t += 1
     return BoundReport("unloading", ALPHA_LOWER, t, (("r", r), ("d", d)))
 
@@ -302,18 +354,28 @@ def unloading_alpha_formula(n: int, m: int, r: int, d: int) -> BoundReport:
 
 
 def best_unloading_search(z) -> BoundReport:
-    """Exhaustive maximum of the unloading bound over 1 <= r <= n, d^2 <= r."""
+    """Exhaustive maximum of the unloading bound over 1 <= r <= n, d^2 <= r.
+
+    The bound of a pair is the least degree that fails to certify, so a
+    pair whose certifier already fails at the current best has a bound
+    at most best and cannot win the strict comparison; only pairs that
+    certify the current best get the full upward scan of
+    ``unloading_alpha``, which picks the same engine for the cleaned
+    vector.  This needs no monotonicity in t.
+    """
     w = _clean(z)
     n = len(w)
     if n == 0:
         raise ValueError("the empty subscheme has no bound parameters")
+    certifies = _unloading_certifier(w)
     best, best_r, best_d = 0, 0, 0
     for r in range(1, n + 1):
         d = 1
         while d * d <= r:
-            value = unloading_alpha(w, r, d).value
-            if value > best:
-                best, best_r, best_d = value, r, d
+            if certifies(best, r, d):
+                value = unloading_alpha(w, r, d).value
+                if value > best:
+                    best, best_r, best_d = value, r, d
             d += 1
     return BoundReport("best-unloading", ALPHA_LOWER, best,
                        (("r", best_r), ("d", best_d)))

@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import alpha_bounds as ab
@@ -256,27 +254,15 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_methods(makers) -> list[BoundReport]:
-    """Evaluate bound thunks, skipping inapplicable ones; order is fixed."""
-    workers = _threads()
-    def run(make):
+    """Evaluate bound thunks in order, skipping inapplicable ones."""
+    reports = []
+    for make in makers:
         try:
-            return make()
+            reports.append(make())
         except ValueError:
-            return None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, makers))
-    else:
-        results = [run(make) for make in makers]
-    return [r for r in results if r is not None]
+            continue
+    return reports
 
 
 def _alpha_methods(z: FatPointSpec) -> list:

@@ -23,12 +23,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from .lattice import FatPointSpec, as_spec
 
 DEFAULT_PRIME = 31991
+
+# Residues are multiplied in int64, so (p - 1)^2 must fit in 2^63 - 1.
+MAX_PRIME = isqrt(2**63 - 1)
+
+
+def _check_prime_size(p: int) -> None:
+    if p > MAX_PRIME:
+        raise ValueError(f"prime {p} exceeds {MAX_PRIME} = isqrt(2^63 - 1): "
+                         "products of residues would overflow int64")
 
 
 def _is_prime(p: int) -> bool:
@@ -63,6 +73,7 @@ class PointConfig:
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        _check_prime_size(self.prime)
         if not _is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
         if len(set(self.points)) != len(self.points):
@@ -84,6 +95,7 @@ class PointConfig:
 
 def rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over F_p; first-nonzero pivoting."""
+    _check_prime_size(p)
     m = np.array(a, dtype=np.int64) % p
     rows, cols = m.shape
     r = 0
@@ -108,6 +120,7 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
 
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """Basis (as rows) of the right kernel of a over F_p."""
+    _check_prime_size(p)
     m = np.array(a, dtype=np.int64) % p
     rows, cols = m.shape
     pivots: list[int] = []

@@ -2,11 +2,15 @@
 noted).  Each test prints one PASS line; any failure fails the suite.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import time
 
 from fatpoints import alpha_bounds as ab
+from fatpoints import cli
 from fatpoints import tau_bounds as tb
 from fatpoints.hilbert import (expected_dim, find_alpha, find_tau,
                                hilbert_table, uniform_alpha_closed_form)
@@ -59,6 +63,21 @@ def test_golden_large_uniform_runtimes():
         elapsed = time.monotonic() - start
         assert elapsed < 60, f"n={n} took {elapsed:.1f}s"
     _ok("golden: uniform n=1000/9000 (roe, modified unloading, alpha, reference)")
+
+
+def test_golden_bounds_suite_uniform_1000_runtime():
+    out = io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["bounds", "--uniform", "1000:13", "--json"])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert elapsed < 10, f"bounds --uniform 1000:13 took {elapsed:.1f}s"
+    found = {doc["method"]: (doc["value"], doc["params"])
+             for doc in json.loads(out.getvalue())}
+    assert found["nef-d"] == (412, {"r": 253, "d": 8, "j": 64})
+    assert found["best-unloading"] == (415, {"r": 510, "d": 16})
+    _ok(f"golden: bounds --uniform 1000:13 in {elapsed:.2f}s (nef-d 412, unloading 415)")
 
 
 def test_golden_square_counts():

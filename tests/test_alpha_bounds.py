@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpoints import alpha_bounds as ab
 from fatpoints.hilbert import find_alpha
@@ -258,3 +261,128 @@ def test_zero_padding_invariance_of_bounds():
         assert ab.unloading_alpha(z, r, d).value == ab.unloading_alpha(zz, r, d).value
         assert ab.modified_unloading_alpha(z, r, d).value \
             == ab.modified_unloading_alpha(zz, r, d).value
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the pruned searches against the plain exhaustive ones.
+
+
+def _naive_prefix_spread(w, r, d, j):
+    # Weight family (d) in Fractions, straight from slices of w.
+    n = len(w)
+    if d * d >= r:
+        return ab._ceil(Fraction(sum(w[:r]), d))
+    if j == 0:
+        return ab._ceil(Fraction(sum(w[:d * d]), d))
+    q = r - d * d
+    m_cut = (q * (q + j)) // j
+    head = sum(w[:d * d - j])
+    tail = Fraction(sum(w[d * d - j:min(m_cut + r, n)]) * j, q + j)
+    if m_cut + r < n:
+        tail += w[m_cut + r] * (q - Fraction(j * m_cut, q + j))
+    return ab._ceil((head + tail) / d)
+
+
+def _naive_variant_d_all(z):
+    # Every (r, d, j) the family-(d) search visits, in visiting order.
+    w = ab._clean(z)
+    values = {}
+    for r in range(1, len(w) + 1):
+        d = 0
+        while d * d < r:
+            d += 1
+            for j in range(1, d * d + 1):
+                values[(r, d, j)] = _naive_prefix_spread(w, r, d, j)
+    return values
+
+
+def _first_max(values):
+    best, arg = 0, (0,) * len(next(iter(values)))
+    for params, value in values.items():
+        if value > best:
+            best, arg = value, params
+    return best, arg
+
+
+def _naive_unloading_all(z):
+    w = ab._clean(z)
+    values = {}
+    for r in range(1, len(w) + 1):
+        d = 1
+        while d * d <= r:
+            values[(r, d)] = ab.unloading_alpha(w, r, d).value
+            d += 1
+    return values
+
+
+def _assert_searches_match(z):
+    if not any(z):
+        return
+    rep = ab.best_variant_d_search(z)
+    best, (r, d, j) = _first_max(_naive_variant_d_all(z))
+    assert (rep.value, rep.params) == (best, (("r", r), ("d", d), ("j", j))), z
+    rep = ab.best_unloading_search(z)
+    best, (r, d) = _first_max(_naive_unloading_all(z))
+    assert (rep.value, rep.params) == (best, (("r", r), ("d", d))), z
+
+
+_mixed = st.lists(st.integers(0, 12), min_size=1, max_size=24)
+_small = st.lists(st.integers(0, 40), min_size=1, max_size=4)
+_uniform = st.tuples(st.integers(1, 40), st.integers(1, 15))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed)
+def test_searches_match_exhaustive_on_mixed_vectors(z):
+    _assert_searches_match(z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small)
+def test_searches_match_exhaustive_on_small_n(z):
+    _assert_searches_match(z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_uniform)
+def test_searches_match_exhaustive_on_uniform_vectors(nm):
+    n, m = nm
+    _assert_searches_match([m] * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed, st.data())
+def test_integer_prefix_spread_matches_fractions(z, data):
+    # Every branch: d^2 >= r (family (c)), j = 0, and 1 <= j <= d^2.
+    w = ab._clean(z)
+    if not w:
+        return
+    sums = list(accumulate(w, initial=0))
+    r = data.draw(st.integers(1, len(w)))
+    d = data.draw(st.integers(1, 7))
+    j = data.draw(st.integers(0, d * d))
+    assert ab._prefix_spread_bound(w, sums, r, d, j) == _naive_prefix_spread(w, r, d, j)
+    if d * d < r:
+        assert ab.nef_variant_bound(z, "d", r, d, j).value \
+            == _naive_prefix_spread(w, r, d, j)
+
+
+def test_family_c_branch_winner_matches_exhaustive():
+    # A dominant top multiplicity makes the d^2 >= r fallback at
+    # (r, d) = (1, 1) the maximum; it must be recorded with j = 1.
+    for z in [(7,), (10, 1), (9, 2, 1), (40, 3, 3, 0), (13, 5, 0, 5, 1)]:
+        values = _naive_variant_d_all(z)
+        best, (r, d, j) = _first_max(values)
+        assert d * d >= r and j == 1
+        _assert_searches_match(z)
+
+
+def test_tied_parameters_keep_the_first():
+    # Several tuples reach the maximum here; the searches keep the first.
+    for z in [[2] * 10, [1] * 30, [4] * 9, [5, 5, 4, 4, 0, 3], [6, 6, 6, 1],
+              [3, 3, 2, 2, 1, 1]]:
+        d_values = _naive_variant_d_all(z)
+        u_values = _naive_unloading_all(z)
+        assert list(d_values.values()).count(max(d_values.values())) > 1, z
+        assert list(u_values.values()).count(max(u_values.values())) > 1, z
+        _assert_searches_match(z)

@@ -164,13 +164,6 @@ def test_negative_multiplicities_rejected(capsys):
     assert code == 3 and "nonnegative" in err
 
 
-def test_threads_env_gives_same_output(capsys, monkeypatch):
-    _, base, _ = run(capsys, "bounds", "--uniform", "10:2", "--json")
-    monkeypatch.setenv("THREADS", "4")
-    _, threaded, _ = run(capsys, "bounds", "--uniform", "10:2", "--json")
-    assert base == threaded
-
-
 def test_bounds_explicit_method_parameters(capsys):
     code, out, _ = run(capsys, "bounds", "--uniform", "22:3", "--r", "19", "--d", "4",
                        "--json")

@@ -1,11 +1,13 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
+from fatpoints.cli import main
 from fatpoints.hilbert import expected_dim, hilbert_polynomial
 from fatpoints.lattice import DivisorClass
-from fatpoints.oracle import (PointConfig, actual_hilbert, actual_nu,
+from fatpoints.oracle import (MAX_PRIME, PointConfig, actual_hilbert, actual_nu,
                               hilbert_majority, nullspace_mod_p, nu_majority,
                               rank_mod_p)
 
@@ -114,3 +116,24 @@ def test_prime_override():
     cfg = PointConfig.random(2, seed=0, prime=32003)
     assert cfg.prime == 32003
     assert actual_hilbert(cfg, (2, 2), 3) == 4
+
+
+def test_prime_above_int64_square_root_rejected(capsys):
+    # 2^61 - 1 is prime, but products of its residues overflow int64; the
+    # oracle used to print dim I_6 = 0 here instead of the true 1.
+    assert MAX_PRIME == 3037000499
+    code = main(["oracle", "--mults", "3,3,3,3,3", "--window", "6:9",
+                 "--prime", "2305843009213693951"])
+    err = capsys.readouterr().err
+    assert code == 3 and "isqrt(2^63 - 1)" in err
+    with pytest.raises(ValueError, match="overflow"):
+        PointConfig.random(2, seed=0, prime=4294967311)
+    with pytest.raises(ValueError, match="overflow"):
+        rank_mod_p(np.eye(2, dtype=np.int64), 4294967311)
+
+
+def test_prime_2_pow_31_minus_1_accepted(capsys):
+    code = main(["oracle", "--mults", "3,3,3,3,3", "--window", "6:9",
+                 "--prime", str(2**31 - 1), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["rows"][0] == [6, 1]
