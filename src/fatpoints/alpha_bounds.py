@@ -27,16 +27,16 @@ Z = m_1 p_1 + ... + m_n p_n for all t below the reported value.
 * Semigroup membership: the least t whose class lands in the semigroup
   generated by exceptional classes and the anticanonical class.
 
-Uniform schemes dispatch to counter-based versions of the unloading
-loops (tracking only the top multiplicity and how many points carry it),
-which makes thousand-point inputs cheap; they agree with the vector
-versions exactly.
+Every unloading procedure is written once over one multiplicity state,
+which lowers the r largest entries without re-sorting: it counts how
+many points carry the top multiplicity when all multiplicities are
+equal, and keeps runs of equal values otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import gcd, isqrt
 from typing import Sequence
 
@@ -58,13 +58,6 @@ def _ceil_div(a: int, b: int) -> int:
 def _clean(z) -> list[int]:
     # Positive multiplicities, sorted nonincreasing.
     return sorted((m for m in as_spec(z).mults if m > 0), reverse=True)
-
-
-def _uniform_nm(z) -> tuple[int, int] | None:
-    w = _clean(z)
-    if w and len(set(w)) == 1:
-        return len(w), w[0]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -261,55 +254,106 @@ def best_rd_b(n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Unloading engines
+# Unloading
 
 # The degree-d curve through the first r (sorted) points is subtracted
-# while the test below allows it; sorting and clamping in between realize
-# the consecutive-difference and last-point subtractions implicitly.
+# while a procedure's test allows it; sorting and clamping in between
+# realize the consecutive-difference and last-point subtractions
+# implicitly.
 
 
-def _top_r_sum_state(r: int, n: int, top: int, count: int) -> int:
-    # Two-value state: `count` points at `top`, the rest at top-1.
-    return r * top if r <= count else r * top - r + count
+class _Counters:
+    # One positive value throughout: `count` entries at `top`, the other
+    # n - count at top - 1.
+    __slots__ = ("top", "count", "n")
+
+    def __init__(self, w: list[int]):
+        self.top = w[0]
+        self.n = self.count = len(w)
+
+    def top_sum(self, r: int) -> int:
+        return r * self.top if r <= self.count else r * (self.top - 1) + self.count
+
+    def lower(self, r: int) -> int:
+        top = self.top
+        if not top:
+            return 0
+        if r < self.count:
+            self.count -= r
+        else:
+            top -= 1
+            self.top = top
+            self.count = self.count + self.n - r if top else self.n
+        return top
 
 
-def _state_subtract(r: int, n: int, top: int, count: int) -> tuple[int, int]:
-    if r < count:
-        return top, count - r
-    top, count = top - 1, n - r + count
-    if top <= 0:
-        return 0, n
-    return top, count
+class _Runs:
+    # Runs of equal positive values, largest first: vals[i] held by
+    # cnts[i] entries; zero entries are dropped.
+    __slots__ = ("vals", "cnts")
+
+    def __init__(self, w: list[int]):
+        runs = [(m, len(list(g))) for m, g in groupby(w) if m > 0]
+        self.vals = [m for m, _ in runs]
+        self.cnts = [c for _, c in runs]
+
+    def top_sum(self, r: int) -> int:
+        s = 0
+        for v, c in zip(self.vals, self.cnts):
+            if r <= c:
+                return s + r * v
+            s += c * v
+            r -= c
+        return s
+
+    def lower(self, r: int) -> int:
+        vals, cnts = self.vals, self.cnts
+        # Whole runs 0..j-1 drop by one, which keeps them above run j.
+        j = 0
+        while j < len(vals) and r >= cnts[j]:
+            vals[j] -= 1
+            r -= cnts[j]
+            j += 1
+        if j < len(vals):
+            if r:
+                # r entries of run j drop below the rest of it.
+                cnts[j] -= r
+                if j + 1 < len(vals) and vals[j + 1] == vals[j] - 1:
+                    cnts[j + 1] += r
+                elif vals[j] > 1:
+                    vals.insert(j + 1, vals[j] - 1)
+                    cnts.insert(j + 1, r)
+            if j and vals[j - 1] == vals[j]:
+                del vals[j]
+                cnts[j - 1] += cnts.pop(j)
+        elif vals and not vals[-1]:
+            del vals[-1], cnts[-1]
+        return vals[0] if vals else 0
 
 
-def _unloading_certifies(t: int, mults: list[int], r: int, d: int) -> bool:
-    deg = t
-    v = mults
-    while deg * d - sum(v[:r]) < 0 and deg >= v[0]:
-        deg -= d
-        v = sorted((x - 1 if i < r else x for i, x in enumerate(v)), reverse=True)
-        v = [x if x > 0 else 0 for x in v]
-    return deg < v[0]
+def _unloading_state(w: list[int]) -> _Counters | _Runs:
+    """Mutable state of w sorted nonincreasing and nonnegative.
 
+    state.top_sum(r) is the sum of the r largest entries; state.lower(r)
+    lowers them by one, clamps at 0, keeps the entries sorted and returns
+    the new largest (0 once all are zero).  Both need 0 <= r <= len(w).
 
-def _unloading_certifies_uniform(t: int, n: int, m: int, r: int, d: int) -> bool:
-    deg, top, count = t, m, n
-    while deg * d - _top_r_sum_state(r, n, top, count) < 0 and deg >= top:
-        deg -= d
-        top, count = _state_subtract(r, n, top, count)
-    return deg < top
-
-
-def _unloading_certifier(w: list[int]):
-    """certifies(t, r, d) for w sorted nonincreasing.
-
-    One positive value throughout selects the counter engine, which
-    needs r <= len(w); anything else the vector engine.
+    A list of one positive value is held as two counters; anything else
+    as runs of equal values, so a step costs O(runs) and nothing is
+    re-sorted.
     """
-    if w and w[0] == w[-1] > 0:
-        n, m = len(w), w[0]
-        return lambda t, r, d: _unloading_certifies_uniform(t, n, m, r, d)
-    return lambda t, r, d: _unloading_certifies(t, w, r, d)
+    return _Counters(w) if w and w[0] == w[-1] > 0 else _Runs(w)
+
+
+def _unloading_certifies(t: int, w: list[int], r: int, d: int) -> bool:
+    # w sorted nonincreasing and positive, r <= len(w): True when degree
+    # t unloads to a class whose degree is below its top multiplicity.
+    state = _unloading_state(w)
+    deg, top = t, (w[0] if w else 0)
+    while deg >= top and deg * d < state.top_sum(r):
+        deg -= d
+        top = state.lower(r)
+    return deg < top
 
 
 def unloading_alpha(z, r: int, d: int) -> BoundReport:
@@ -323,14 +367,12 @@ def unloading_alpha(z, r: int, d: int) -> BoundReport:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={z.n}")
     if d < 1:
         raise ValueError("d must be positive")
-    # The counter engine takes the positive part when it is uniform and
-    # holds r points; the vector engine takes every multiplicity.
+    # Points past the positive ones stay at 0 and need no lowering, and
+    # every degree below m_1 is ruled out before any subtraction.
     w = _clean(z)
-    if r > len(w) or w[0] != w[-1]:
-        w = sorted(z.mults, reverse=True)
-    certifies = _unloading_certifier(w)
-    t = 0
-    while certifies(t, r, d):
+    k = min(r, len(w))
+    t = w[0] if w else 0
+    while _unloading_certifies(t, w, k, d):
         t += 1
     return BoundReport("unloading", ALPHA_LOWER, t, (("r", r), ("d", d)))
 
@@ -360,19 +402,23 @@ def best_unloading_search(z) -> BoundReport:
     pair whose certifier already fails at the current best has a bound
     at most best and cannot win the strict comparison; only pairs that
     certify the current best get the full upward scan of
-    ``unloading_alpha``, which picks the same engine for the cleaned
-    vector.  This needs no monotonicity in t.
+    ``unloading_alpha``.  This needs no monotonicity in t.
+
+    Certifying best fails at once when best >= m_1 and
+    best d >= m_1 + ... + m_r, since the first subtraction is refused;
+    best only grows, so that holds for every larger d too and the rest
+    of the d loop is skipped.
     """
     w = _clean(z)
     n = len(w)
     if n == 0:
         raise ValueError("the empty subscheme has no bound parameters")
-    certifies = _unloading_certifier(w)
+    sums = list(accumulate(w, initial=0))
     best, best_r, best_d = 0, 0, 0
     for r in range(1, n + 1):
         d = 1
-        while d * d <= r:
-            if certifies(best, r, d):
+        while d * d <= r and (best < w[0] or best * d < sums[r]):
+            if _unloading_certifies(best, w, r, d):
                 value = unloading_alpha(w, r, d).value
                 if value > best:
                     best, best_r, best_d = value, r, d
@@ -391,51 +437,17 @@ def roe_alpha(z) -> BoundReport:
     Stage i (i = 3..n) subtracts E1 - E2 - ... - Ei while the class meets
     it negatively, i.e. raises the top multiplicity by one and lowers the
     next i-1; no curve of degree below the final top multiplicity passes
-    through the scheme.
+    through the scheme.  The top entry stays on top, so it is kept apart
+    from the state of the rest.
     """
-    z = as_spec(z)
-    nm = _uniform_nm(z)
-    if nm is not None:
-        value = _roe_alpha_uniform(*nm)
-    else:
-        value = _roe_alpha_vector(list(z.mults))
-    return BoundReport("roe-unloading", ALPHA_LOWER, value)
-
-
-def _roe_alpha_vector(w: list[int]) -> int:
-    if len(w) < 3:
-        w = w + [0, 0, 0]
-    size = len(w)
-    w = sorted((x if x > 0 else 0 for x in w), reverse=True)
-    for i1 in range(2, size):
-        while w[0] - sum(w[1:i1 + 1]) < 0:
-            w[0] += 1
-            for k in range(1, i1 + 1):
-                w[k] -= 1
-            w = sorted((x if x > 0 else 0 for x in w), reverse=True)
-    return w[0]
-
-
-def _roe_alpha_uniform(n: int, m: int) -> int:
-    if n <= 2:
-        return m
-    bound = m
-    top, count = m, n - 1   # the rest: `count` points at `top`, others at top-1
-    for i1 in range(2, n):
-        while True:
-            s = i1 * top - (i1 - count) if count < i1 else i1 * top
-            if bound >= s:
-                break
-            bound += 1
-            if count < i1:
-                count = n - i1 + count - 1
-                top -= 1
-            else:
-                count -= i1
-                if count == 0:
-                    top -= 1
-                    count = n - 1
-    return bound
+    w = _clean(z) or [0]
+    top = w[0]
+    rest = _unloading_state(w[1:])
+    for i in range(2, len(w)):
+        while top < rest.top_sum(i):
+            top += 1
+            rest.lower(i)
+    return BoundReport("roe-unloading", ALPHA_LOWER, top)
 
 
 # ---------------------------------------------------------------------------
@@ -451,21 +463,12 @@ def _hr_subtract_allowed(deg: int, s: int, d: int, g: int) -> bool:
     return (deg + 1) * (deg + 2) <= 2 * s and deg < d and deg >= 0
 
 
-def _hr_certifies(t: int, mults: list[int], r: int, d: int, g: int) -> bool:
-    deg = t
-    v = mults
-    while _hr_subtract_allowed(deg, sum(v[:r]), d, g):
+def _hr_certifies(t: int, w: list[int], r: int, d: int, g: int) -> bool:
+    state = _unloading_state(w)
+    deg, top = t, (w[0] if w else 0)
+    while _hr_subtract_allowed(deg, state.top_sum(r), d, g):
         deg -= d
-        v = sorted((x - 1 if i < r else x for i, x in enumerate(v)), reverse=True)
-        v = [x if x > 0 else 0 for x in v]
-    return deg < v[0]
-
-
-def _hr_certifies_uniform(t: int, n: int, m: int, r: int, d: int, g: int) -> bool:
-    deg, top, count = t, m, n
-    while _hr_subtract_allowed(deg, _top_r_sum_state(r, n, top, count), d, g):
-        deg -= d
-        top, count = _state_subtract(r, n, top, count)
+        top = state.lower(r)
     return deg < top
 
 
@@ -477,14 +480,10 @@ def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
     if d < 1:
         raise ValueError("d must be positive")
     g = (d - 1) * (d - 2) // 2
-    nm = _uniform_nm(z)
-    if nm is not None and r <= nm[0]:
-        certifies = lambda t: _hr_certifies_uniform(t, nm[0], nm[1], r, d, g)
-    else:
-        v = sorted(z.mults, reverse=True)
-        certifies = lambda t: _hr_certifies(t, list(v), r, d, g)
+    w = _clean(z)
+    k = min(r, len(w))
     t = 0
-    while certifies(t):
+    while _hr_certifies(t, w, k, d, g):
         t += 1
     return BoundReport("modified-unloading", ALPHA_LOWER, t,
                        (("r", r), ("d", d)), (CHAR_ZERO,))

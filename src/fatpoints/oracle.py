@@ -82,6 +82,9 @@ class PointConfig:
     @classmethod
     def random(cls, n: int, seed: int = 0, prime: int = DEFAULT_PRIME) -> "PointConfig":
         """Draw n distinct affine points from a deterministic seeded stream."""
+        if n > prime * prime:
+            raise ValueError(f"{n} distinct points do not fit in the "
+                             f"{prime * prime} points of the affine plane over F_{prime}")
         rng = random.Random(f"fatpoints:{prime}:{seed}")
         seen: set[tuple[int, int]] = set()
         pts: list[tuple[int, int]] = []

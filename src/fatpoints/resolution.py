@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hilbert import expected_dim, find_alpha, find_tau, hilbert_polynomial
-from .lattice import DivisorClass, as_spec, canonical_class, intersection
+from .lattice import DivisorClass, as_spec, is_exceptional
 
 MAX_POINTS = 8
 
@@ -50,18 +50,13 @@ class ExcInvariants:
 
 def exc_invariants(c: DivisorClass) -> ExcInvariants:
     """(min, max) of the top multiplicity and degree minus it; (0,0,0) for E_i."""
-    if not _looks_exceptional(c):
+    if not is_exceptional(c):
         raise ValueError(f"{c} is not an exceptional class")
     if c.degree == 0:
         return ExcInvariants(0, 0, 0)
     m_c = max(c.mults)
     rest = c.degree - m_c
     return ExcInvariants(min(m_c, rest), max(m_c, rest), m_c)
-
-
-def _looks_exceptional(c: DivisorClass) -> bool:
-    k = canonical_class(len(c.mults))
-    return intersection(c, c) == -1 and intersection(c, k) == -1
 
 
 def _as8(mults) -> tuple[int, ...]:

@@ -14,24 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .alpha_bounds import _ceil, _clean, _unloading_state
 from .lattice import as_spec
 from .report import TAU_UPPER, CHAR_ZERO, BoundReport
-
-
-def _ceil(x) -> int:
-    f = Fraction(x)
-    return -((-f.numerator) // f.denominator)
-
-
-def _clean(z) -> list[int]:
-    return sorted((m for m in as_spec(z).mults if m > 0), reverse=True)
-
-
-def _uniform_nm(z) -> tuple[int, int] | None:
-    w = _clean(z)
-    if w and len(set(w)) == 1:
-        return len(w), w[0]
-    return None
 
 
 def segre_tau(n: int, m: int) -> BoundReport:
@@ -197,49 +182,21 @@ def roe_tau(z) -> BoundReport:
     """Iterated-unloading upper bound m_1' + m_2' - 1 (clamped at 0).
 
     Stage i (i = 2..n-1) subtracts E1 - ... - Ei, resorting and clamping,
-    while the class meets E1 - ... - E_{i+1} in less than -1.
+    while the class meets E1 - ... - E_{i+1} in less than -1.  The top
+    entry stays on top, so it is kept apart from the state of the rest.
     """
     z = as_spec(z)
     if z.n < 2:
         raise ValueError("bound needs at least 2 points")
-    nm = _uniform_nm(z)
-    if nm is not None and nm[0] == z.n:
-        value = _roe_tau_uniform(*nm)
-    else:
-        value = _roe_tau_vector(list(z.mults))
-    return BoundReport("roe-unloading", TAU_UPPER, max(value, 0))
-
-
-def _roe_tau_vector(w: list[int]) -> int:
-    n = len(w)
-    w = sorted((x if x > 0 else 0 for x in w), reverse=True)
-    for i1 in range(1, n - 1):
-        while w[0] - sum(w[1:i1 + 2]) < -1:
-            w[0] += 1
-            for k in range(1, i1 + 1):
-                w[k] -= 1
-            w = sorted((x if x > 0 else 0 for x in w), reverse=True)
-    return w[0] + w[1] - 1
-
-
-def _roe_tau_uniform(n: int, m: int) -> int:
-    m1 = m
-    m2 = m if n > 1 else 0
-    count = n - 1   # points among the rest carrying multiplicity m2
-    for i in range(1, n - 1):
-        while True:
-            s = (i + 1) * m2 if i + 1 <= count else (i + 1) * m2 + count - i - 1
-            if m1 - s >= -1:
-                break
-            m1 += 1
-            if i < count:
-                count -= i
-            else:
-                count = n - i + count - 1
-                m2 -= 1
-                if m2 < 0:
-                    m2, count = 0, n - 1
-    return m1 + m2 - 1
+    w = _clean(z) or [0]
+    top = w[0]
+    rest = _unloading_state(w[1:])
+    for i in range(1, len(w) - 1):
+        while top < rest.top_sum(i + 1) - 1:
+            top += 1
+            rest.lower(i)
+    second = rest.top_sum(1) if len(w) > 1 else 0
+    return BoundReport("roe-unloading", TAU_UPPER, max(top + second - 1, 0))
 
 
 def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
@@ -256,44 +213,22 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
     if d < 1:
         raise ValueError("d must be positive")
     g = (d - 1) * (d - 2) // 2
-    nm = _uniform_nm(z)
-    if nm is not None and r <= nm[0]:
-        succeeds = lambda t: _hr_tau_succeeds_uniform(t, nm[0], nm[1], r, d, g)
-    else:
-        v = sorted(z.mults, reverse=True)
-        succeeds = lambda t: _hr_tau_succeeds(t, list(v), r, d, g)
+    w = _clean(z)
+    k = min(r, len(w))
     t = 0
-    while not succeeds(t):
+    while not _hr_tau_succeeds(t, w, k, d, g):
         t += 1
     return BoundReport("modified-unloading", TAU_UPPER, t,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
 
 
-def _hr_tau_succeeds(t: int, mults: list[int], r: int, d: int, g: int) -> bool:
-    deg = t
-    v = mults
-    while deg * d - sum(v[:r]) >= g - 1 and deg >= d - 2 and v[0] > 0:
+def _hr_tau_succeeds(t: int, w: list[int], r: int, d: int, g: int) -> bool:
+    state = _unloading_state(w)
+    deg, top = t, (w[0] if w else 0)
+    while top > 0 and deg >= d - 2 and deg * d - state.top_sum(r) >= g - 1:
         deg -= d
-        v = sorted((x - 1 if i < r else x for i, x in enumerate(v)), reverse=True)
-        v = [x if x > 0 else 0 for x in v]
-    return v[0] == 0
-
-
-def _hr_tau_succeeds_uniform(t: int, n: int, m: int, r: int, d: int, g: int) -> bool:
-    deg, top, count = t, m, n
-    while deg * d - _top_r_sum(r, n, top, count) >= g - 1 and deg >= d - 2 and top > 0:
-        deg -= d
-        if r < count:
-            count -= r
-        else:
-            top, count = top - 1, n - r + count
-            if top <= 0:
-                top, count = 0, n
+        top = state.lower(r)
     return top == 0
-
-
-def _top_r_sum(r: int, n: int, top: int, count: int) -> int:
-    return r * top if r <= count else r * top - r + count
 
 
 def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:

@@ -137,3 +137,12 @@ def test_prime_2_pow_31_minus_1_accepted(capsys):
                  "--prime", str(2**31 - 1), "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["rows"][0] == [6, 1]
+
+
+def test_more_points_than_the_affine_plane_holds(capsys):
+    # F_2 has 4 affine points: a fifth distinct one cannot be drawn.
+    assert main(["oracle", "--uniform", "5:1", "--prime", "2", "--t", "0"]) == 3
+    assert "4 points of the affine plane" in capsys.readouterr().err
+    assert main(["oracle", "--uniform", "4:1", "--prime", "2", "--t", "0",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [[0, 0]]

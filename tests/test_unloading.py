@@ -1,0 +1,156 @@
+"""The unloading procedures against a plain sort-and-clamp reference.
+
+Every procedure runs over ``alpha_bounds._unloading_state``, which holds
+a uniform vector as two counters and anything else as runs of equal
+values.  The references below re-sort a Python list on every step
+instead; both must agree on every input, including zeros, uniform
+vectors with and without trailing zeros, and n <= 2.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fatpoints import alpha_bounds as ab
+from fatpoints import tau_bounds as tb
+
+
+def _lowered(v, r):
+    # The r largest entries lowered by one, clamped at 0 and re-sorted.
+    return sorted((max(x - 1, 0) if i < r else x for i, x in enumerate(v)),
+                  reverse=True)
+
+
+def _unloading_certifies_ref(t, v, r, d):
+    deg = t
+    while deg * d - sum(v[:r]) < 0 and deg >= v[0]:
+        deg -= d
+        v = _lowered(v, r)
+    return deg < v[0]
+
+
+def _hr_certifies_ref(t, v, r, d, g):
+    deg = t
+    while ab._hr_subtract_allowed(deg, sum(v[:r]), d, g):
+        deg -= d
+        v = _lowered(v, r)
+    return deg < v[0]
+
+
+def _hr_tau_succeeds_ref(t, v, r, d, g):
+    deg = t
+    while deg * d - sum(v[:r]) >= g - 1 and deg >= d - 2 and v[0] > 0:
+        deg -= d
+        v = _lowered(v, r)
+    return v[0] == 0
+
+
+def _roe_step(w, i):
+    # E1 - ... - E(i+1) subtracted: the top rises, the next i drop.
+    w = [w[0] + 1] + [x - 1 if k <= i else x for k, x in enumerate(w) if k]
+    return sorted((max(x, 0) for x in w), reverse=True)
+
+
+def _roe_alpha_ref(z):
+    w = list(z) + [0, 0, 0] if len(z) < 3 else list(z)
+    w = sorted(w, reverse=True)
+    for i in range(2, len(w)):
+        while w[0] - sum(w[1:i + 1]) < 0:
+            w = _roe_step(w, i)
+    return w[0]
+
+
+def _roe_tau_ref(z):
+    w = sorted(z, reverse=True)
+    for i in range(1, len(w) - 1):
+        while w[0] - sum(w[1:i + 2]) < -1:
+            w = _roe_step(w, i)
+    return max(w[0] + w[1] - 1, 0)
+
+
+def _first_t(holds):
+    t = 0
+    while holds(t):
+        t += 1
+    return t
+
+
+_mixed = st.lists(st.integers(0, 12), min_size=1, max_size=12)
+_uniform = st.builds(lambda n, m, zeros: [m] * n + [0] * zeros,
+                     st.integers(1, 12), st.integers(1, 12), st.integers(0, 3))
+_zeros = st.builds(lambda n: [0] * n, st.integers(1, 5))
+_short = st.lists(st.integers(0, 30), min_size=1, max_size=2)
+_vectors = st.one_of(_mixed, _uniform, _zeros, _short).flatmap(st.permutations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_mixed, _uniform),
+       st.lists(st.integers(0, 13), min_size=1, max_size=40))
+def test_state_matches_sort_and_clamp(mults, steps):
+    w = sorted(mults, reverse=True)
+    for form in (w, w + [0]):
+        # A uniform positive list takes the counters; a trailing zero
+        # sends the same values to the runs.
+        state = ab._unloading_state(form)
+        counters = isinstance(state, ab._Counters)
+        assert counters == (form[-1] > 0 and form[0] == form[-1])
+        ref = form
+        for r in steps:
+            r = min(r, len(form))
+            ref = _lowered(ref, r)
+            assert state.lower(r) == ref[0]
+            for k in range(len(ref) + 1):
+                assert state.top_sum(k) == sum(ref[:k]), (form, steps, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vectors, st.integers(1, 4))
+def test_unloading_matches_reference(z, d):
+    v = sorted(z, reverse=True)
+    w = ab._clean(z)
+    for r in range(1, len(z) + 1):
+        value = _first_t(lambda t: _unloading_certifies_ref(t, v, r, d))
+        assert ab.unloading_alpha(z, r, d).value == value, (z, r, d)
+        for t in range(value + 2 * d + 2):
+            assert ab._unloading_certifies(t, w, min(r, len(w)), d) \
+                == _unloading_certifies_ref(t, v, r, d), (z, r, d, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vectors, st.integers(1, 4))
+def test_modified_unloading_alpha_matches_reference(z, d):
+    v = sorted(z, reverse=True)
+    g = (d - 1) * (d - 2) // 2
+    for r in range(1, len(z) + 1):
+        value = _first_t(lambda t: _hr_certifies_ref(t, v, r, d, g))
+        assert ab.modified_unloading_alpha(z, r, d).value == value, (z, r, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vectors, st.integers(1, 4))
+def test_modified_unloading_tau_matches_reference(z, d):
+    v = sorted(z, reverse=True)
+    g = (d - 1) * (d - 2) // 2
+    for r in range(1, len(z) + 1):
+        value = _first_t(lambda t: not _hr_tau_succeeds_ref(t, v, r, d, g))
+        assert tb.modified_unloading_tau(z, r, d).value == value, (z, r, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vectors)
+def test_roe_alpha_matches_reference(z):
+    assert ab.roe_alpha(z).value == _roe_alpha_ref(z), z
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vectors)
+def test_roe_tau_matches_reference(z):
+    if len(z) >= 2:
+        assert tb.roe_tau(z).value == _roe_tau_ref(z), z
+
+
+def test_roe_matches_reference_on_large_uniform():
+    # Long enough for the counters to wrap many times.
+    for n, m in [(50, 7), (120, 3), (97, 13)]:
+        z = [m] * n
+        assert ab.roe_alpha(z).value == _roe_alpha_ref(z), (n, m)
+        assert tb.roe_tau(z).value == _roe_tau_ref(z), (n, m)
