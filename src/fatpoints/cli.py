@@ -24,7 +24,7 @@ from . import tau_bounds as tb
 from .hilbert import (beta_expected, exactness_flag, find_alpha, find_tau,
                       hilbert_table)
 from .lattice import DivisorClass, FatPointSpec, decompose
-from .oracle import DEFAULT_PRIME, PointConfig, actual_hilbert, actual_nu
+from .oracle import DEFAULT_PRIME, PointConfig, oracle_table
 from .report import BoundReport
 from .resolution import betti_table
 
@@ -229,12 +229,7 @@ def _cmd_oracle(args) -> int:
         lo = hi = args.t
     else:
         lo, hi = max(0, find_alpha(z) - 1), find_tau(z) + 1
-    rows = []
-    for t in range(lo, hi + 1):
-        row = [t, actual_hilbert(cfg, z, t)]
-        if args.nu:
-            row.append(actual_nu(cfg, z, t))
-        rows.append(row)
+    rows = oracle_table(cfg, z, lo, hi, args.nu)
     if args.json:
         doc = {
             "input": _input_block(z),

@@ -10,6 +10,9 @@ points at seeded random coordinates over F_p and compute actual ranks:
 * the number of degree-t minimal generators is dim I_t minus the rank
   of the span of x*f, y*f, z*f over a basis f of I_{t-1}.
 
+`oracle_table` walks a window of degrees, building and eliminating each
+matrix once; `actual_hilbert` and `actual_nu` walk a single degree.
+
 Working in the affine chart z = 1 identifies degree-t forms with
 polynomials of degree <= t in two variables, so vanishing to order m is
 exactly the vanishing of all partials of total order < m.  That reading
@@ -39,6 +42,12 @@ def _check_prime_size(p: int) -> None:
     if p > MAX_PRIME:
         raise ValueError(f"prime {p} exceeds {MAX_PRIME} = isqrt(2^63 - 1): "
                          "products of residues would overflow int64")
+
+
+def _check_prime(p: int) -> None:
+    _check_prime_size(p)
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def _is_prime(p: int) -> bool:
@@ -73,15 +82,14 @@ class PointConfig:
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _check_prime_size(self.prime)
-        if not _is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+        _check_prime(self.prime)
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
 
     @classmethod
     def random(cls, n: int, seed: int = 0, prime: int = DEFAULT_PRIME) -> "PointConfig":
         """Draw n distinct affine points from a deterministic seeded stream."""
+        _check_prime(prime)
         if n > prime * prime:
             raise ValueError(f"{n} distinct points do not fit in the "
                              f"{prime * prime} points of the affine plane over F_{prime}")
@@ -96,39 +104,19 @@ class PointConfig:
         return cls(prime, seed, tuple(pts))
 
 
-def rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p; first-nonzero pivoting."""
-    _check_prime_size(p)
-    m = np.array(a, dtype=np.int64) % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = m[r] * inv % p
-        below = np.nonzero(m[r + 1:, c])[0]
-        if below.size:
-            idx = below + r + 1
-            m[idx] = (m[idx] - np.outer(m[idx, c], m[r])) % p
-        r += 1
-    return r
+def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Forward elimination over F_p with first-nonzero pivoting.
 
-
-def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows) of the right kernel of a over F_p."""
+    Returns the reduced matrix and its pivot columns: row i, for i below
+    len(pivots), is scaled so its entry in column pivots[i] is 1 and has
+    zeros below that entry; every later row is zero.
+    """
     _check_prime_size(p)
     m = np.array(a, dtype=np.int64) % p
     rows, cols = m.shape
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         nz = np.nonzero(m[r:, c])[0]
@@ -137,21 +125,38 @@ def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
         piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = m[r] * inv % p
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        below = np.nonzero(m[r + 1:, c])[0] + r + 1
+        if below.size:
+            m[below] = (m[below] - np.outer(m[below, c], m[r])) % p
         pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(m[i, c])) % p
+    return m, pivots
+
+
+def _kernel(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Kernel basis from `_echelon` output.  Back-substitution in place gives
+    the reduced row echelon form, which is unique, so the basis is too."""
+    red = m[:len(pivots)]
+    for i in range(len(pivots) - 1, 0, -1):
+        c = pivots[i]
+        above = np.nonzero(red[:i, c])[0]
+        if above.size:
+            red[above] = (red[above] - np.outer(red[above, c], red[i])) % p
+    free = sorted(set(range(m.shape[1])) - set(pivots))
+    basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -red[:, free].T % p
     return basis
+
+
+def rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p."""
+    return len(_echelon(a, p)[1])
+
+
+def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis (as rows) of the right kernel of a over F_p."""
+    return _kernel(*_echelon(a, p), p)
 
 
 def _monomials(t: int) -> list[tuple[int, int]]:
@@ -160,6 +165,8 @@ def _monomials(t: int) -> list[tuple[int, int]]:
 
 
 def _condition_matrix(cfg: PointConfig, z: FatPointSpec, t: int) -> np.ndarray:
+    if t < 0:  # no monomials, so no conditions
+        return np.zeros((0, 0), dtype=np.int64)
     p = cfg.prime
     monos = _monomials(t)
     ncols = len(monos)
@@ -191,61 +198,54 @@ def _condition_matrix(cfg: PointConfig, z: FatPointSpec, t: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _check_degree(cfg: PointConfig, z: FatPointSpec, t: int) -> None:
-    if t >= cfg.prime:
-        raise ValueError(f"degree {t} not below the field characteristic {cfg.prime}")
+def _products(basis: np.ndarray, t: int) -> np.ndarray:
+    # z*f, x*f and y*f for each row f of a basis over the degree t-1 monomials.
+    index = {mono: i for i, mono in enumerate(_monomials(t))}
+    src = _monomials(t - 1)
+    k = basis.shape[0]
+    prods = np.zeros((3 * k, len(index)), dtype=np.int64)
+    for block, (da, db) in enumerate(((0, 0), (1, 0), (0, 1))):
+        prods[block * k:(block + 1) * k, [index[(a + da, b + db)] for a, b in src]] = basis
+    return prods
+
+
+def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> list[list[int]]:
+    """Rows [t, dim I_t], plus nu_t with `nu`, for t in [lo, hi] at the seeded points.
+
+    Each degree's condition matrix is built and eliminated once.  dim I_t
+    is its column count minus its rank.  nu_t, the number of degree-t
+    minimal generators, is dim I_t minus the rank of x*f, y*f, z*f over
+    the basis f of I_{t-1} that the previous degree left behind; the
+    products lie in I_t automatically.  With `nu` the walk starts at
+    lo - 1, so it builds hi - lo + 2 matrices.
+    """
+    z = as_spec(z)
+    if lo > hi:
+        raise ValueError(f"empty degree window [{lo}, {hi}]")
+    if hi >= cfg.prime:
+        raise ValueError(f"degree {hi} not below the field characteristic {cfg.prime}")
     if len(z.mults) != len(cfg.points):
         raise ValueError(f"{len(z.mults)} multiplicities but {len(cfg.points)} points")
+    rows, basis = [], None
+    for t in range(lo - 1 if nu else lo, hi + 1):
+        m, pivots = _echelon(_condition_matrix(cfg, z, t), cfg.prime)
+        dim = m.shape[1] - len(pivots)
+        if t >= lo:
+            gens = [dim - rank_mod_p(_products(basis, t), cfg.prime)] if nu else []
+            rows.append([t, dim] + gens)
+        if nu and t < hi:
+            basis = _kernel(m, pivots, cfg.prime)
+    return rows
 
 
 def actual_hilbert(cfg: PointConfig, z, t: int) -> int:
     """dim I(Z)_t at the seeded points: (t+1)(t+2)/2 - rank of the conditions."""
-    z = as_spec(z)
-    _check_degree(cfg, z, t)
-    if t < 0:
-        return 0
-    total = (t + 1) * (t + 2) // 2
-    m = _condition_matrix(cfg, z, t)
-    return total - rank_mod_p(m, cfg.prime)
-
-
-def _ideal_basis(cfg: PointConfig, z: FatPointSpec, t: int) -> np.ndarray:
-    if t < 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    m = _condition_matrix(cfg, z, t)
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1], dtype=np.int64)
-    return nullspace_mod_p(m, cfg.prime)
+    return oracle_table(cfg, z, t, t)[0][1]
 
 
 def actual_nu(cfg: PointConfig, z, t: int) -> int:
-    """Number of degree-t minimal generators at the seeded points.
-
-    dim I_t minus the rank of the image of multiplication by the three
-    coordinates applied to a basis of I_{t-1}; the products lie in I_t
-    automatically.
-    """
-    z = as_spec(z)
-    _check_degree(cfg, z, t)
-    if t < 0:
-        return 0
-    h_t = actual_hilbert(cfg, z, t)
-    basis = _ideal_basis(cfg, z, t - 1)
-    if basis.shape[0] == 0:
-        return h_t
-    src = _monomials(t - 1)
-    dst_index = {mono: i for i, mono in enumerate(_monomials(t))}
-    ncols = len(dst_index)
-    k = basis.shape[0]
-    prods = np.zeros((3 * k, ncols), dtype=np.int64)
-    for j, (a, b) in enumerate(src):
-        col_z = dst_index[(a, b)]
-        col_x = dst_index[(a + 1, b)]
-        col_y = dst_index[(a, b + 1)]
-        prods[0:k, col_z] = basis[:, j]
-        prods[k:2 * k, col_x] = basis[:, j]
-        prods[2 * k:3 * k, col_y] = basis[:, j]
-    return h_t - rank_mod_p(prods, cfg.prime)
+    """Number of degree-t minimal generators at the seeded points."""
+    return oracle_table(cfg, z, t, t, nu=True)[0][2]
 
 
 def hilbert_majority(z, t: int, seeds=(0, 1, 2), prime: int = DEFAULT_PRIME) -> int:
@@ -254,21 +254,17 @@ def hilbert_majority(z, t: int, seeds=(0, 1, 2), prime: int = DEFAULT_PRIME) -> 
     Random points can fail to be general; the vote makes a single bad
     draw harmless.  Disagreement across all seeds raises.
     """
-    z = as_spec(z)
-    values = [actual_hilbert(PointConfig.random(z.n, seed=s, prime=prime), z, t)
-              for s in seeds]
-    return _majority(values)
+    return _seed_vote(actual_hilbert, z, t, seeds, prime)
 
 
 def nu_majority(z, t: int, seeds=(0, 1, 2), prime: int = DEFAULT_PRIME) -> int:
     """actual_nu by majority vote over several seeds."""
+    return _seed_vote(actual_nu, z, t, seeds, prime)
+
+
+def _seed_vote(oracle, z, t: int, seeds, prime: int) -> int:
     z = as_spec(z)
-    values = [actual_nu(PointConfig.random(z.n, seed=s, prime=prime), z, t)
-              for s in seeds]
-    return _majority(values)
-
-
-def _majority(values: list[int]) -> int:
+    values = [oracle(PointConfig.random(z.n, seed=s, prime=prime), z, t) for s in seeds]
     best = max(set(values), key=values.count)
     if values.count(best) * 2 <= len(values):
         raise RuntimeError(f"no majority among oracle runs: {values}")

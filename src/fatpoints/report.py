@@ -30,11 +30,5 @@ class BoundReport:
     params: tuple[tuple[str, object], ...] = field(default_factory=tuple)
     validity: tuple[str, ...] = field(default_factory=tuple)
 
-    def param(self, key: str):
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
-
     def params_dict(self) -> dict:
         return dict(self.params)

@@ -152,6 +152,14 @@ def test_oracle_matches_expected_table(capsys):
     assert doc["prime"] == 31991
 
 
+def test_oracle_empty_window_rejected(capsys):
+    code, out, err = run(capsys, "oracle", "--mults", "2,2", "--window", "5:3")
+    assert code == 3 and out == ""
+    assert "empty degree window [5, 3]" in err
+    code, out, err = run(capsys, "oracle", "--mults", "2,2", "--window", "4:3", "--nu")
+    assert code == 3 and "empty degree window [4, 3]" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "alpha")[0] == 2                       # missing input
     assert run(capsys, "alpha", "--mults", "1,x")[0] == 2     # malformed list

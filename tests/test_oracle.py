@@ -3,13 +3,76 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fatpoints import oracle
 from fatpoints.cli import main
 from fatpoints.hilbert import expected_dim, hilbert_polynomial
 from fatpoints.lattice import DivisorClass
 from fatpoints.oracle import (MAX_PRIME, PointConfig, actual_hilbert, actual_nu,
                               hilbert_majority, nullspace_mod_p, nu_majority,
-                              rank_mod_p)
+                              oracle_table, rank_mod_p)
+
+
+def _gauss_jordan_nullspace(a, p):
+    # Reference: clear each pivot column above and below as it is found,
+    # then read the kernel off the reduced row echelon form.
+    m = np.array(a, dtype=np.int64) % p
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        inv = pow(int(m[r, c]), -1, p)
+        m[r] = m[r] * inv % p
+        others = np.nonzero(m[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-int(m[i, c])) % p
+    return basis
+
+
+@st.composite
+def _matrices(draw):
+    # Tall, wide, empty and rank-deficient matrices, entries also outside [0, p).
+    p = draw(st.sampled_from([2, 3, 101, 31991]))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+
+    def block(r, c, lo, hi):
+        cells = draw(st.lists(st.integers(lo, hi), min_size=r * c, max_size=r * c))
+        return np.array(cells, dtype=np.int64).reshape(r, c)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        return block(rows, k, 0, p - 1) @ block(k, cols, 0, p - 1), p
+    return block(rows, cols, -2 * p, 2 * p), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices())
+def test_elimination_matches_gauss_jordan_reference(case):
+    a, p = case
+    ref = _gauss_jordan_nullspace(a, p)
+    ns = nullspace_mod_p(a, p)
+    assert ns.dtype == ref.dtype and ns.shape == ref.shape
+    assert (ns == ref).all()
+    assert rank_mod_p(a, p) == a.shape[1] - ref.shape[0]
 
 
 def test_rank_mod_p_basics():
@@ -35,6 +98,40 @@ def test_nullspace_mod_p():
         assert not (a @ ns.T % p).any()
         if ns.shape[0]:
             assert rank_mod_p(ns, p) == ns.shape[0]
+
+
+@pytest.mark.parametrize("z, lo, hi", [
+    ((3, 3, 3, 3, 3), 0, 9),
+    ((3, 3, 3, 3, 3), 5, 9),
+    ((2, 0, 4, 1, 0), 3, 8),
+    ((0, 0), 0, 3),
+    ((0, 2, 0), 2, 5),
+])
+def test_window_rows_equal_single_degree_values(z, lo, hi):
+    cfg = PointConfig.random(len(z), seed=1)
+    assert oracle_table(cfg, z, lo, hi) == \
+        [[t, actual_hilbert(cfg, z, t)] for t in range(lo, hi + 1)]
+    assert oracle_table(cfg, z, lo, hi, nu=True) == \
+        [[t, actual_hilbert(cfg, z, t), actual_nu(cfg, z, t)] for t in range(lo, hi + 1)]
+
+
+def test_nu_window_builds_one_matrix_per_degree(monkeypatch):
+    built = []
+    real = oracle._condition_matrix
+
+    def counting(cfg, z, t):
+        built.append(t)
+        return real(cfg, z, t)
+
+    monkeypatch.setattr(oracle, "_condition_matrix", counting)
+    cfg = PointConfig.random(5, seed=0)
+    lo, hi = 6, 9
+    oracle_table(cfg, (3, 3, 3, 3, 3), lo, hi, nu=True)
+    assert built == list(range(lo - 1, hi + 1))
+    assert len(built) == hi - lo + 2
+    built.clear()
+    oracle_table(cfg, (3, 3, 3, 3, 3), lo, hi)
+    assert built == list(range(lo, hi + 1))
 
 
 def test_point_config_validation():
@@ -146,3 +243,11 @@ def test_more_points_than_the_affine_plane_holds(capsys):
     assert main(["oracle", "--uniform", "4:1", "--prime", "2", "--t", "0",
                  "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rows"] == [[0, 0]]
+
+
+@pytest.mark.parametrize("uniform, prime", [("2:1", "-5"), ("2:1", "1"), ("17:1", "4")])
+def test_bad_prime_named_before_points_are_drawn(capsys, uniform, prime):
+    # These used to fail inside randrange or blame the size of "F_1"/"F_4".
+    code = main(["oracle", "--uniform", uniform, "--prime", prime, "--t", "0"])
+    err = capsys.readouterr().err
+    assert code == 3 and err == f"error: {prime} is not prime\n"
