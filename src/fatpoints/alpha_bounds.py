@@ -12,8 +12,8 @@ Z = m_1 p_1 + ... + m_n p_n for all t below the reported value.
   points while the class meets it negatively (keeping the multiplicities
   sorted and clamped); if the degree drops below the top multiplicity the
   original class was not effective.  The bound is the first degree the
-  procedure fails to rule out, found by an upward scan, so it never
-  depends on a warm start.
+  procedure fails to rule out, which has a closed form as a minimum over
+  the lowering steps (proof in ``unloading_alpha``).
 
 * Iterated unloading: subtract the classes E1-E2-...-Ei for i = 3..n in
   turn while they meet the class negatively; the final top multiplicity
@@ -27,17 +27,19 @@ Z = m_1 p_1 + ... + m_n p_n for all t below the reported value.
 * Semigroup membership: the least t whose class lands in the semigroup
   generated by exceptional classes and the anticanonical class.
 
-Every unloading procedure is written once over one multiplicity state,
-which lowers the r largest entries without re-sorting: it counts how
-many points carry the top multiplicity when all multiplicities are
-equal, and keeps runs of equal values otherwise.
+Every unloading procedure runs over one multiplicity state, runs of
+equal values lowered without re-sorting.  Those with a fixed r read its
+lowering sequence, which depends only on the multiplicities and r, so
+each step is lowered once per call however many degrees read it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import gcd, isqrt
+from operator import neg
 from typing import Sequence
 
 from .hilbert import find_alpha
@@ -45,13 +47,8 @@ from .lattice import as_spec, reduce_fundamental_raw
 from .report import ALPHA_LOWER, CHAR_ZERO, BoundReport, fmt_rational
 
 
-def _ceil(x) -> int:
-    f = Fraction(x)
-    return -((-f.numerator) // f.denominator)
-
-
 def _ceil_div(a: int, b: int) -> int:
-    # ceil(a / b) for integers with b > 0.
+    # ceil(a / b) for integers with b != 0.
     return -((-a) // b)
 
 
@@ -96,7 +93,7 @@ def nef_test_bound(z, weights: Sequence, r: int, d: int) -> BoundReport:
     if r * ints[0] < sum(ints[1:]):
         raise ValueError("weights violate r*a0 >= a1+...+an")
     m = sorted(z.mults, reverse=True)
-    value = _ceil(Fraction(sum(w * x for w, x in zip(ints[1:], m)), ints[0] * d))
+    value = _ceil_div(sum(w * x for w, x in zip(ints[1:], m)), ints[0] * d)
     return BoundReport("nef-test", ALPHA_LOWER, value,
                        (("r", r), ("d", d),
                         ("weights", tuple(fmt_rational(w) for w in a))))
@@ -122,15 +119,15 @@ def nef_variant_bound(z, variant: str, r: int, d: int, j: int | None = None) -> 
     if variant == "a":
         if r * r < n * d * d:
             raise ValueError("variant (a) needs r^2 >= n*d^2")
-        value = _ceil(Fraction(total * d, r))
+        value = _ceil_div(total * d, r)
     elif variant == "b":
         if r * r > n * d * d:
             raise ValueError("variant (b) needs r^2 <= n*d^2")
-        value = _ceil(Fraction(total * r, n * d))
+        value = _ceil_div(total * r, n * d)
     elif variant == "c":
         if d * d < r:
             raise ValueError("variant (c) needs d^2 >= r")
-        value = _ceil(Fraction(sum(w[:r]), d))
+        value = _ceil_div(sum(w[:r]), d)
     elif variant == "d":
         if d * d >= r:
             raise ValueError("variant (d) needs d^2 < r")
@@ -262,40 +259,23 @@ def best_rd_b(n: int) -> tuple[int, int]:
 # implicitly.
 
 
-class _Counters:
-    # One positive value throughout: `count` entries at `top`, the other
-    # n - count at top - 1.
-    __slots__ = ("top", "count", "n")
-
-    def __init__(self, w: list[int]):
-        self.top = w[0]
-        self.n = self.count = len(w)
-
-    def top_sum(self, r: int) -> int:
-        return r * self.top if r <= self.count else r * (self.top - 1) + self.count
-
-    def lower(self, r: int) -> int:
-        top = self.top
-        if not top:
-            return 0
-        if r < self.count:
-            self.count -= r
-        else:
-            top -= 1
-            self.top = top
-            self.count = self.count + self.n - r if top else self.n
-        return top
-
-
 class _Runs:
-    # Runs of equal positive values, largest first: vals[i] held by
-    # cnts[i] entries; zero entries are dropped.
+    # A list sorted nonincreasing and nonnegative, as runs of equal
+    # positive values.  top_sum(r) is the sum of the r largest entries;
+    # lower(r) lowers them by one, clamps at 0 and returns the new largest
+    # (0 once all are zero), in O(runs) and with no re-sort.
     __slots__ = ("vals", "cnts")
 
     def __init__(self, w: list[int]):
-        runs = [(m, len(list(g))) for m, g in groupby(w) if m > 0]
-        self.vals = [m for m, _ in runs]
-        self.cnts = [c for _, c in runs]
+        # A run ends at the first smaller entry, found by bisection, so a
+        # build costs O(runs log n) rather than O(n).
+        self.vals, self.cnts = [], []
+        i = 0
+        while i < len(w) and w[i] > 0:
+            j = bisect_right(w, -w[i], i, key=neg)
+            self.vals.append(w[i])
+            self.cnts.append(j - i)
+            i = j
 
     def top_sum(self, r: int) -> int:
         s = 0
@@ -331,50 +311,83 @@ class _Runs:
         return vals[0] if vals else 0
 
 
-def _unloading_state(w: list[int]) -> _Counters | _Runs:
-    """Mutable state of w sorted nonincreasing and nonnegative.
+class _Lowerings:
+    """The lowering sequence of w (sorted nonincreasing) for one r.
 
-    state.top_sum(r) is the sum of the r largest entries; state.lower(r)
-    lowers them by one, clamps at 0, keeps the entries sorted and returns
-    the new largest (0 once all are zero).  Both need 0 <= r <= len(w).
-
-    A list of one positive value is held as two counters; anything else
-    as runs of equal values, so a step costs O(runs) and nothing is
-    re-sorted.
+    at(k) is (tops[k], sums[k]): the largest entry and the sum of the r
+    largest after the r largest were lowered by one (clamped at 0) k
+    times.  The lists grow only through at(), so every procedure that
+    reads the sequence for several degrees lowers each step once; the
+    walks index them directly and call at() when they reach the end.
     """
-    return _Counters(w) if w and w[0] == w[-1] > 0 else _Runs(w)
+
+    __slots__ = ("tops", "sums", "_state", "_r")
+
+    def __init__(self, w: list[int], r: int):
+        self._state, self._r = _Runs(w), r
+        self.tops, self.sums = [w[0] if w else 0], [self._state.top_sum(r)]
+
+    def at(self, k: int) -> tuple[int, int]:
+        tops, sums, state, r = self.tops, self.sums, self._state, self._r
+        while len(tops) <= k:
+            tops.append(state.lower(r))
+            sums.append(state.top_sum(r))
+        return tops[k], sums[k]
 
 
-def _unloading_certifies(t: int, w: list[int], r: int, d: int) -> bool:
-    # w sorted nonincreasing and positive, r <= len(w): True when degree
-    # t unloads to a class whose degree is below its top multiplicity.
-    state = _unloading_state(w)
-    deg, top = t, (w[0] if w else 0)
-    while deg >= top and deg * d < state.top_sum(r):
-        deg -= d
-        top = state.lower(r)
-    return deg < top
+def _unloading_min(seq: _Lowerings, d: int, best: int = -1) -> int:
+    # min over k of k d + max(tops[k], ceil(sums[k] / d)), walked until
+    # k d reaches the running minimum; returns early, with a value at
+    # most best, once the running minimum is at most best.
+    tops, sums = seq.tops, seq.sums
+    low = max(tops[0], -(-sums[0] // d))
+    k, kd = 1, d
+    while kd < low and low > best:
+        if k == len(tops):
+            seq.at(k)
+        term = -(-sums[k] // d)
+        if term < tops[k]:
+            term = tops[k]
+        if term + kd < low:
+            low = term + kd
+        k, kd = k + 1, kd + d
+    return low
 
 
 def unloading_alpha(z, r: int, d: int) -> BoundReport:
     """First degree the unloading procedure fails to rule out.
 
-    For every smaller degree the class unloads to one whose degree drops
-    below its top multiplicity, so no curve of that degree exists.
+    Degree t unloads by subtracting the degree-d curve through the r
+    largest points while t - k d >= tops[k] and (t - k d) d < sums[k]
+    (tops, sums: the lowering sequence); it is ruled out when the degree
+    drops below the top multiplicity.  The bound has the closed form
+
+        min over k >= 0 of k d + max(tops[k], ceil(sums[k] / d)).
+
+    Proof.  Step k is passed iff L_k <= t <= U_k, with
+    L_k = k d + tops[k] and U_k = k d + ceil(sums[k] / d) - 1; the walk
+    stops at the first step not passed, and t is ruled out there iff
+    t < L_k.  L_k never decreases, since a lowering drops the top entry
+    by at most 1 and d >= 1.  So t fails iff some k has L_k <= t and
+    U_k < t: then L_j <= t for every j <= k, so the walk stops at k or
+    earlier without ruling t out.  The least such t is
+    min_k max(L_k, U_k + 1).  Every term is at least k d, so the walk
+    ends once k d reaches the running minimum.
     """
     z = as_spec(z)
     if not 1 <= r <= z.n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={z.n}")
     if d < 1:
         raise ValueError("d must be positive")
-    # Points past the positive ones stay at 0 and need no lowering, and
-    # every degree below m_1 is ruled out before any subtraction.
     w = _clean(z)
-    k = min(r, len(w))
-    t = w[0] if w else 0
-    while _unloading_certifies(t, w, k, d):
-        t += 1
-    return BoundReport("unloading", ALPHA_LOWER, t, (("r", r), ("d", d)))
+    value = _unloading_min(_Lowerings(w, min(r, len(w))), d)
+    return BoundReport("unloading", ALPHA_LOWER, value, (("r", r), ("d", d)))
+
+
+def _u_rho(n: int, m: int, r: int) -> tuple[int, int]:
+    # m*n = u*r + rho with 0 < rho <= r.
+    u = _ceil_div(m * n, r) - 1
+    return u, m * n - u * r
 
 
 def unloading_alpha_formula(n: int, m: int, r: int, d: int) -> BoundReport:
@@ -389,39 +402,31 @@ def unloading_alpha_formula(n: int, m: int, r: int, d: int) -> BoundReport:
         raise ValueError("closed form needs 2r >= n + d^2")
     if m == 0:
         return BoundReport("unloading-formula", ALPHA_LOWER, 0, (("r", r), ("d", d)))
-    u = _ceil(Fraction(m * n, r)) - 1
-    rho = m * n - u * r
-    value = 1 + u * d + min(d - 1, _ceil(Fraction(rho, d)) - 1)
+    u, rho = _u_rho(n, m, r)
+    value = 1 + u * d + min(d - 1, _ceil_div(rho, d) - 1)
     return BoundReport("unloading-formula", ALPHA_LOWER, value, (("r", r), ("d", d)))
 
 
 def best_unloading_search(z) -> BoundReport:
     """Exhaustive maximum of the unloading bound over 1 <= r <= n, d^2 <= r.
 
-    The bound of a pair is the least degree that fails to certify, so a
-    pair whose certifier already fails at the current best has a bound
-    at most best and cannot win the strict comparison; only pairs that
-    certify the current best get the full upward scan of
-    ``unloading_alpha``.  This needs no monotonicity in t.
-
-    Certifying best fails at once when best >= m_1 and
-    best d >= m_1 + ... + m_r, since the first subtraction is refused;
-    best only grows, so that holds for every larger d too and the rest
-    of the d loop is skipped.
+    One lowering sequence per r serves every d.  The closed form of
+    ``unloading_alpha`` is a minimum, so a pair stops as soon as its
+    running minimum is at most the current best: its bound cannot win
+    the strict comparison.  A pair that beats the best is reported by
+    ``unloading_alpha``; ties keep the first (smallest) parameters.
     """
     w = _clean(z)
     n = len(w)
     if n == 0:
         raise ValueError("the empty subscheme has no bound parameters")
-    sums = list(accumulate(w, initial=0))
     best, best_r, best_d = 0, 0, 0
     for r in range(1, n + 1):
+        seq = _Lowerings(w, r)
         d = 1
-        while d * d <= r and (best < w[0] or best * d < sums[r]):
-            if _unloading_certifies(best, w, r, d):
-                value = unloading_alpha(w, r, d).value
-                if value > best:
-                    best, best_r, best_d = value, r, d
+        while d * d <= r:
+            if _unloading_min(seq, d, best) > best:
+                best, best_r, best_d = unloading_alpha(w, r, d).value, r, d
             d += 1
     return BoundReport("best-unloading", ALPHA_LOWER, best,
                        (("r", best_r), ("d", best_d)))
@@ -442,7 +447,7 @@ def roe_alpha(z) -> BoundReport:
     """
     w = _clean(z) or [0]
     top = w[0]
-    rest = _unloading_state(w[1:])
+    rest = _Runs(w[1:])
     for i in range(2, len(w)):
         while top < rest.top_sum(i):
             top += 1
@@ -463,13 +468,14 @@ def _hr_subtract_allowed(deg: int, s: int, d: int, g: int) -> bool:
     return (deg + 1) * (deg + 2) <= 2 * s and deg < d and deg >= 0
 
 
-def _hr_certifies(t: int, w: list[int], r: int, d: int, g: int) -> bool:
-    state = _unloading_state(w)
-    deg, top = t, (w[0] if w else 0)
-    while _hr_subtract_allowed(deg, state.top_sum(r), d, g):
-        deg -= d
-        top = state.lower(r)
-    return deg < top
+def _hr_certifies(t: int, seq: _Lowerings, d: int, g: int) -> bool:
+    tops, sums = seq.tops, seq.sums
+    k, deg = 0, t
+    while _hr_subtract_allowed(deg, sums[k], d, g):
+        k, deg = k + 1, deg - d
+        if k == len(tops):
+            seq.at(k)
+    return deg < tops[k]
 
 
 def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
@@ -481,18 +487,12 @@ def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
         raise ValueError("d must be positive")
     g = (d - 1) * (d - 2) // 2
     w = _clean(z)
-    k = min(r, len(w))
+    seq = _Lowerings(w, min(r, len(w)))
     t = 0
-    while _hr_certifies(t, w, k, d, g):
+    while _hr_certifies(t, seq, d, g):
         t += 1
     return BoundReport("modified-unloading", ALPHA_LOWER, t,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
-
-
-def _u_rho(n: int, m: int, r: int) -> tuple[int, int]:
-    # m*n = u*r + rho with 0 < rho <= r.
-    u = _ceil(Fraction(m * n, r)) - 1
-    return u, m * n - u * r
 
 
 def modified_unloading_alpha_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:

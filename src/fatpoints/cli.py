@@ -349,31 +349,30 @@ def _best_of(fn, mults, *rds, pick) -> BoundReport:
     return pick(reports, key=lambda rep: rep.value)
 
 
-def _requested_methods(z: FatPointSpec, args) -> tuple[list, list]:
+def _requested_reports(z: FatPointSpec, args) -> tuple[list, list]:
     # Explicit --r/--d/--j/--weights run the parameterized methods at
-    # exactly those parameters, alongside the default sweep.
-    alpha_makers, tau_makers = [], []
+    # exactly those parameters, alongside the default sweep.  They run
+    # outside _run_methods, so a failed precondition exits 3 rather than
+    # dropping the method that was asked for.
+    alpha_reports, tau_reports = [], []
     mults = z.mults
     if args.weights is not None:
         if args.r is None or args.d is None:
             raise ValueError("--weights needs --r and --d")
-        alpha_makers.append(
-            lambda: ab.nef_test_bound(mults, args.weights, args.r, args.d))
+        alpha_reports.append(ab.nef_test_bound(mults, args.weights, args.r, args.d))
     if args.r is not None or args.d is not None:
         if args.r is None or args.d is None:
             raise ValueError("method parameters need both --r and --d")
-        alpha_makers += [
-            lambda: ab.unloading_alpha(mults, args.r, args.d),
-            lambda: ab.modified_unloading_alpha(mults, args.r, args.d),
+        alpha_reports += [
+            ab.unloading_alpha(mults, args.r, args.d),
+            ab.modified_unloading_alpha(mults, args.r, args.d),
         ]
         if args.j is not None:
-            alpha_makers.append(
-                lambda: ab.nef_variant_bound(mults, "d", args.r, args.d, j=args.j))
-        tau_makers.append(
-            lambda: tb.modified_unloading_tau(mults, args.r, args.d))
+            alpha_reports.append(ab.nef_variant_bound(mults, "d", args.r, args.d, j=args.j))
+        tau_reports.append(tb.modified_unloading_tau(mults, args.r, args.d))
     elif args.j is not None:
         raise ValueError("--j needs --r and --d")
-    return alpha_makers, tau_makers
+    return alpha_reports, tau_reports
 
 
 def _cmd_bounds(args) -> int:
@@ -381,14 +380,12 @@ def _cmd_bounds(args) -> int:
     exact = z.n <= 9
     label = "Value" if exact else "Expected value (SHGH)"
     ea, et = find_alpha(z), find_tau(z)
-    requested_alpha, requested_tau = _requested_methods(z, args)
-    alpha_makers = requested_alpha + _alpha_methods(z)
-    tau_makers = _tau_methods(z) + requested_tau
+    requested_alpha, requested_tau = _requested_reports(z, args)
+    alpha_reports = requested_alpha + _run_methods(_alpha_methods(z))
+    tau_reports = _run_methods(_tau_methods(z)) + requested_tau
     if z.n > 0 and z.is_uniform() and z.mults[0] > 0:
-        alpha_makers += _uniform_extra_alpha(z.n, z.mults[0])
-        tau_makers += _uniform_extra_tau(z.n, z.mults[0])
-    alpha_reports = _run_methods(alpha_makers)
-    tau_reports = _run_methods(tau_makers)
+        alpha_reports += _run_methods(_uniform_extra_alpha(z.n, z.mults[0]))
+        tau_reports += _run_methods(_uniform_extra_tau(z.n, z.mults[0]))
     if args.json:
         docs = [_report_json(z, _value_report(z, "expected-alpha", ea))]
         docs += [_report_json(z, rep) for rep in alpha_reports]

@@ -14,9 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .alpha_bounds import _ceil, _clean, _unloading_state
+from .alpha_bounds import _ceil_div, _clean, _Lowerings, _Runs, _u_rho
 from .lattice import as_spec
-from .report import TAU_UPPER, CHAR_ZERO, BoundReport
+from .report import TAU_UPPER, CHAR_ZERO, BoundReport, fmt_rational
 
 
 def segre_tau(n: int, m: int) -> BoundReport:
@@ -63,7 +63,7 @@ def hirschowitz_tau(z) -> BoundReport:
         raise ValueError("the empty subscheme needs no bound")
     s = sum(m * (m + 1) for m in w)
     d = w[0]
-    while _ceil(Fraction(d + 3, 2)) * _ceil(Fraction(d + 2, 2)) * 2 <= s:
+    while _ceil_div(d + 3, 2) * _ceil_div(d + 2, 2) * 2 <= s:
         d += 1
     return BoundReport("hirschowitz", TAU_UPPER, d)
 
@@ -101,7 +101,7 @@ def sqrt_specialization_tau(n: int, m: int) -> BoundReport:
     root = isqrt(n)
     if root * root != n:
         root += 1
-    value = m * root + _ceil(Fraction(root - 3, 2))
+    value = m * root + _ceil_div(root - 3, 2)
     return BoundReport("sqrt-specialization", TAU_UPPER, value, (("d", root),))
 
 
@@ -141,7 +141,7 @@ def _catalisano_uniform(n: int, m: int) -> int:
     d1 = f - 1 if r == 0 else f
     t = d1 + (m - 1) * f
     if 2 * t + 1 < 5 * m:
-        t = _ceil(Fraction(5 * m - 1, 2))
+        t = _ceil_div(5 * m - 1, 2)
     if t < 2 * m - 1:
         t = 2 * m - 1
     if r == f and n >= 9:
@@ -168,7 +168,7 @@ def _catalisano_mixed(w: list[int]) -> int:
     t += sum(f * v for f, v in zip(fs, diffs))
     top5 = sum(w[:5])
     if 2 * t + 1 < top5:
-        t = _ceil(Fraction(top5 - 1, 2))
+        t = _ceil_div(top5 - 1, 2)
     if t < w[0] + w[1] - 1:
         t = w[0] + w[1] - 1
     if rs[0] == fs[0] and n >= 9 and w[0] == w[n - 1] and w[0] > 1:
@@ -190,7 +190,7 @@ def roe_tau(z) -> BoundReport:
         raise ValueError("bound needs at least 2 points")
     w = _clean(z) or [0]
     top = w[0]
-    rest = _unloading_state(w[1:])
+    rest = _Runs(w[1:])
     for i in range(1, len(w) - 1):
         while top < rest.top_sum(i + 1) - 1:
             top += 1
@@ -214,21 +214,22 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
         raise ValueError("d must be positive")
     g = (d - 1) * (d - 2) // 2
     w = _clean(z)
-    k = min(r, len(w))
+    seq = _Lowerings(w, min(r, len(w)))
     t = 0
-    while not _hr_tau_succeeds(t, w, k, d, g):
+    while not _hr_tau_succeeds(t, seq, d, g):
         t += 1
     return BoundReport("modified-unloading", TAU_UPPER, t,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
 
 
-def _hr_tau_succeeds(t: int, w: list[int], r: int, d: int, g: int) -> bool:
-    state = _unloading_state(w)
-    deg, top = t, (w[0] if w else 0)
-    while top > 0 and deg >= d - 2 and deg * d - state.top_sum(r) >= g - 1:
-        deg -= d
-        top = state.lower(r)
-    return top == 0
+def _hr_tau_succeeds(t: int, seq: _Lowerings, d: int, g: int) -> bool:
+    tops, sums = seq.tops, seq.sums
+    k, deg = 0, t
+    while tops[k] > 0 and deg >= d - 2 and deg * d - sums[k] >= g - 1:
+        k, deg = k + 1, deg - d
+        if k == len(tops):
+            seq.at(k)
+    return tops[k] == 0
 
 
 def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:
@@ -241,8 +242,8 @@ def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundRep
         return BoundReport("modified-unloading-formula-a", TAU_UPPER, 0,
                            (("r", r), ("d", d)), (CHAR_ZERO,))
     g = (d - 1) * (d - 2) // 2
-    u = _ceil(Fraction(m * n, r)) - 1
-    value = max(_ceil(Fraction(m * r + g - 1, d)), (u + 1) * d - 2)
+    u, _ = _u_rho(n, m, r)
+    value = max(_ceil_div(m * r + g - 1, d), (u + 1) * d - 2)
     return BoundReport("modified-unloading-formula-a", TAU_UPPER, value,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
 
@@ -257,9 +258,8 @@ def modified_unloading_tau_formula_b(n: int, m: int, r: int, d: int) -> BoundRep
         return BoundReport("modified-unloading-formula-b", TAU_UPPER, 0,
                            (("r", r), ("d", d)), (CHAR_ZERO,))
     g = (d - 1) * (d - 2) // 2
-    u = _ceil(Fraction(m * n, r)) - 1
-    rho = m * n - u * r
-    value = max(_ceil(Fraction(rho + g - 1, d)) + u * d, (u + 1) * d - 2)
+    u, rho = _u_rho(n, m, r)
+    value = max(_ceil_div(rho + g - 1, d) + u * d, (u + 1) * d - 2)
     return BoundReport("modified-unloading-formula-b", TAU_UPPER, value,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
 
@@ -277,13 +277,11 @@ def ran_tau(n: int, m: int, c) -> BoundReport:
     if c <= 0:
         raise ValueError("the slope c must be positive")
     if n * c.denominator ** 2 >= c.numerator ** 2:
-        value = -3 + _ceil(Fraction((m + 1) * n, 1) / c)
+        value = -3 + _ceil_div((m + 1) * n * c.denominator, c.numerator)
     else:
         target = (m + 1) * (m + 1) * n
         k = isqrt(target)
         if k * k < target:
             k += 1
         value = -3 + k
-    return BoundReport("ran-from-alpha", TAU_UPPER, value,
-                       (("c", f"{c.numerator}/{c.denominator}" if c.denominator != 1
-                         else str(c.numerator)),))
+    return BoundReport("ran-from-alpha", TAU_UPPER, value, (("c", fmt_rational(c)),))

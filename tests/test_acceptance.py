@@ -3,6 +3,7 @@ noted).  Each test prints one PASS line; any failure fails the suite.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -65,19 +66,34 @@ def test_golden_large_uniform_runtimes():
     _ok("golden: uniform n=1000/9000 (roe, modified unloading, alpha, reference)")
 
 
-def test_golden_bounds_suite_uniform_1000_runtime():
+def _bounds_json(args):
     out = io.StringIO()
     start = time.monotonic()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["bounds", "--uniform", "1000:13", "--json"])
-    elapsed = time.monotonic() - start
+        code = cli.main(["bounds", *args, "--json"])
     assert code == 0
+    return out.getvalue(), time.monotonic() - start
+
+
+def test_golden_bounds_suite_uniform_1000_runtime():
+    out, elapsed = _bounds_json(["--uniform", "1000:13"])
     assert elapsed < 10, f"bounds --uniform 1000:13 took {elapsed:.1f}s"
-    found = {doc["method"]: (doc["value"], doc["params"])
-             for doc in json.loads(out.getvalue())}
+    found = {doc["method"]: (doc["value"], doc["params"]) for doc in json.loads(out)}
     assert found["nef-d"] == (412, {"r": 253, "d": 8, "j": 64})
     assert found["best-unloading"] == (415, {"r": 510, "d": 16})
+    # The whole document, byte for byte: every method's value and parameters.
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2be1720a14734732961370e71a6befdd5b4a39c2fb874d74497165c801b0afe5"
     _ok(f"golden: bounds --uniform 1000:13 in {elapsed:.2f}s (nef-d 412, unloading 415)")
+
+
+def test_golden_bounds_suite_mixed_200_bytes():
+    rng = random.Random(2024)
+    mults = ",".join(str(rng.randint(1, 11)) for _ in range(200))
+    out, elapsed = _bounds_json(["--mults", mults])
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "5d015628119e191019041f50688d699e06acf08b37707ea0fa153435493a5d86"
+    _ok(f"golden: bounds on a seeded mixed n=200 vector in {elapsed:.2f}s")
 
 
 def test_golden_square_counts():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -271,16 +272,16 @@ def _naive_prefix_spread(w, r, d, j):
     # Weight family (d) in Fractions, straight from slices of w.
     n = len(w)
     if d * d >= r:
-        return ab._ceil(Fraction(sum(w[:r]), d))
+        return math.ceil(Fraction(sum(w[:r]), d))
     if j == 0:
-        return ab._ceil(Fraction(sum(w[:d * d]), d))
+        return math.ceil(Fraction(sum(w[:d * d]), d))
     q = r - d * d
     m_cut = (q * (q + j)) // j
     head = sum(w[:d * d - j])
     tail = Fraction(sum(w[d * d - j:min(m_cut + r, n)]) * j, q + j)
     if m_cut + r < n:
         tail += w[m_cut + r] * (q - Fraction(j * m_cut, q + j))
-    return ab._ceil((head + tail) / d)
+    return math.ceil((head + tail) / d)
 
 
 def _naive_variant_d_all(z):

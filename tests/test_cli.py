@@ -189,3 +189,16 @@ def test_bounds_explicit_method_parameters(capsys):
 
     code, _, err = run(capsys, "bounds", "--uniform", "10:2", "--j", "3")
     assert code == 3 and "--r" in err
+
+
+def test_bounds_requested_method_precondition_exits_3(capsys):
+    # An explicitly requested method that does not apply is an error, not
+    # a silent return to the default suite.
+    for args, message in [
+            (("--mults", "2,2", "--r", "5", "--d", "1"), "need 1 <= r <= n, got r=5, n=2"),
+            (("--mults", "3,3,1", "--r", "2", "--d", "0"), "d must be positive"),
+            (("--mults", "2,2,2", "--weights", "1,1,1,1,1", "--r", "1", "--d", "1"),
+             "weight vector longer than n+1 = 4")]:
+        code, out, err = run(capsys, "bounds", *args, "--json")
+        assert code == 3 and out == "", args
+        assert message in err, (args, err)

@@ -1,10 +1,12 @@
 """The unloading procedures against a plain sort-and-clamp reference.
 
-Every procedure runs over ``alpha_bounds._unloading_state``, which holds
-a uniform vector as two counters and anything else as runs of equal
-values.  The references below re-sort a Python list on every step
-instead; both must agree on every input, including zeros, uniform
-vectors with and without trailing zeros, and n <= 2.
+Every procedure runs over ``alpha_bounds._Runs``, which holds the
+multiplicities as runs of equal values; those with a fixed r read its
+lowering sequence ``alpha_bounds._Lowerings``, and plain unloading takes
+the closed-form minimum over it.  The references below re-sort a Python
+list on every step and scan the degrees upward instead; both must agree
+on every input, including zeros, uniform vectors with and without
+trailing zeros, and n <= 2.
 """
 
 from hypothesis import given, settings
@@ -88,11 +90,7 @@ _vectors = st.one_of(_mixed, _uniform, _zeros, _short).flatmap(st.permutations)
 def test_state_matches_sort_and_clamp(mults, steps):
     w = sorted(mults, reverse=True)
     for form in (w, w + [0]):
-        # A uniform positive list takes the counters; a trailing zero
-        # sends the same values to the runs.
-        state = ab._unloading_state(form)
-        counters = isinstance(state, ab._Counters)
-        assert counters == (form[-1] > 0 and form[0] == form[-1])
+        state = ab._Runs(form)
         ref = form
         for r in steps:
             r = min(r, len(form))
@@ -103,16 +101,43 @@ def test_state_matches_sort_and_clamp(mults, steps):
 
 
 @settings(max_examples=150, deadline=None)
+@given(_vectors, st.lists(st.integers(0, 40), max_size=8))
+def test_lowering_sequence_matches_repeated_lowering(z, reads):
+    # Reads out of order first, then every k <= 40 in order.
+    v0 = sorted(z, reverse=True)
+    w = ab._clean(z)
+    for r in range(1, len(z) + 1):
+        seq = ab._Lowerings(w, min(r, len(w)))
+        expected, v = [], v0
+        for _ in range(41):
+            expected.append((v[0], sum(v[:r])))
+            v = _lowered(v, r)
+        for k in reads + list(range(41)):
+            assert seq.at(k) == expected[k], (z, r, k)
+
+
+@settings(max_examples=150, deadline=None)
 @given(_vectors, st.integers(1, 4))
 def test_unloading_matches_reference(z, d):
+    v = sorted(z, reverse=True)
+    for r in range(1, len(z) + 1):
+        value = _first_t(lambda t: _unloading_certifies_ref(t, v, r, d))
+        assert ab.unloading_alpha(z, r, d).value == value, (z, r, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vectors, st.integers(1, 4), st.integers(0, 40))
+def test_early_stopped_minimum_decides_against_best(z, d, best):
+    # Exact when the bound beats best, and at most best otherwise.
     v = sorted(z, reverse=True)
     w = ab._clean(z)
     for r in range(1, len(z) + 1):
         value = _first_t(lambda t: _unloading_certifies_ref(t, v, r, d))
-        assert ab.unloading_alpha(z, r, d).value == value, (z, r, d)
-        for t in range(value + 2 * d + 2):
-            assert ab._unloading_certifies(t, w, min(r, len(w)), d) \
-                == _unloading_certifies_ref(t, v, r, d), (z, r, d, t)
+        got = ab._unloading_min(ab._Lowerings(w, min(r, len(w))), d, best)
+        if value > best:
+            assert got == value, (z, r, d, best)
+        else:
+            assert got <= best, (z, r, d, best)
 
 
 @settings(max_examples=150, deadline=None)
@@ -154,3 +179,46 @@ def test_roe_matches_reference_on_large_uniform():
         z = [m] * n
         assert ab.roe_alpha(z).value == _roe_alpha_ref(z), (n, m)
         assert tb.roe_tau(z).value == _roe_tau_ref(z), (n, m)
+
+
+def test_fixed_r_procedures_match_reference_on_large_uniform():
+    for n, m in [(50, 7), (120, 3), (97, 13)]:
+        z = [m] * n
+        for r in (n // 3, n // 2 + 5, n - 1, n):
+            for d in (1, 2, 5):
+                g = (d - 1) * (d - 2) // 2
+                assert ab.unloading_alpha(z, r, d).value \
+                    == _first_t(lambda t: _unloading_certifies_ref(t, z, r, d)), (n, m, r, d)
+                assert ab.modified_unloading_alpha(z, r, d).value \
+                    == _first_t(lambda t: _hr_certifies_ref(t, z, r, d, g)), (n, m, r, d)
+                assert tb.modified_unloading_tau(z, r, d).value \
+                    == _first_t(lambda t: not _hr_tau_succeeds_ref(t, z, r, d, g)), \
+                    (n, m, r, d)
+
+
+def test_one_state_build_per_call(monkeypatch):
+    builds = []
+
+    class Counted(ab._Runs):
+        __slots__ = ()
+
+        def __init__(self, w):
+            builds.append(len(w))
+            super().__init__(w)
+
+    monkeypatch.setattr(ab, "_Runs", Counted)
+    z = [9] * 20 + [4] * 15 + [0] * 3
+    for procedure in (ab.unloading_alpha, ab.modified_unloading_alpha,
+                      tb.modified_unloading_tau):
+        builds.clear()
+        assert procedure(z, 12, 3).value > 9  # the scans pass many degrees
+        assert len(builds) == 1, procedure.__name__
+
+    scans = []
+    unloading_alpha = ab.unloading_alpha
+    monkeypatch.setattr(ab, "unloading_alpha",
+                        lambda *args: scans.append(args) or unloading_alpha(*args))
+    builds.clear()
+    ab.best_unloading_search(z)
+    assert scans
+    assert len(builds) == len(ab._clean(z)) + len(scans)
