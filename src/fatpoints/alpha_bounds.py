@@ -22,15 +22,17 @@ Z = m_1 p_1 + ... + m_n p_n for all t below the reported value.
 * Modified unloading: same skeleton as unloading but the subtraction is
   allowed whenever the restriction to the curve can have no sections
   (t < d with (t+1)(t+2)/2 conditions exhausted, or the intersection at
-  most genus - 1), which is valid in characteristic 0 only.
+  most genus - 1), which is valid in characteristic 0 only.  Its bound
+  is also a closed-form minimum over the lowering steps (proof in
+  ``modified_unloading_alpha``).
 
 * Semigroup membership: the least t whose class lands in the semigroup
   generated by exceptional classes and the anticanonical class.
 
 Every unloading procedure runs over one multiplicity state, runs of
-equal values lowered without re-sorting.  Those with a fixed r read its
-lowering sequence, which depends only on the multiplicities and r, so
-each step is lowered once per call however many degrees read it.
+equal values lowered without re-sorting.  Those with a fixed r take
+their bound in one walk over its lowering sequence, which depends only
+on the multiplicities and r, so each step is lowered once per call.
 """
 
 from __future__ import annotations
@@ -316,9 +318,9 @@ class _Lowerings:
 
     at(k) is (tops[k], sums[k]): the largest entry and the sum of the r
     largest after the r largest were lowered by one (clamped at 0) k
-    times.  The lists grow only through at(), so every procedure that
-    reads the sequence for several degrees lowers each step once; the
-    walks index them directly and call at() when they reach the end.
+    times.  The lists grow only through at(), so a search that reads the
+    sequence for several d lowers each step once; the hot walks index
+    them directly and call at() when they reach the end.
     """
 
     __slots__ = ("tops", "sums", "_state", "_r")
@@ -398,6 +400,8 @@ def unloading_alpha_formula(n: int, m: int, r: int, d: int) -> BoundReport:
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if d < 1:
+        raise ValueError("d must be positive")
     if 2 * r < n + d * d:
         raise ValueError("closed form needs 2r >= n + d^2")
     if m == 0:
@@ -459,27 +463,51 @@ def roe_alpha(z) -> BoundReport:
 # Modified unloading (characteristic 0)
 
 
-def _hr_subtract_allowed(deg: int, s: int, d: int, g: int) -> bool:
-    # Restriction to the degree-d curve has no sections: either the
-    # degree is small and the r points exhaust all (deg+1)(deg+2)/2
-    # conditions, or the intersection is at most genus - 1.
-    if deg * d - s < g and deg >= d - 2:
-        return True
-    return (deg + 1) * (deg + 2) <= 2 * s and deg < d and deg >= 0
+def _tri_root(s: int) -> int:
+    # Largest S >= -1 with (S+1)(S+2) <= 2s, for s >= 0.
+    return (isqrt(8 * s + 1) - 3) // 2
 
 
-def _hr_certifies(t: int, seq: _Lowerings, d: int, g: int) -> bool:
-    tops, sums = seq.tops, seq.sums
-    k, deg = 0, t
-    while _hr_subtract_allowed(deg, sums[k], d, g):
-        k, deg = k + 1, deg - d
-        if k == len(tops):
-            seq.at(k)
-    return deg < tops[k]
+def _modified_x(seq: _Lowerings, k: int, d: int, g: int) -> int:
+    # x_k of modified_unloading_alpha: the least x >= tops[k] outside
+    # I_k = [d - 2, U_k] and J_k = [0, min(d - 1, S_k)].
+    top, s = seq.at(k)
+    u = (s + g - 1) // d
+    j = min(d - 1, _tri_root(s))
+    x = top
+    while True:
+        if d - 2 <= x <= u:
+            x = u + 1
+        elif 0 <= x <= j:
+            x = j + 1
+        else:
+            return x
 
 
 def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
-    """Unloading with the relaxed no-sections test; valid in characteristic 0."""
+    """Unloading with the relaxed no-sections test; valid in characteristic 0.
+
+    Degree t unloads like ``unloading_alpha`` but subtracts the degree-d
+    curve at step k whenever the restriction to it can have no sections:
+    deg = t - k d lies in I_k = [d - 2, U_k], the intersection at most
+    genus - 1, or in J_k = [0, min(d - 1, S_k)], deg < d with the r points
+    exhausting all (deg+1)(deg+2)/2 conditions.  Here g = (d-1)(d-2)/2,
+    U_k = floor((sums[k] + g - 1) / d) and S_k is the largest S >= -1 with
+    (S+1)(S+2) <= 2 sums[k].  t is ruled out when the walk stops with
+    deg < tops[k].  The bound has the closed form
+
+        min over k >= 0 of k d + x_k,
+
+    x_k the least integer >= tops[k] outside I_k and J_k.
+
+    Proof.  A degree t not ruled out stops at some k with
+    t - k d >= tops[k] outside I_k and J_k, so t >= k d + x_k.
+    Conversely t = k d + x_k is not ruled out: its walk stops at some
+    j <= k, since x_k lies outside I_k and J_k, and a lowering drops the
+    top entry by at most 1 with d >= 1, so
+    t - j d >= tops[k] + (k - j) d >= tops[j].  Every term is at least
+    k d, so the walk ends once k d reaches the running minimum.
+    """
     z = as_spec(z)
     if not 1 <= r <= z.n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={z.n}")
@@ -488,10 +516,14 @@ def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
     g = (d - 1) * (d - 2) // 2
     w = _clean(z)
     seq = _Lowerings(w, min(r, len(w)))
-    t = 0
-    while _hr_certifies(t, seq, d, g):
-        t += 1
-    return BoundReport("modified-unloading", ALPHA_LOWER, t,
+    low = _modified_x(seq, 0, d, g)
+    k, kd = 1, d
+    while kd < low:
+        term = kd + _modified_x(seq, k, d, g)
+        if term < low:
+            low = term
+        k, kd = k + 1, kd + d
+    return BoundReport("modified-unloading", ALPHA_LOWER, low,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
 
 
@@ -503,13 +535,15 @@ def modified_unloading_alpha_formula_a(n: int, m: int, r: int, d: int) -> BoundR
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if d < 1:
+        raise ValueError("d must be positive")
     if not (2 * n >= 2 * r >= n + d * d):
         raise ValueError("closed form (a) needs 2n >= 2r >= n + d^2")
     if m == 0:
         return BoundReport("modified-unloading-formula-a", ALPHA_LOWER, 0,
                            (("r", r), ("d", d)), (CHAR_ZERO,))
     u, rho = _u_rho(n, m, r)
-    s = _capped_s(rho, d - 1)
+    s = min(_tri_root(rho), d - 1)
     return BoundReport("modified-unloading-formula-a", ALPHA_LOWER, 1 + s + u * d,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
 
@@ -522,6 +556,8 @@ def modified_unloading_alpha_formula_b(n: int, m: int, r: int, d: int) -> BoundR
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if d < 1:
+        raise ValueError("d must be positive")
     if not (d * (d + 1) // 2 <= r <= min(n, d * d)):
         raise ValueError("closed form (b) needs d(d+1)/2 <= r <= min(n, d^2)")
     if m == 0:
@@ -529,18 +565,10 @@ def modified_unloading_alpha_formula_b(n: int, m: int, r: int, d: int) -> BoundR
                            (("r", r), ("d", d)), (CHAR_ZERO,))
     g = (d - 1) * (d - 2) // 2
     u, rho = _u_rho(n, m, r)
-    s = _capped_s(rho, d - 1)
+    s = min(_tri_root(rho), d - 1)
     value = 1 + min((m * r + g - 1) // d, s + u * d)
     return BoundReport("modified-unloading-formula-b", ALPHA_LOWER, value,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
-
-
-def _capped_s(rho: int, cap: int) -> int:
-    # Largest s >= 0 with (s+1)(s+2) <= 2*rho, capped; rho >= 1 makes s=0 valid.
-    s = 0
-    while (s + 2) * (s + 3) <= 2 * rho and s < cap:
-        s += 1
-    return min(s, cap)
 
 
 # ---------------------------------------------------------------------------

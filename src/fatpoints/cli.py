@@ -338,15 +338,7 @@ def _uniform_extra_tau(n: int, m: int) -> list:
 
 
 def _best_of(fn, mults, *rds, pick) -> BoundReport:
-    reports = []
-    for r, d in rds:
-        try:
-            reports.append(fn(mults, r, d))
-        except ValueError:
-            continue
-    if not reports:
-        raise ValueError("no applicable (r, d) choice")
-    return pick(reports, key=lambda rep: rep.value)
+    return pick((fn(mults, r, d) for r, d in rds), key=lambda rep: rep.value)
 
 
 def _requested_reports(z: FatPointSpec, args) -> tuple[list, list]:

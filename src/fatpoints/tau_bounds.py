@@ -205,7 +205,15 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
     Subtracts the degree-d curve through the first r points while the
     degree stays at least d - 2 and the intersection stays at least
     genus - 1 (so no first cohomology appears along the way); succeeds
-    when all multiplicities reach zero.  Characteristic 0 only.
+    when all multiplicities reach zero.  Characteristic 0 only.  With
+    g = (d-1)(d-2)/2, the lowering sequence (tops, sums) and K the first
+    step with tops[K] = 0, the bound is
+
+        max(0, max over k < K of k d + max(d - 2, ceil((sums[k] + g - 1) / d))).
+
+    Proof.  Degree t succeeds iff the walk takes every step k < K, and
+    step k is taken iff deg = t - k d satisfies deg >= d - 2 and
+    deg d >= sums[k] + g - 1, i.e. t is at least the k-th term.
     """
     z = as_spec(z)
     if not 1 <= r <= z.n:
@@ -215,27 +223,23 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
     g = (d - 1) * (d - 2) // 2
     w = _clean(z)
     seq = _Lowerings(w, min(r, len(w)))
-    t = 0
-    while not _hr_tau_succeeds(t, seq, d, g):
-        t += 1
-    return BoundReport("modified-unloading", TAU_UPPER, t,
-                       (("r", r), ("d", d)), (CHAR_ZERO,))
-
-
-def _hr_tau_succeeds(t: int, seq: _Lowerings, d: int, g: int) -> bool:
     tops, sums = seq.tops, seq.sums
-    k, deg = 0, t
-    while tops[k] > 0 and deg >= d - 2 and deg * d - sums[k] >= g - 1:
-        k, deg = k + 1, deg - d
+    t, k, kd = 0, 0, 0
+    while tops[k] > 0:
+        t = max(t, kd + d - 2, kd + _ceil_div(sums[k] + g - 1, d))
+        k, kd = k + 1, kd + d
         if k == len(tops):
             seq.at(k)
-    return tops[k] == 0
+    return BoundReport("modified-unloading", TAU_UPPER, t,
+                       (("r", r), ("d", d)), (CHAR_ZERO,))
 
 
 def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:
     """Closed form when 2r >= n + d^2: max(ceil((m r + g - 1)/d), (u+1) d - 2)."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if d < 1:
+        raise ValueError("d must be positive")
     if 2 * r < n + d * d:
         raise ValueError("closed form (a) needs 2r >= n + d^2")
     if m == 0:
@@ -252,6 +256,8 @@ def modified_unloading_tau_formula_b(n: int, m: int, r: int, d: int) -> BoundRep
     """Closed form when r <= d^2: max(ceil((rho + g - 1)/d) + u d, (u+1) d - 2)."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if d < 1:
+        raise ValueError("d must be positive")
     if r > d * d:
         raise ValueError("closed form (b) needs r <= d^2")
     if m == 0:

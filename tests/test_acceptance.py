@@ -96,6 +96,19 @@ def test_golden_bounds_suite_mixed_200_bytes():
     _ok(f"golden: bounds on a seeded mixed n=200 vector in {elapsed:.2f}s")
 
 
+def test_golden_bounds_fixed_r1_d1_bytes_and_modified_tau_runtime():
+    # r = 1, d = 1 lowers one point at a time: the modified unloading
+    # tau bound reads a lowering sequence of about 5200 steps.
+    out, _ = _bounds_json(["--uniform", "400:13", "--r", "1", "--d", "1"])
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "57847b319448a7d613be40cacab95e74c3205dbea04cb6a7b12a58c1aedbebff"
+    start = time.monotonic()
+    assert tb.modified_unloading_tau([13] * 400, 1, 1).value == 5199
+    elapsed = time.monotonic() - start
+    assert elapsed < 0.5, f"modified_unloading_tau([13]*400, 1, 1) took {elapsed:.2f}s"
+    _ok(f"golden: bounds --uniform 400:13 --r 1 --d 1 (modified tau in {elapsed:.3f}s)")
+
+
 def test_golden_square_counts():
     for m in range(1, 11):
         assert find_alpha([m] * 16) == 4 * m + 1

@@ -104,6 +104,12 @@ def test_unloading_formula_examples():
         ab.unloading_alpha_formula(22, 3, 14, 3)  # 2r < n + d^2
 
 
+def test_unloading_formula_rejects_nonpositive_d():
+    for d in (0, -1, -3):
+        with pytest.raises(ValueError, match="d must be positive"):
+            ab.unloading_alpha_formula(10, 2, 8, d)
+
+
 def test_unloading_formula_matches_algorithm():
     for n in range(4, 26):
         for m in range(0, 5):
@@ -132,6 +138,9 @@ def test_modified_unloading_examples():
     assert ab.modified_unloading_alpha([13] * 1000, 981, 31).value == 424
     assert ab.modified_unloading_alpha([13] * 9000, 8918, 94).value == 1267
     assert ab.modified_unloading_alpha([0, 0, 0], 2, 1).value == 0
+    # J_0 = [0, 0] and I_0 = [2, 1] is empty: degree 1 is neither
+    # subtracted nor ruled out.
+    assert ab.modified_unloading_alpha([1, 1], 2, 4).value == 1
     rep = ab.modified_unloading_alpha([2] * 10, 8, 3)
     assert "characteristic 0" in rep.validity[0]
 
@@ -145,6 +154,18 @@ def test_modified_formula_examples():
         ab.modified_unloading_alpha_formula_a(22, 3, 14, 3)
     with pytest.raises(ValueError):
         ab.modified_unloading_alpha_formula_b(20, 5, 20, 4)  # r > d^2
+
+
+def test_modified_formula_a_rejects_nonpositive_d():
+    for d in (0, -1, -3):
+        with pytest.raises(ValueError, match="d must be positive"):
+            ab.modified_unloading_alpha_formula_a(10, 2, 8, d)
+
+
+def test_modified_formula_b_rejects_nonpositive_d():
+    for d in (0, -1, -3):
+        with pytest.raises(ValueError, match="d must be positive"):
+            ab.modified_unloading_alpha_formula_b(10, 2, 8, d)
 
 
 def test_modified_formulas_match_algorithm():

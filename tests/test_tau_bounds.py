@@ -90,6 +90,18 @@ def test_modified_tau_formula_values():
         tb.modified_unloading_tau_formula_a(22, 3, 14, 3)
 
 
+def test_modified_tau_formula_a_rejects_nonpositive_d():
+    for d in (0, -1, -3):
+        with pytest.raises(ValueError, match="d must be positive"):
+            tb.modified_unloading_tau_formula_a(10, 2, 8, d)
+
+
+def test_modified_tau_formula_b_rejects_nonpositive_d():
+    for d in (0, -1, -3):
+        with pytest.raises(ValueError, match="d must be positive"):
+            tb.modified_unloading_tau_formula_b(10, 2, 8, d)
+
+
 def test_modified_tau_formulas_match_algorithm():
     for n in range(4, 24):
         for m in range(0, 5):

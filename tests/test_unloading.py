@@ -2,11 +2,11 @@
 
 Every procedure runs over ``alpha_bounds._Runs``, which holds the
 multiplicities as runs of equal values; those with a fixed r read its
-lowering sequence ``alpha_bounds._Lowerings``, and plain unloading takes
-the closed-form minimum over it.  The references below re-sort a Python
-list on every step and scan the degrees upward instead; both must agree
-on every input, including zeros, uniform vectors with and without
-trailing zeros, and n <= 2.
+lowering sequence ``alpha_bounds._Lowerings``, and plain and modified
+unloading take closed forms over it.  The references below re-sort a
+Python list on every step and scan the degrees upward instead, and share
+no code with the library; both must agree on every input, including
+zeros, uniform vectors with and without trailing zeros, and n <= 2.
 """
 
 from hypothesis import given, settings
@@ -30,9 +30,18 @@ def _unloading_certifies_ref(t, v, r, d):
     return deg < v[0]
 
 
+def _no_sections_ref(deg, s, d, g):
+    # The restriction to the degree-d curve has no sections: the
+    # intersection is at most genus - 1, or deg < d and the r points
+    # (s conditions) exhaust all (deg+1)(deg+2)/2 of them.
+    if deg * d - s < g and deg >= d - 2:
+        return True
+    return 0 <= deg < d and (deg + 1) * (deg + 2) <= 2 * s
+
+
 def _hr_certifies_ref(t, v, r, d, g):
     deg = t
-    while ab._hr_subtract_allowed(deg, sum(v[:r]), d, g):
+    while _no_sections_ref(deg, sum(v[:r]), d, g):
         deg -= d
         v = _lowered(v, r)
     return deg < v[0]
@@ -67,6 +76,14 @@ def _roe_tau_ref(z):
         while w[0] - sum(w[1:i + 2]) < -1:
             w = _roe_step(w, i)
     return max(w[0] + w[1] - 1, 0)
+
+
+def _capped_s_ref(rho, cap):
+    # Largest s >= 0 with (s+1)(s+2) <= 2*rho, capped; rho >= 1 makes s=0 valid.
+    s = 0
+    while (s + 2) * (s + 3) <= 2 * rho and s < cap:
+        s += 1
+    return min(s, cap)
 
 
 def _first_t(holds):
@@ -141,7 +158,7 @@ def test_early_stopped_minimum_decides_against_best(z, d, best):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_vectors, st.integers(1, 4))
+@given(_vectors, st.integers(1, 8))
 def test_modified_unloading_alpha_matches_reference(z, d):
     v = sorted(z, reverse=True)
     g = (d - 1) * (d - 2) // 2
@@ -151,13 +168,23 @@ def test_modified_unloading_alpha_matches_reference(z, d):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_vectors, st.integers(1, 4))
+@given(_vectors, st.integers(1, 8))
 def test_modified_unloading_tau_matches_reference(z, d):
     v = sorted(z, reverse=True)
     g = (d - 1) * (d - 2) // 2
     for r in range(1, len(z) + 1):
         value = _first_t(lambda t: not _hr_tau_succeeds_ref(t, v, r, d, g))
         assert tb.modified_unloading_tau(z, r, d).value == value, (z, r, d)
+
+
+def test_tri_root_matches_capped_loop():
+    for s in range(3000):
+        root = ab._tri_root(s)
+        assert root >= -1, s
+        assert (root + 1) * (root + 2) <= 2 * s < (root + 2) * (root + 3), s
+        if s:
+            for cap in range(80):
+                assert min(root, cap) == _capped_s_ref(s, cap), (s, cap)
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,7 +238,7 @@ def test_one_state_build_per_call(monkeypatch):
     for procedure in (ab.unloading_alpha, ab.modified_unloading_alpha,
                       tb.modified_unloading_tau):
         builds.clear()
-        assert procedure(z, 12, 3).value > 9  # the scans pass many degrees
+        assert procedure(z, 12, 3).value > 9  # the walks read many steps
         assert len(builds) == 1, procedure.__name__
 
     scans = []
