@@ -230,20 +230,20 @@ def _cmd_oracle(args) -> int:
     else:
         lo, hi = max(0, find_alpha(z) - 1), find_tau(z) + 1
     rows = oracle_table(cfg, z, lo, hi, args.nu)
+    columns = ["t", "dim"] + (["nu"] if args.nu else [])
     if args.json:
         doc = {
             "input": _input_block(z),
             "method": "interpolation-oracle",
             "prime": args.prime,
             "seed": args.seed,
-            "columns": ["t", "dim"] + (["nu"] if args.nu else []),
+            "columns": columns,
             "rows": rows,
         }
         sys.stdout.write(canonical_json(doc))
         return 0
-    header = " t    dim" + ("    nu" if args.nu else "")
     print(f"random points mod {args.prime}, seed {args.seed}")
-    print(header)
+    print("".join(f"{label:>6}" for label in columns))
     for row in rows:
         print("".join(f"{x:6d}" for x in row))
     return 0

@@ -10,8 +10,13 @@ points at seeded random coordinates over F_p and compute actual ranks:
 * the number of degree-t minimal generators is dim I_t minus the rank
   of the span of x*f, y*f, z*f over a basis f of I_{t-1}.
 
-`oracle_table` walks a window of degrees, building and eliminating each
-matrix once; `actual_hilbert` and `actual_nu` walk a single degree.
+The matrix columns are ordered by total degree, and an entry does not
+depend on t, so the matrix of every degree s <= t is a column prefix of
+the degree-t one.  `oracle_table` therefore builds and row-reduces one
+matrix per degree window, at its top degree: each degree's rank is the
+number of pivots inside its prefix, and with generator counts one
+back-substitution yields the basis of I_{s-1} for every s in the window.
+`actual_hilbert` and `actual_nu` are windows of a single degree.
 
 Working in the affine chart z = 1 identifies degree-t forms with
 polynomials of degree <= t in two variables, so vanishing to order m is
@@ -25,6 +30,7 @@ compare against expected values should take a majority over a few seeds.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
 
@@ -125,26 +131,41 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
         below = np.nonzero(m[r + 1:, c])[0] + r + 1
         if below.size:
-            m[below] = (m[below] - np.outer(m[below, c], m[r])) % p
+            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % p
         pivots.append(c)
     return m, pivots
 
 
-def _kernel(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Kernel basis from `_echelon` output.  Back-substitution in place gives
-    the reduced row echelon form, which is unique, so the basis is too."""
+def _back_substitute(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Clear the pivot columns of `_echelon` output upwards, in place.
+
+    The result, cut to its len(pivots) nonzero rows, is the reduced row
+    echelon form, which is unique, so the kernel bases read off it are too.
+    Row i is zero before its pivot, and once the later pivots are cleared
+    it is zero on every pivot column but its own; so each step changes only
+    free columns and takes its multipliers unchanged from the echelon form.
+    """
     red = m[:len(pivots)]
+    free = np.setdiff1d(np.arange(red.shape[1]), pivots)
+    tail = red[:, free]
     for i in range(len(pivots) - 1, 0, -1):
-        c = pivots[i]
-        above = np.nonzero(red[:i, c])[0]
+        above = np.nonzero(red[:i, pivots[i]])[0]
         if above.size:
-            red[above] = (red[above] - np.outer(red[above, c], red[i])) % p
-    free = sorted(set(range(m.shape[1])) - set(pivots))
-    basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
-    basis[range(len(free)), free] = 1
+            tail[above] = (tail[above] - np.outer(red[above, pivots[i]], tail[i])) % p
+    red[:, free] = tail
+    red[:, pivots] = np.eye(len(pivots), dtype=np.int64)
+    return red
+
+
+def _kernel(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Kernel basis of a reduced row echelon form: one row per free column,
+    1 there, minus that column of `red` at the pivots, 0 elsewhere."""
+    free = np.setdiff1d(np.arange(red.shape[1]), pivots)
+    basis = np.zeros((free.size, red.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -red[:, free].T % p
     return basis
 
@@ -156,68 +177,93 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
 
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """Basis (as rows) of the right kernel of a over F_p."""
-    return _kernel(*_echelon(a, p), p)
+    m, pivots = _echelon(a, p)
+    return _kernel(_back_substitute(m, pivots, p), pivots, p)
 
 
-def _monomials(t: int) -> list[tuple[int, int]]:
-    # Exponents (a, b) with a + b <= t, indexing the chart z = 1 basis of R_t.
-    return [(a, b) for a in range(t + 1) for b in range(t + 1 - a)]
+def _ncols(t: int) -> int:
+    # Monomials of degree <= t in the chart z = 1: a basis of R_t.
+    return (t + 1) * (t + 2) // 2 if t >= 0 else 0
+
+
+def _exponents(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents (a, b) of the columns x^a y^b, a + b <= t, graded: degree d
+    takes columns d(d+1)/2 + b for b = 0..d, so the monomials of degree <= s
+    are the first _ncols(s) columns for every s <= t."""
+    deg = np.repeat(np.arange(t + 1), np.arange(1, t + 2))
+    b = np.arange(deg.size) - deg * (deg + 1) // 2
+    return deg - b, b
 
 
 def _condition_matrix(cfg: PointConfig, z: FatPointSpec, t: int) -> np.ndarray:
+    """Rows (point, dx, dy) with dx + dy below the point's multiplicity, in
+    that order; the entry in column x^a y^b is the dx-th x- and dy-th
+    y-derivative of x^a y^b at the point, mod p."""
     if t < 0:  # no monomials, so no conditions
         return np.zeros((0, 0), dtype=np.int64)
     p = cfg.prime
-    monos = _monomials(t)
-    ncols = len(monos)
-    amax = t
-    falling = np.zeros((amax + 1, amax + 1), dtype=np.int64)
-    falling[:, 0] = 1
-    for k in range(amax + 1):
-        for d in range(1, k + 1):
-            falling[k, d] = falling[k, d - 1] * (k - d + 1) % p
-    rows = []
-    for (x, y), mult in zip(cfg.points, z.mults):
-        if mult == 0:
-            continue
-        xpow = [1] * (t + 1)
-        ypow = [1] * (t + 1)
-        for e in range(1, t + 1):
-            xpow[e] = xpow[e - 1] * x % p
-            ypow[e] = ypow[e - 1] * y % p
-        for dx in range(mult):
-            for dy in range(mult - dx):
-                row = np.zeros(ncols, dtype=np.int64)
-                for col, (a, b) in enumerate(monos):
-                    if a >= dx and b >= dy:
-                        row[col] = falling[a, dx] * falling[b, dy] % p \
-                            * xpow[a - dx] % p * ypow[b - dy] % p
-                rows.append(row)
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.vstack(rows)
+    a, b = _exponents(t)
+    live = [(pt, m) for pt, m in zip(cfg.points, z.mults) if m > 0]
+    if not live:
+        return np.zeros((0, a.size), dtype=np.int64)
+    depth = max(m for _, m in live)
+    e = np.arange(t + 1)
+    # falling[k, d] = k (k-1) ... (k-d+1) mod p, which is 0 for d > k.
+    falling = np.ones((t + 1, depth), dtype=np.int64)
+    for d in range(1, depth):
+        falling[:, d] = falling[:, d - 1] * ((e - d + 1) % p) % p
+    # powers[i, v, k] = (coordinate v of point i)^k mod p.
+    powers = np.ones((len(live), 2, t + 1), dtype=np.int64)
+    coords = np.array([(x % p, y % p) for (x, y), _ in live], dtype=np.int64)
+    for k in range(1, t + 1):
+        powers[:, :, k] = powers[:, :, k - 1] * coords % p
+    # deriv[i, v, d, k] = d-th derivative of (coordinate v)^k at point i.
+    shift = np.maximum(e - np.arange(depth)[:, None], 0)
+    deriv = falling.T * powers[:, :, shift] % p
+    pts, dxs, dys = np.array([(i, dx, dy) for i, (_, m) in enumerate(live)
+                              for dx in range(m) for dy in range(m - dx)]).T
+    return deriv[pts, 0, dxs][:, a] * deriv[pts, 1, dys][:, b] % p
 
 
 def _products(basis: np.ndarray, t: int) -> np.ndarray:
     # z*f, x*f and y*f for each row f of a basis over the degree t-1 monomials.
-    index = {mono: i for i, mono in enumerate(_monomials(t))}
-    src = _monomials(t - 1)
+    # In the graded order z keeps column j, and x and y move it to j + d + 1
+    # and j + d + 2, d the degree of column j.
+    a, b = _exponents(t - 1)
+    j = np.arange(a.size)
     k = basis.shape[0]
-    prods = np.zeros((3 * k, len(index)), dtype=np.int64)
-    for block, (da, db) in enumerate(((0, 0), (1, 0), (0, 1))):
-        prods[block * k:(block + 1) * k, [index[(a + da, b + db)] for a, b in src]] = basis
+    prods = np.zeros((3 * k, _ncols(t)), dtype=np.int64)
+    for block, target in enumerate((j, j + a + b + 1, j + a + b + 2)):
+        prods[block * k:(block + 1) * k, target] = basis
     return prods
 
 
 def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> list[list[int]]:
     """Rows [t, dim I_t], plus nu_t with `nu`, for t in [lo, hi] at the seeded points.
 
-    Each degree's condition matrix is built and eliminated once.  dim I_t
-    is its column count minus its rank.  nu_t, the number of degree-t
-    minimal generators, is dim I_t minus the rank of x*f, y*f, z*f over
-    the basis f of I_{t-1} that the previous degree left behind; the
-    products lie in I_t automatically.  With `nu` the walk starts at
-    lo - 1, so it builds hi - lo + 2 matrices.
+    One condition matrix M = M_hi is built and eliminated per call.  Its
+    columns are graded (`_exponents`) and an entry depends on the point,
+    (dx, dy) and (a, b) but not on the degree, so M_s is exactly the first
+    c_s = (s+1)(s+2)/2 columns of M for every s <= hi; a derivative order
+    above s is a zero row of M_s, as it is in a matrix built at degree s.
+
+    * The pivot columns of an echelon form are the greedy column basis:
+      a column is a pivot iff it is not in the span of the columns before
+      it.  So rank M_s is the number of pivots below c_s, and
+      dim I_s = c_s - rank M_s.
+    * nu_t is dim I_t minus the rank of x*f, y*f, z*f over a basis f of
+      I_{t-1}.  Back-substituting the echelon form once gives the reduced
+      row echelon form R = G M_{hi-1}, G invertible, so the first c_s
+      columns of R span the row space of M_s.  Its rows with a pivot below
+      c_s are the first rank M_s, and the later rows vanish on those
+      columns; so the first rank M_s rows cut to c_s columns are a reduced
+      echelon form of M_s, which is unique: they are the RREF of M_s.  One
+      back-substitution thus gives the RREF kernel basis of I_{t-1} for
+      every t in the window.
+    * The products lie in I_t, and the RREF kernel basis of I_t is the
+      identity on the free (non-pivot) columns of M_t, so projecting I_t
+      onto those columns is injective.  The products' rank is therefore
+      the rank of their free columns: dim I_t columns instead of c_t.
     """
     z = as_spec(z)
     if lo > hi:
@@ -226,15 +272,21 @@ def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> lis
         raise ValueError(f"degree {hi} not below the field characteristic {cfg.prime}")
     if len(z.mults) != len(cfg.points):
         raise ValueError(f"{len(z.mults)} multiplicities but {len(cfg.points)} points")
-    rows, basis = [], None
-    for t in range(lo - 1 if nu else lo, hi + 1):
-        m, pivots = _echelon(_condition_matrix(cfg, z, t), cfg.prime)
-        dim = m.shape[1] - len(pivots)
-        if t >= lo:
-            gens = [dim - rank_mod_p(_products(basis, t), cfg.prime)] if nu else []
-            rows.append([t, dim] + gens)
-        if nu and t < hi:
-            basis = _kernel(m, pivots, cfg.prime)
+    p = cfg.prime
+    m, pivots = _echelon(_condition_matrix(cfg, z, hi), p)
+
+    def rank(s: int) -> int:
+        return bisect_left(pivots, _ncols(s))
+
+    rows = [[t, _ncols(t) - rank(t)] for t in range(lo, hi + 1)]
+    if nu:
+        red = _back_substitute(m[:, :_ncols(hi - 1)], pivots[:rank(hi - 1)], p)
+        for row in rows:
+            t, dim = row
+            r, c = rank(t - 1), _ncols(t - 1)
+            basis = _kernel(red[:r, :c], pivots[:r], p)
+            free = np.setdiff1d(np.arange(_ncols(t)), pivots)
+            row.append(dim - rank_mod_p(_products(basis, t)[:, free], p))
     return rows
 
 

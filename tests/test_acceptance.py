@@ -18,7 +18,7 @@ from fatpoints.hilbert import (expected_dim, find_alpha, find_tau,
 from fatpoints.lattice import (DivisorClass, apply_inverse, cremona_quad,
                                decompose, intersection, is_exceptional,
                                reduce_fundamental)
-from fatpoints.oracle import PointConfig, actual_hilbert, actual_nu
+from fatpoints.oracle import PointConfig, oracle_table
 from fatpoints.resolution import (betti_table, classical_nu_bounds,
                                   ker_mu_dim, quasi_uniform_resolution)
 
@@ -158,32 +158,32 @@ def _nonincreasing_tuples(max_mult, max_len):
             range(max_mult, 0, -1), length)
 
 
-def _hilbert_with_vote(z, t, expected):
-    cfg = PointConfig.random(len(z), seed=0)
-    if actual_hilbert(cfg, z, t) == expected:
-        return True
-    votes = [actual_hilbert(PointConfig.random(len(z), seed=s), z, t)
-             for s in (1, 2, 3)]
-    return votes.count(expected) >= 2
+def _check_with_vote(z, cells, nu):
+    """Every (t, expected) cell against the oracle at seed 0; a cell seed 0
+    misses passes if at least two of seeds 1-3 give its expected value.
+    Each seed's table covers all the cells' degrees in one oracle_table call."""
+    lo, hi = min(t for t, _ in cells), max(t for t, _ in cells)
 
+    def table(seed):
+        rows = oracle_table(PointConfig.random(len(z), seed=seed), z, lo, hi, nu=nu)
+        return {row[0]: row[-1] for row in rows}
 
-def _nu_with_vote(z, t, expected):
-    cfg = PointConfig.random(len(z), seed=0)
-    if actual_nu(cfg, z, t) == expected:
-        return True
-    votes = [actual_nu(PointConfig.random(len(z), seed=s), z, t)
-             for s in (1, 2, 3)]
-    return votes.count(expected) >= 2
+    first = table(0)
+    missed = [(t, expected) for t, expected in cells if first[t] != expected]
+    if missed:
+        others = [table(s) for s in (1, 2, 3)]
+        for t, expected in missed:
+            votes = [other[t] for other in others]
+            assert votes.count(expected) >= 2, (z, t, expected, votes)
+    return len(cells)
 
 
 def test_oracle_hilbert_equivalence_grid():
     cells = 0
     for z in _nonincreasing_tuples(4, 9):
-        tau = find_tau(z)
-        for t in range(0, tau + 3):
-            expected = expected_dim(DivisorClass(t, z))
-            assert _hilbert_with_vote(z, t, expected), (z, t, expected)
-            cells += 1
+        window = range(0, find_tau(z) + 3)
+        cells += _check_with_vote(
+            z, [(t, expected_dim(DivisorClass(t, z))) for t in window], nu=False)
     print(f"PASS oracle: expected = actual Hilbert values on {cells} cells "
           "(n <= 9, mults <= 4)")
 
@@ -192,11 +192,8 @@ def test_oracle_nu_equivalence_grid():
     cells = 0
     for z in _nonincreasing_tuples(3, 8):
         table = betti_table(z)
-        for t, _, nu, _ in table.rows:
-            if t < 0:
-                continue
-            assert _nu_with_vote(z, t, nu), (z, t, nu)
-            cells += 1
+        cells += _check_with_vote(
+            z, [(t, nu) for t, _, nu, _ in table.rows if t >= 0], nu=True)
     print(f"PASS oracle: generator counts match on {cells} cells "
           "(n <= 8, mults <= 3)")
 

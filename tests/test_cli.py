@@ -152,6 +152,18 @@ def test_oracle_matches_expected_table(capsys):
     assert doc["prime"] == 31991
 
 
+def test_oracle_text_header_aligned_with_columns(capsys):
+    # The header labels used to sit left of their 6-wide value columns.
+    code, out, _ = run(capsys, "oracle", "--mults", "3,3,3,3,3",
+                       "--window", "6:8", "--nu", "--seed", "1")
+    assert code == 0
+    assert out == ("random points mod 31991, seed 1\n"
+                   "     t   dim    nu\n"
+                   "     6     1     1\n"
+                   "     7     6     3\n"
+                   "     8    15     2\n")
+
+
 def test_oracle_empty_window_rejected(capsys):
     code, out, err = run(capsys, "oracle", "--mults", "2,2", "--window", "5:3")
     assert code == 3 and out == ""

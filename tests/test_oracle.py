@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from fatpoints import oracle
 from fatpoints.cli import main
 from fatpoints.hilbert import expected_dim, hilbert_polynomial
-from fatpoints.lattice import DivisorClass
+from fatpoints.lattice import DivisorClass, as_spec
 from fatpoints.oracle import (MAX_PRIME, PointConfig, actual_hilbert, actual_nu,
                               hilbert_majority, nullspace_mod_p, nu_majority,
                               oracle_table, rank_mod_p)
@@ -48,20 +49,90 @@ def _gauss_jordan_nullspace(a, p):
     return basis
 
 
+def _ref_monomials(t):
+    return [(a, b) for a in range(t + 1) for b in range(t + 1 - a)]
+
+
+def _ref_condition_matrix(cfg, mults, t):
+    # Reference: one entry at a time, columns in monomial (not graded) order.
+    if t < 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    p = cfg.prime
+    monos = _ref_monomials(t)
+    ncols = len(monos)
+    falling = np.zeros((t + 1, t + 1), dtype=np.int64)
+    falling[:, 0] = 1
+    for k in range(t + 1):
+        for d in range(1, k + 1):
+            falling[k, d] = falling[k, d - 1] * (k - d + 1) % p
+    rows = []
+    for (x, y), mult in zip(cfg.points, mults):
+        if mult == 0:
+            continue
+        xpow = [1] * (t + 1)
+        ypow = [1] * (t + 1)
+        for e in range(1, t + 1):
+            xpow[e] = xpow[e - 1] * x % p
+            ypow[e] = ypow[e - 1] * y % p
+        for dx in range(mult):
+            for dy in range(mult - dx):
+                row = np.zeros(ncols, dtype=np.int64)
+                for col, (a, b) in enumerate(monos):
+                    if a >= dx and b >= dy:
+                        row[col] = falling[a, dx] * falling[b, dy] % p \
+                            * xpow[a - dx] % p * ypow[b - dy] % p
+                rows.append(row)
+    if not rows:
+        return np.zeros((0, ncols), dtype=np.int64)
+    return np.vstack(rows)
+
+
+def _ref_products(basis, t):
+    index = {mono: i for i, mono in enumerate(_ref_monomials(t))}
+    src = _ref_monomials(t - 1)
+    k = basis.shape[0]
+    prods = np.zeros((3 * k, len(index)), dtype=np.int64)
+    for block, (da, db) in enumerate(((0, 0), (1, 0), (0, 1))):
+        prods[block * k:(block + 1) * k, [index[(a + da, b + db)] for a, b in src]] = basis
+    return prods
+
+
+def _ref_table(cfg, mults, lo, hi, nu):
+    # Reference: every degree built and solved on its own, ranks and
+    # kernels from the Gauss-Jordan reference.
+    p = cfg.prime
+    rows = []
+    for t in range(lo, hi + 1):
+        kernel = _gauss_jordan_nullspace(_ref_condition_matrix(cfg, mults, t), p)
+        row = [t, kernel.shape[0]]
+        if nu:
+            below = _gauss_jordan_nullspace(_ref_condition_matrix(cfg, mults, t - 1), p)
+            prods = _ref_products(below, t)
+            rank = prods.shape[1] - _gauss_jordan_nullspace(prods, p).shape[0]
+            row.append(kernel.shape[0] - rank)
+        rows.append(row)
+    return rows
+
+
 @st.composite
 def _matrices(draw):
-    # Tall, wide, empty and rank-deficient matrices, entries also outside [0, p).
-    p = draw(st.sampled_from([2, 3, 101, 31991]))
-    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    # Tall, wide, empty and rank-deficient matrices up to 40 x 40, entries
+    # also outside [0, p), and primes up to the int64 cap.
+    p = draw(st.sampled_from([2, 3, 101, 31991, 3037000493]))
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     def block(r, c, lo, hi):
-        cells = draw(st.lists(st.integers(lo, hi), min_size=r * c, max_size=r * c))
-        return np.array(cells, dtype=np.int64).reshape(r, c)
+        # Python ints, so products cannot overflow before the reduction mod p.
+        cells = [rng.randint(lo, hi) for _ in range(r * c)]
+        return np.array(cells, dtype=object).reshape(r, c)
 
     if draw(st.booleans()):
         k = draw(st.integers(0, min(rows, cols)))
-        return block(rows, k, 0, p - 1) @ block(k, cols, 0, p - 1), p
-    return block(rows, cols, -2 * p, 2 * p), p
+        a = block(rows, k, 0, p - 1) @ block(k, cols, 0, p - 1) % p
+    else:
+        a = block(rows, cols, -2 * p, 2 * p)
+    return a.astype(np.int64), p
 
 
 @settings(max_examples=400, deadline=None)
@@ -100,6 +171,61 @@ def test_nullspace_mod_p():
             assert rank_mod_p(ns, p) == ns.shape[0]
 
 
+@st.composite
+def _windows(draw):
+    p = draw(st.sampled_from([13, 101, 31991]))
+    n = draw(st.integers(1, 8))
+    mults = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    lo = draw(st.integers(-2, 11))
+    hi = draw(st.integers(lo, min(lo + 5, p - 1)))
+    cfg = PointConfig.random(n, seed=draw(st.integers(0, 3)), prime=p)
+    return cfg, tuple(mults), lo, hi, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_windows())
+def test_table_matches_per_degree_reference(case):
+    # One graded matrix per window against a matrix per degree in monomial
+    # order: ranks as prefix pivot counts, kernels cut from one RREF.
+    cfg, mults, lo, hi, nu = case
+    assert oracle_table(cfg, mults, lo, hi, nu) == _ref_table(cfg, mults, lo, hi, nu)
+
+
+def _python_condition_matrix(cfg, mults, t):
+    # Reference in Python ints: rows (point, dx, dy), graded columns x^a y^b.
+    p = cfg.prime
+    cols = [(d - b, b) for d in range(t + 1) for b in range(d + 1)]
+
+    def deriv(coord, k, d):
+        return math.perm(k, d) * pow(coord, k - d, p) if k >= d else 0
+
+    return [[deriv(x, a, dx) * deriv(y, b, dy) % p for a, b in cols]
+            for (x, y), mult in zip(cfg.points, mults)
+            for dx in range(mult) for dy in range(mult - dx)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([31991, 3037000493]), st.integers(0, 3),
+       st.integers(-1, 12), st.data())
+def test_condition_matrix_matches_python_ints(p, seed, t, data):
+    # Multiplicities run past t + 1, so some derivative orders exceed t.
+    n = data.draw(st.integers(1, 5))
+    mults = data.draw(st.lists(st.integers(0, max(t, 0) + 4), min_size=n, max_size=n))
+    cfg = PointConfig.random(n, seed=seed, prime=p)
+    built = oracle._condition_matrix(cfg, as_spec(mults), t)
+    assert built.dtype == np.int64
+    if t < 0:
+        assert built.shape == (0, 0)
+        return
+    expected = _python_condition_matrix(cfg, mults, t)
+    assert built.shape == (len(expected), (t + 1) * (t + 2) // 2)
+    assert built.tolist() == expected
+    # Every lower degree's matrix is a column prefix.
+    for s in range(t):
+        assert (oracle._condition_matrix(cfg, as_spec(mults), s)
+                == built[:, :(s + 1) * (s + 2) // 2]).all()
+
+
 @pytest.mark.parametrize("z, lo, hi", [
     ((3, 3, 3, 3, 3), 0, 9),
     ((3, 3, 3, 3, 3), 5, 9),
@@ -115,7 +241,7 @@ def test_window_rows_equal_single_degree_values(z, lo, hi):
         [[t, actual_hilbert(cfg, z, t), actual_nu(cfg, z, t)] for t in range(lo, hi + 1)]
 
 
-def test_nu_window_builds_one_matrix_per_degree(monkeypatch):
+def test_table_builds_one_matrix_at_top_degree(monkeypatch):
     built = []
     real = oracle._condition_matrix
 
@@ -125,13 +251,10 @@ def test_nu_window_builds_one_matrix_per_degree(monkeypatch):
 
     monkeypatch.setattr(oracle, "_condition_matrix", counting)
     cfg = PointConfig.random(5, seed=0)
-    lo, hi = 6, 9
-    oracle_table(cfg, (3, 3, 3, 3, 3), lo, hi, nu=True)
-    assert built == list(range(lo - 1, hi + 1))
-    assert len(built) == hi - lo + 2
-    built.clear()
-    oracle_table(cfg, (3, 3, 3, 3, 3), lo, hi)
-    assert built == list(range(lo, hi + 1))
+    for nu in (True, False):
+        built.clear()
+        oracle_table(cfg, (3, 3, 3, 3, 3), 6, 9, nu=nu)
+        assert built == [9]
 
 
 def test_point_config_validation():
