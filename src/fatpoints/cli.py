@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 precondition violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,8 +22,8 @@ from fractions import Fraction
 
 from . import alpha_bounds as ab
 from . import tau_bounds as tb
-from .hilbert import (beta_expected, exactness_flag, find_alpha, find_tau,
-                      hilbert_table)
+from .hilbert import (_alpha_tau, beta_expected, exactness_flag, find_alpha,
+                      find_tau, hilbert_table)
 from .lattice import DivisorClass, FatPointSpec, decompose
 from .oracle import DEFAULT_PRIME, PointConfig, oracle_table
 from .report import BoundReport
@@ -228,7 +229,8 @@ def _cmd_oracle(args) -> int:
     elif args.t is not None:
         lo = hi = args.t
     else:
-        lo, hi = max(0, find_alpha(z) - 1), find_tau(z) + 1
+        alpha, tau, _ = _alpha_tau(z)
+        lo, hi = max(0, alpha - 1), tau + 1
     rows = oracle_table(cfg, z, lo, hi, args.nu)
     columns = ["t", "dim"] + (["nu"] if args.nu else [])
     if args.json:
@@ -371,7 +373,7 @@ def _cmd_bounds(args) -> int:
     z = _spec_of(args)
     exact = z.n <= 9
     label = "Value" if exact else "Expected value (SHGH)"
-    ea, et = find_alpha(z), find_tau(z)
+    ea, et, _ = _alpha_tau(z)
     requested_alpha, requested_tau = _requested_reports(z, args)
     alpha_reports = requested_alpha + _run_methods(_alpha_methods(z))
     tau_reports = _run_methods(_tau_methods(z)) + requested_tau
@@ -404,7 +406,14 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# argparse reads "-3:-1" as an option, so a negative LO needs the = form.
+_WINDOW_HELP = "degree window; write a negative LO as --window=LO:HI"
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # Built on the first call and reused: parse_args returns a fresh
+    # Namespace each time, and no default or type callable keeps state.
     top = argparse.ArgumentParser(
         prog="fatpoints",
         description="numerical characters of fat-point subschemes of the plane")
@@ -420,7 +429,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilb", help="expected Hilbert-function table")
     _add_input_args(p)
-    p.add_argument("--window", type=_parse_window, metavar="LO:HI")
+    p.add_argument("--window", type=_parse_window, metavar="LO:HI", help=_WINDOW_HELP)
     p.set_defaults(func=_cmd_hilb)
 
     p = sub.add_parser("res", help="Betti numbers for up to 8 points")
@@ -443,7 +452,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="finite-field interpolation oracle")
     _add_input_args(p)
-    p.add_argument("--window", type=_parse_window, metavar="LO:HI")
+    p.add_argument("--window", type=_parse_window, metavar="LO:HI", help=_WINDOW_HELP)
     p.add_argument("--t", type=int, help="single degree")
     p.add_argument("--nu", action="store_true", help="also report generator counts")
     p.add_argument("--seed", type=int, default=0)

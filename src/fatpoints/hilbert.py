@@ -50,12 +50,21 @@ def expected_dim(f: DivisorClass) -> int:
     Otherwise clamp negative multiplicities, reduce once more, clamp
     again and evaluate max(0, P) on the result.  Exact for n <= 9.
     """
-    d, m = reduce_fundamental_raw(f.degree, f.mults)
+    return _expected_dim(f.degree, f.mults)
+
+
+def _expected_dim(d: int, m) -> int:
+    # expected_dim on a raw (degree, multiplicities) pair, for the loops
+    # that would otherwise build a DivisorClass only to unwrap it.
+    d, m = reduce_fundamental_raw(d, m)
     if d < 0:
         return 0
-    d, m = reduce_fundamental_raw(d, [x if x > 0 else 0 for x in m])
-    if d < 0:
-        return 0
+    if m[-1] < 0:
+        # Without a negative entry the clamp changes nothing and the
+        # terminal class is a fixed point of the second reduction.
+        d, m = reduce_fundamental_raw(d, [x if x > 0 else 0 for x in m])
+        if d < 0:
+            return 0
     s = sum(x * (x + 1) for x in m if x > 0)
     return max(0, (d * d + 3 * d + 2 - s) // 2)
 
@@ -92,11 +101,19 @@ class _FastDims:
     def e(self, t: int) -> int:
         if t >= self.three_largest:
             return max(0, self.hilbert_poly(t))
-        return expected_dim(DivisorClass(t, self.mults))
+        return _expected_dim(t, self.mults)
+
+    def first_nonzero(self) -> int:
+        t = 0
+        while self.e(t) == 0:
+            t += 1
+        return t
 
 
-def _uniform_nm(z: FatPointSpec) -> tuple[int, int] | None:
-    if z.n > 0 and z.is_uniform():
+def _uniform_many(z: FatPointSpec) -> tuple[int, int] | None:
+    # (n, m) of a uniform scheme past the exact range, where alpha and tau
+    # have closed-form searches on P alone.
+    if z.n > EXACT_POINT_LIMIT and z.is_uniform():
         return z.n, z.mults[0]
     return None
 
@@ -108,14 +125,26 @@ def find_alpha(z) -> int:
     least degree of a curve through Z, an upper bound unconditionally.
     """
     z = as_spec(z)
-    nm = _uniform_nm(z)
-    if nm is not None and nm[0] > EXACT_POINT_LIMIT:
+    nm = _uniform_many(z)
+    if nm is not None:
         return _uniform_alpha_many(*nm)
+    return _FastDims(z).first_nonzero()
+
+
+def _alpha_tau(z: FatPointSpec) -> tuple[int, int, _FastDims]:
+    """(find_alpha(z), find_tau(z), the evaluator of z) with one alpha scan.
+
+    The tau scan warm-starts at max(0, alpha - 1), as find_tau documents.
+    """
     dims = _FastDims(z)
-    t = 0
-    while dims.e(t) == 0:
+    nm = _uniform_many(z)
+    if nm is not None:
+        return _uniform_alpha_many(*nm), _uniform_tau_many(*nm), dims
+    alpha = dims.first_nonzero()
+    t = max(0, alpha - 1)
+    while dims.e(t) != dims.hilbert_poly(t):
         t += 1
-    return t
+    return alpha, t, dims
 
 
 def _uniform_alpha_many(n: int, m: int) -> int:
@@ -149,15 +178,7 @@ def find_tau(z) -> int:
     warm-starts at max(0, alpha - 1); the result does not depend on the
     start.
     """
-    z = as_spec(z)
-    nm = _uniform_nm(z)
-    if nm is not None and nm[0] > EXACT_POINT_LIMIT:
-        return _uniform_tau_many(*nm)
-    dims = _FastDims(z)
-    t = max(0, find_alpha(z) - 1)
-    while dims.e(t) != dims.hilbert_poly(t):
-        t += 1
-    return t
+    return _alpha_tau(as_spec(z))[1]
 
 
 def _uniform_tau_many(n: int, m: int) -> int:
@@ -192,15 +213,13 @@ class HilbertTable:
 def hilbert_table(z, lo: int | None = None, hi: int | None = None) -> HilbertTable:
     """Tabulate e(F_t(Z)) for t in [lo, hi], default [alpha-1, tau+1]."""
     z = as_spec(z)
-    alpha = find_alpha(z)
-    tau = find_tau(z)
+    alpha, tau, dims = _alpha_tau(z)
     if lo is None:
         lo = alpha - 1
     if hi is None:
         hi = tau + 1
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
-    dims = _FastDims(z)
     rows = tuple((t, dims.e(t)) for t in range(lo, hi + 1))
     return HilbertTable(alpha, tau, rows, exactness_flag(z.n))
 
@@ -218,8 +237,8 @@ def beta_expected(z) -> int:
         raise ValueError("beta is undefined for the empty subscheme")
     t = find_alpha(z)
     while True:
-        dec = decompose(z.divisor_class(t))
-        if dec.in_semigroup and not dec.fixed_part \
-                and expected_dim(z.divisor_class(t)) > 0:
+        f = z.divisor_class(t)
+        dec = decompose(f)
+        if dec.in_semigroup and not dec.fixed_part and expected_dim(f) > 0:
             return t
         t += 1

@@ -19,8 +19,10 @@ schemes on 9 or more points (conjectural; callers must label it so).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .hilbert import expected_dim, find_alpha, find_tau, hilbert_polynomial
+from .hilbert import (_alpha_tau, _expected_dim, expected_dim, find_alpha, find_tau,
+                      hilbert_polynomial)
 from .lattice import DivisorClass, as_spec, is_exceptional
 
 MAX_POINTS = 8
@@ -80,24 +82,24 @@ def ker_mu_dim(f: DivisorClass) -> int:
     m = list(_as8(f.mults))
     while True:
         m = sorted((x if x > 0 else 0 for x in m), reverse=True)
-        if expected_dim(DivisorClass(d, m)) == 0:
+        if _expected_dim(d, m) == 0:
             return 0
         for c, lam in _EXC_TESTS:
-            if d * c.degree - sum(a * b for a, b in zip(m, c.mults)) < lam:
+            if d * c.degree - sum(map(mul, m, c.mults)) < lam:
                 d -= c.degree
                 m = [a - b for a, b in zip(m, c.mults)]
                 break
         else:
             break
     if d - m[0] - m[1] == 0:
-        left = expected_dim(DivisorClass(d - 1, [m[0] - 1] + m[1:]))
-        right = expected_dim(DivisorClass(d - 1, [m[0], m[1] - 1] + m[2:]))
+        left = _expected_dim(d - 1, [m[0] - 1] + m[1:])
+        right = _expected_dim(d - 1, [m[0], m[1] - 1] + m[2:])
         return left + right
     r = m[7]
     if d == 8 * r + 3 and m == [3 * r + 1] * 7 + [r]:
         return r + 1
-    here = expected_dim(DivisorClass(d, m))
-    above = expected_dim(DivisorClass(d + 1, m))
+    here = _expected_dim(d, m)
+    above = _expected_dim(d + 1, m)
     return max(0, 3 * here - above)
 
 
@@ -123,10 +125,9 @@ def betti_table(z) -> BettiTable:
     """Hilbert values and Betti numbers for t from alpha-2 to tau+2 (n <= 8)."""
     z = as_spec(z)
     mults = _as8(z.mults)
-    alpha = find_alpha(mults)
-    tau = find_tau(mults)
+    alpha, tau, dims = _alpha_tau(z)
     degrees = list(range(alpha - 2, tau + 3))
-    h = [expected_dim(DivisorClass(t, mults)) for t in degrees]
+    h = [dims.e(t) for t in degrees]
     ker = [0 if t < alpha else ker_mu_dim(DivisorClass(t, mults)) for t in degrees]
     nu = []
     for i, t in enumerate(degrees):

@@ -1,6 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from fatpoints import cli
 from fatpoints.cli import canonical_json, main
+
+CATALOGUE_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / \
+    "catalogue-small.json"
 
 
 def run(capsys, *argv):
@@ -214,3 +223,75 @@ def test_bounds_requested_method_precondition_exits_3(capsys):
         code, out, err = run(capsys, "bounds", *args, "--json")
         assert code == 3 and out == "", args
         assert message in err, (args, err)
+
+
+def test_negative_window_lo_needs_the_equals_form(capsys):
+    # argparse reads "-3:-1" after a space as an option, not as the value.
+    for command in ("hilb", "oracle"):
+        code, out, err = run(capsys, command, "--mults", "3", "--window", "-3:-1", "--json")
+        assert code == 2 and out == ""
+        assert "argument --window: expected one argument" in err
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "--window=LO:HI" in out
+    code, out, _ = run(capsys, "hilb", "--mults", "3", "--window=-3:-1", "--json")
+    assert code == 0 and json.loads(out)["rows"] == [[-3, 0], [-2, 0], [-1, 0]]
+    code, out, _ = run(capsys, "oracle", "--mults", "3", "--window=-1:1", "--json")
+    assert code == 0 and json.loads(out)["rows"] == [[-1, 0], [0, 0], [1, 0]]
+
+
+# Every subcommand, each followed by a usage error (exit 2), a help
+# request (exit 0) and a precondition failure (exit 3).
+_SESSION = [
+    (0, ("alpha", "--mults", "3,2,2", "--json")), (2, ("alpha",)),
+    (0, ("alpha", "--help")), (3, ("alpha", "--mults", "2,-1")),
+    (0, ("tau", "--uniform", "16:2")), (2, ("tau", "--mults", "1,x")),
+    (0, ("tau", "-h")), (3, ("tau", "--uniform=-1:2")),
+    (0, ("beta", "--mults", "2,2", "--json")), (2, ("beta", "--uniform", "3")),
+    (0, ("--help",)), (3, ("beta", "--mults", "0,0")),
+    (0, ("psi", "--mults", "5,4,3,3")), (2, ("psi", "--mults", "1", "--uniform", "2:1")),
+    (0, ("psi", "--help")), (3, ("psi", "--mults", "1,-1", "--json")),
+    (0, ("hilb", "--mults", "2,2", "--window", "0:4")),
+    (2, ("hilb", "--mults", "2", "--window", "1")),
+    (0, ("hilb", "--help")), (3, ("hilb", "--mults", "2,2", "--window", "5:3")),
+    (0, ("res", "--mults", "3,3,3,3,3", "--json")), (2, ("res", "--mults", "1", "--bogus")),
+    (0, ("res", "--help")), (3, ("res", "--uniform", "9:1")),
+    (0, ("decomp", "--mults", "2,2", "--t", "2")), (2, ("decomp", "--mults", "2", "--t", "x")),
+    (0, ("decomp", "--help")), (3, ("decomp", "--mults", "2,2")),
+    (0, ("bounds", "--mults", "3,2,2,1", "--json")), (2, ("bounds", "--mults", "2", "--r", "x")),
+    (0, ("bounds", "--help")), (3, ("bounds", "--mults", "2,2", "--r", "5", "--d", "1")),
+    (0, ("oracle", "--mults", "2,2", "--nu")), (2, ("oracle", "--mults", "2", "--seed", "x")),
+    (0, ("oracle", "--help")), (3, ("oracle", "--mults", "2,2", "--window", "5:3")),
+    (2, ()), (2, ("nosuch", "--mults", "1")),
+    (0, ("alpha", "--mults", "3,2,2", "--json")),
+]
+
+
+def test_one_parser_answers_every_call_as_a_fresh_one_would(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    reused = [run(capsys, *argv) for _, argv in _SESSION]
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [code for code, _ in _SESSION]
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    fresh = [run(capsys, *argv) for _, argv in _SESSION]
+    for (_, argv), got, want in zip(_SESSION, reused, fresh):
+        assert got == want, argv
+
+
+def test_importing_cli_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import fatpoints.cli as c; i = c._parser.cache_info(); print(i.misses, i.currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.split() == ["0", "0"]
+
+
+def test_catalogue_pool_twice_in_one_process(capsys):
+    # The first case of every stratum of the benchmark's catalogue pool,
+    # twice through one process's parser, against the recorded digests.
+    strata = json.loads(CATALOGUE_POOL.read_text())["strata"]
+    queries = [query for stratum in strata for query in stratum[0]]
+    for _ in range(2):
+        for query in queries:
+            code, out, _ = run(capsys, *query["argv"])
+            assert code == 0, query["argv"]
+            assert hashlib.sha256(out.encode()).hexdigest() == query["sha256"], query["argv"]

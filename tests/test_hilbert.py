@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from fatpoints.hilbert import (beta_expected, expected_dim, find_alpha,
                                find_tau, h1_dim, hilbert_polynomial,
                                hilbert_table, uniform_alpha_closed_form,
-                               _uniform_alpha_many, _uniform_tau_many)
-from fatpoints.lattice import DivisorClass
+                               _expected_dim, _uniform_alpha_many, _uniform_tau_many)
+from fatpoints.lattice import DivisorClass, reduce_fundamental_raw
 
 specs = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=9)
 
@@ -27,6 +29,37 @@ def test_expected_dim_examples():
     assert expected_dim(DivisorClass(2, (0, 0, 0))) == 6
     assert expected_dim(DivisorClass(3, (2, 2))) == 4
     assert expected_dim(DivisorClass(1, (1, 1, 1))) == 0
+
+
+def _expected_dim_ref(f: DivisorClass) -> int:
+    # expected_dim on a DivisorClass as it was before the raw helper: the
+    # second reduction runs whether or not the clamp changed anything.
+    d, m = reduce_fundamental_raw(f.degree, f.mults)
+    if d < 0:
+        return 0
+    d, m = reduce_fundamental_raw(d, [x if x > 0 else 0 for x in m])
+    if d < 0:
+        return 0
+    s = sum(x * (x + 1) for x in m if x > 0)
+    return max(0, (d * d + 3 * d + 2 - s) // 2)
+
+
+def test_raw_expected_dim_matches_the_class_version():
+    rng = random.Random(8)
+    seen = {"short": 0, "negative degree": 0, "clamped": 0, "nonzero": 0}
+    for _ in range(6000):
+        n = rng.randrange(0, 11)
+        m = [rng.randint(-4, 12) for _ in range(n)]
+        d = rng.randint(-10, 40)
+        want = _expected_dim_ref(DivisorClass(d, m))
+        assert _expected_dim(d, m) == want, (d, m)
+        assert expected_dim(DivisorClass(d, m)) == want, (d, m)
+        first_d, first_m = reduce_fundamental_raw(d, m)
+        seen["short"] += n < 3
+        seen["negative degree"] += d < 0
+        seen["clamped"] += first_d >= 0 and first_m[-1] < 0
+        seen["nonzero"] += want > 0
+    assert min(seen.values()) >= 200, seen
 
 
 def test_expected_dim_reduction_invariance():

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from fatpoints.hilbert import beta_expected, expected_dim, find_alpha, find_tau
-from fatpoints.lattice import DivisorClass
+from fatpoints.lattice import DivisorClass, reduce_fundamental_raw
 from fatpoints.oracle import PointConfig, actual_nu
-from fatpoints.resolution import (ExcInvariants, betti_table,
+from fatpoints.resolution import (_EXC_TESTS, ExcInvariants, betti_table,
                                   classical_nu_bounds, exc_invariants,
                                   ker_mu_dim, nu_bounds_point_split,
                                   quasi_uniform_resolution)
@@ -52,6 +52,94 @@ def test_ker_mu_padding_and_permutation_invariance():
         rng.shuffle(m)
         assert ker_mu_dim(DivisorClass(t, m)) == base
         assert ker_mu_dim(DivisorClass(t, m + [0])) == base
+
+
+# ker_mu_dim and betti_table as they were before the raw (degree, list)
+# path: every expected dimension goes through a DivisorClass, and alpha
+# and tau are separate scans.  They share no code with the library's
+# expected-dimension helpers.
+
+
+def _e_ref(f: DivisorClass) -> int:
+    d, m = reduce_fundamental_raw(f.degree, f.mults)
+    if d < 0:
+        return 0
+    d, m = reduce_fundamental_raw(d, [x if x > 0 else 0 for x in m])
+    if d < 0:
+        return 0
+    s = sum(x * (x + 1) for x in m if x > 0)
+    return max(0, (d * d + 3 * d + 2 - s) // 2)
+
+
+def _ker_mu_dim_ref(f: DivisorClass) -> int:
+    d = f.degree
+    m = [x for x in f.mults if x != 0]
+    m += [0] * (8 - len(m))
+    while True:
+        m = sorted((x if x > 0 else 0 for x in m), reverse=True)
+        if _e_ref(DivisorClass(d, m)) == 0:
+            return 0
+        for c, lam in _EXC_TESTS:
+            if d * c.degree - sum(a * b for a, b in zip(m, c.mults)) < lam:
+                d -= c.degree
+                m = [a - b for a, b in zip(m, c.mults)]
+                break
+        else:
+            break
+    if d - m[0] - m[1] == 0:
+        left = _e_ref(DivisorClass(d - 1, [m[0] - 1] + m[1:]))
+        right = _e_ref(DivisorClass(d - 1, [m[0], m[1] - 1] + m[2:]))
+        return left + right
+    r = m[7]
+    if d == 8 * r + 3 and m == [3 * r + 1] * 7 + [r]:
+        return r + 1
+    return max(0, 3 * _e_ref(DivisorClass(d, m)) - _e_ref(DivisorClass(d + 1, m)))
+
+
+def _betti_ref(mults) -> tuple[int, int, tuple, list]:
+    # (alpha, tau, rows, kernel dimension per row) for betti_table(mults).
+    mults = tuple(x for x in mults if x != 0)
+    mults += (0,) * (8 - len(mults))
+    s = sum(x * (x + 1) for x in mults)
+    alpha = 0
+    while _e_ref(DivisorClass(alpha, mults)) == 0:
+        alpha += 1
+    tau = max(0, alpha - 1)
+    while 2 * _e_ref(DivisorClass(tau, mults)) != tau * tau + 3 * tau + 2 - s:
+        tau += 1
+    degrees = list(range(alpha - 2, tau + 3))
+    h = [_e_ref(DivisorClass(t, mults)) for t in degrees]
+    ker = [0 if t < alpha else _ker_mu_dim_ref(DivisorClass(t, mults)) for t in degrees]
+    nu = [0 if i < 2 else h[i] - 3 * h[i - 1] + ker[i - 1] for i in range(len(degrees))]
+    syz = [0 if i < 3 else nu[i] - h[i] + 3 * h[i - 1] - 3 * h[i - 2] + h[i - 3]
+           for i in range(len(degrees))]
+    return alpha, tau, tuple(zip(degrees, h, nu, syz)), ker
+
+
+def _assert_raw_path_matches_reference(schemes) -> None:
+    for mults in schemes:
+        alpha, tau, rows, ker = _betti_ref(mults)
+        table = betti_table(mults)
+        assert (table.alpha, table.tau, table.rows) == (alpha, tau, rows), mults
+        for (t, *_), k in zip(rows, ker):
+            if t >= alpha:
+                assert ker_mu_dim(DivisorClass(t, mults)) == k, (t, mults)
+
+
+def test_raw_path_matches_class_reference_exhaustively():
+    # Every scheme of at most 8 points with multiplicities <= 6, as a
+    # nonincreasing 8-tuple (both sides sort and drop zeros first).
+    _assert_raw_path_matches_reference(
+        itertools.combinations_with_replacement(range(6, -1, -1), 8))
+
+
+def test_raw_path_matches_class_reference_up_to_ten():
+    # Schemes of at most 8 points with multiplicities <= 10, drawn in any
+    # order; the whole grid of 43758 nonincreasing tuples takes about half
+    # a minute, so the suite draws a seeded sample of it.
+    rng = random.Random(10)
+    _assert_raw_path_matches_reference(
+        [rng.randint(0, 10) for _ in range(rng.randint(0, 8))] for _ in range(500))
 
 
 def test_betti_table_examples():
