@@ -96,6 +96,21 @@ def test_golden_bounds_suite_mixed_200_bytes():
     _ok(f"golden: bounds on a seeded mixed n=200 vector in {elapsed:.2f}s")
 
 
+def test_golden_bounds_suite_uniform_9000_bytes_and_unloading_runtime():
+    out, elapsed = _bounds_json(["--uniform", "9000:13"])
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "89c5049718451392d486f928c6899edbf513b616b6d7406384f4ab97458b2f7d"
+    # The cap skips every r that cannot beat the running best; walking
+    # every r took about 2 s (one CPU, Python 3.11.7).
+    start = time.monotonic()
+    rep = ab.best_unloading_search([13] * 9000)
+    search = time.monotonic() - start
+    assert (rep.value, rep.params) == (1245, (("r", 4594), ("d", 48)))
+    assert search < 0.6, f"best_unloading_search([13]*9000) took {search:.2f}s"
+    _ok(f"golden: bounds --uniform 9000:13 in {elapsed:.2f}s "
+        f"(unloading search {search:.3f}s)")
+
+
 def test_golden_bounds_fixed_r1_d1_bytes_and_modified_tau_runtime():
     # r = 1, d = 1 lowers one point at a time: the modified unloading
     # tau bound reads a lowering sequence of about 5200 steps.

@@ -3,7 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpoints import cli
 from fatpoints.cli import canonical_json, main
@@ -237,6 +242,40 @@ def test_negative_window_lo_needs_the_equals_form(capsys):
     assert code == 0 and json.loads(out)["rows"] == [[-3, 0], [-2, 0], [-1, 0]]
     code, out, _ = run(capsys, "oracle", "--mults", "3", "--window=-1:1", "--json")
     assert code == 0 and json.loads(out)["rows"] == [[-1, 0], [0, 0], [1, 0]]
+
+
+def test_negative_uniform_n_needs_the_equals_form(capsys):
+    # The same argparse trap as --window: only the = form reaches the
+    # N >= 0 precondition.
+    code, out, err = run(capsys, "tau", "--uniform", "-1:2")
+    assert code == 2 and out == ""
+    assert "argument --uniform: expected one argument" in err
+    code, out, err = run(capsys, "tau", "--uniform=-1:2")
+    assert code == 3 and out == ""
+    assert "uniform input needs N >= 0 and M >= 0" in err
+    code, out, _ = run(capsys, "tau", "--help")
+    assert code == 0 and "--uniform=N:M" in out
+
+
+_json_scalars = (st.integers() | st.integers(-10 ** 60, 10 ** 60) | st.text()
+                 | st.text(alphabet=st.characters(max_codepoint=0x1f)) | st.booleans()
+                 | st.none())
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_docs)
+def test_canonical_json_matches_indented_json_dumps(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2, separators=(",", ": ")) + "\n"
+
+
+def test_canonical_json_rejects_other_types():
+    for doc in (1.5, (1, 2), {1: 2}, [Fraction(1, 2)], {"a": {"b": set()}}):
+        with pytest.raises(TypeError):
+            canonical_json(doc)
 
 
 # Every subcommand, each followed by a usage error (exit 2), a help

@@ -7,7 +7,13 @@ unloading take closed forms over it.  The references below re-sort a
 Python list on every step and scan the degrees upward instead, and share
 no code with the library; both must agree on every input, including
 zeros, uniform vectors with and without trailing zeros, and n <= 2.
+The parameter search skips every pair whose proven cap cannot beat the
+running best; the cap is checked against the bound, and the search
+against a copy of itself without the cap.
 """
+
+import random
+from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,6 +229,62 @@ def test_fixed_r_procedures_match_reference_on_large_uniform():
                     (n, m, r, d)
 
 
+def _cap(w, r, d):
+    # Proven cap on the unloading bound of (r, d), w sorted nonincreasing:
+    # the closed form's terms at k = 0 and at the step that empties w.
+    steps = max(w[0], -(-sum(w) // r))
+    return min(max(w[0], -(-sum(w[:r]) // d)), d * steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mixed, _uniform, _zeros, _short), st.data())
+def test_lowering_empties_after_the_lemma_count_and_caps_bound_each_pair(z, data):
+    w = sorted(z, reverse=True)
+    r = data.draw(st.one_of(st.just(len(w)), st.integers(1, len(w))))
+    steps = max(w[0], -(-sum(w) // r))
+    seq = ab._Lowerings(w, r)
+    assert seq.at(steps) == (0, 0), (w, r)
+    if steps:
+        assert seq.at(steps - 1)[0] > 0, (w, r)
+    for d in range(1, isqrt(r) + 1):
+        assert ab.unloading_alpha(w, r, d).value <= _cap(w, r, d), (w, r, d)
+    # The d with cap > best form the interval the search computes.
+    for best in range(1, 3 * steps + 2):
+        top = isqrt(r)
+        if w[0] <= best:
+            top = min(top, (sum(w[:r]) - 1) // best)
+        beating = [d for d in range(1, isqrt(r) + 1) if _cap(w, r, d) > best]
+        assert beating == list(range(best // max(steps, 1) + 1, top + 1)), (w, r, best)
+
+
+def _search_before_cap(z):
+    # The search without the cap: every r builds a lowering sequence and
+    # every d with d^2 <= r walks it until it cannot beat the best.
+    w = ab._clean(z)
+    best, best_r, best_d = 0, 0, 0
+    for r in range(1, len(w) + 1):
+        seq = ab._Lowerings(w, r)
+        d = 1
+        while d * d <= r:
+            if ab._unloading_min(seq, d, best) > best:
+                best, best_r, best_d = ab.unloading_alpha(w, r, d).value, r, d
+            d += 1
+    return best, (("r", best_r), ("d", best_d))
+
+
+def test_capped_search_matches_the_search_before_the_cap():
+    rng = random.Random(20260)
+    for i in range(6000):
+        n = rng.randint(1, 32)
+        top = rng.choice((1, 2, 4, 11, 30))
+        z = [rng.randint(0, top) for _ in range(n)]
+        if i % 5 == 0:
+            z = [top] * n + z[:i % 4]
+        if any(z):
+            got = ab.best_unloading_search(z)
+            assert (got.value, got.params) == _search_before_cap(z), z
+
+
 def test_one_state_build_per_call(monkeypatch):
     builds = []
 
@@ -241,11 +303,33 @@ def test_one_state_build_per_call(monkeypatch):
         assert procedure(z, 12, 3).value > 9  # the walks read many steps
         assert len(builds) == 1, procedure.__name__
 
-    scans = []
-    unloading_alpha = ab.unloading_alpha
+    # The search builds one state for each r where some d <= isqrt(r)
+    # has a cap above the best of the smaller r, and unloading_alpha
+    # builds one more for the reported pair.
+    lowered, scans = [], []
+    lowerings, unloading_alpha = ab._Lowerings, ab.unloading_alpha
+
+    def counted_lowerings(w, r):
+        lowered.append(r)
+        return lowerings(w, r)
+
+    monkeypatch.setattr(ab, "_Lowerings", counted_lowerings)
     monkeypatch.setattr(ab, "unloading_alpha",
-                        lambda *args: scans.append(args) or unloading_alpha(*args))
-    builds.clear()
-    ab.best_unloading_search(z)
-    assert scans
-    assert len(builds) == len(ab._clean(z)) + len(scans)
+                        lambda *args: scans.append(args[1:]) or unloading_alpha(*args))
+    for mults in (z, [7] * 40 + [0]):
+        w = ab._clean(mults)
+        best, capped = 0, []
+        for r in range(1, len(w) + 1):
+            if any(_cap(w, r, d) > best for d in range(1, isqrt(r) + 1)):
+                capped.append(r)
+            best = max([best] + [unloading_alpha(w, r, d).value
+                                 for d in range(1, isqrt(r) + 1)])
+        assert 0 < len(capped) < len(w)
+        lowered.clear()
+        scans.clear()
+        builds.clear()
+        rep = ab.best_unloading_search(mults)
+        assert rep.value == best
+        assert scans == [(rep.params[0][1], rep.params[1][1])]
+        assert lowered == capped + [scans[0][0]]
+        assert len(builds) == len(capped) + 1
