@@ -504,8 +504,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="finite-field interpolation oracle")
     _add_input_args(p)
-    p.add_argument("--window", type=_parse_window, metavar="LO:HI", help=_WINDOW_HELP)
-    p.add_argument("--t", type=int, help="single degree")
+    degrees = p.add_mutually_exclusive_group()
+    degrees.add_argument("--window", type=_parse_window, metavar="LO:HI", help=_WINDOW_HELP)
+    degrees.add_argument("--t", type=int, help="single degree")
     p.add_argument("--nu", action="store_true", help="also report generator counts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)

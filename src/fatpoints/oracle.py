@@ -14,8 +14,12 @@ The matrix columns are ordered by total degree, and an entry does not
 depend on t, so the matrix of every degree s <= t is a column prefix of
 the degree-t one.  `oracle_table` therefore builds and row-reduces one
 matrix per degree window, at its top degree: each degree's rank is the
-number of pivots inside its prefix, and with generator counts one
-back-substitution yields the basis of I_{s-1} for every s in the window.
+number of pivots inside its prefix.  For generator counts, one
+back-substitution over the free columns yields the RREF kernel basis of
+I_{s-1} for every s in the window; nu_s reduces to the rank of the x*f
+and y*f rows on the free columns of degree exactly s, which read only
+the degree-(s-1) block of that basis.  Eliminations defer the reduction
+mod p while int64 cannot overflow.
 `actual_hilbert` and `actual_nu` are windows of a single degree.
 
 Working in the affine chart z = 1 identifies degree-t forms with
@@ -110,64 +114,96 @@ class PointConfig:
         return cls(prime, seed, tuple(pts))
 
 
+def _budget(p: int) -> int:
+    # Rank-1 updates an entry may take between two reductions mod p; the
+    # bound is proved in `_echelon`.
+    return (2**63 - 1 - p) // max(1, (p - 1) ** 2)
+
+
 def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Forward elimination over F_p with first-nonzero pivoting.
 
     Returns the reduced matrix and its pivot columns: row i, for i below
     len(pivots), is scaled so its entry in column pivots[i] is 1 and has
-    zeros below that entry; every later row is zero.
+    zeros below that entry; every later row is zero.  Every entry is in
+    [0, p).
+
+    The reduction mod p is deferred.  Each step reduces only the pivot
+    column, whose residues pick the pivot and are the multipliers, and the
+    pivot row; the rank-1 update x - c*r of the rows below is left
+    unreduced.  Every later step reads and writes only the trailing block
+    (rows below the pivot, columns after it), so once `_budget(p)` updates
+    have piled up since its last reduction that block is reduced in full.
+    No reduction is left for the end: the scan reduces each column from
+    the current row down when it reaches it, a pivot row when it takes it,
+    and updates touch neither again.
+
+    Overflow bound: c and r are in [0, p), so c*r <= (p-1)^2 < 2^63 for
+    p <= MAX_PRIME, and an update lowers an entry by at most (p-1)^2.  An
+    entry starts each stretch in [0, p) and takes at most
+    budget = (2^63 - 1 - p) // (p-1)^2 updates in it, so it stays in
+    [-(2^63 - 1 - p), p), inside int64.  The budget is at least 1 for every
+    p <= MAX_PRIME, as p^2 - p + 1 <= 2^63 - 1 there: about 9e9 at
+    p = 31991, 9 at 10^9 + 7 and 1 at 3037000493.
+
+    The entries stay congruent mod p to those of eager reduction, every
+    pivot test and multiplier reads reduced values, and an update clears
+    the pivot column below the pivot exactly, so the result is the same.
     """
     _check_prime_size(p)
     m = np.array(a, dtype=np.int64) % p
     rows, cols = m.shape
+    budget, pending = _budget(p), 0
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
+        m[r:, c] %= p
         nz = np.nonzero(m[r:, c])[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        m[r, c:] = m[r, c:] % p * pow(int(m[r, c]), -1, p) % p
         below = np.nonzero(m[r + 1:, c])[0] + r + 1
         if below.size:
-            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % p
+            if pending == budget:
+                m[r + 1:, c + 1:] %= p
+                pending = 0
+            m[below, c:] -= np.outer(m[below, c], m[r, c:])
+            pending += 1
         pivots.append(c)
     return m, pivots
 
 
 def _back_substitute(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Clear the pivot columns of `_echelon` output upwards, in place.
+    """Free columns of the reduced row echelon form of `_echelon` output.
 
-    The result, cut to its len(pivots) nonzero rows, is the reduced row
-    echelon form, which is unique, so the kernel bases read off it are too.
-    Row i is zero before its pivot, and once the later pivots are cleared
-    it is zero on every pivot column but its own; so each step changes only
-    free columns and takes its multipliers unchanged from the echelon form.
+    Returns the len(pivots) nonzero rows of the RREF, which is unique, cut
+    to the free (non-pivot) columns in increasing order; on the pivot
+    columns the RREF is the identity.  Row i is zero before its pivot, and
+    once the later pivots are cleared it is zero on every pivot column but
+    its own; so clearing pivot i upwards changes only free columns and
+    takes its multipliers unchanged, and reduced, from the echelon form.
+    The reduction mod p is deferred as in `_echelon`: row i is reduced
+    before it is used, the rows above it every `_budget(p)` updates.
     """
-    red = m[:len(pivots)]
-    free = np.setdiff1d(np.arange(red.shape[1]), pivots)
-    tail = red[:, free]
+    free = np.setdiff1d(np.arange(m.shape[1]), pivots)
+    tail = m[:len(pivots), free]
+    budget, pending = _budget(p), 0
     for i in range(len(pivots) - 1, 0, -1):
-        above = np.nonzero(red[:i, pivots[i]])[0]
+        above = np.nonzero(m[:i, pivots[i]])[0]
         if above.size:
-            tail[above] = (tail[above] - np.outer(red[above, pivots[i]], tail[i])) % p
-    red[:, free] = tail
-    red[:, pivots] = np.eye(len(pivots), dtype=np.int64)
-    return red
-
-
-def _kernel(red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Kernel basis of a reduced row echelon form: one row per free column,
-    1 there, minus that column of `red` at the pivots, 0 elsewhere."""
-    free = np.setdiff1d(np.arange(red.shape[1]), pivots)
-    basis = np.zeros((free.size, red.shape[1]), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -red[:, free].T % p
-    return basis
+            tail[i] %= p
+            if pending == budget:
+                tail[:i] %= p
+                pending = 0
+            tail[above] -= np.outer(m[above, pivots[i]], tail[i])
+            pending += 1
+    tail %= p
+    return tail
 
 
 def rank_mod_p(a: np.ndarray, p: int) -> int:
@@ -176,9 +212,15 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
 
 
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows) of the right kernel of a over F_p."""
+    """Basis (as rows) of the right kernel of a over F_p: one row per free
+    column of the RREF, 1 there, minus that column of the RREF at the
+    pivots, 0 elsewhere."""
     m, pivots = _echelon(a, p)
-    return _kernel(_back_substitute(m, pivots, p), pivots, p)
+    free = np.setdiff1d(np.arange(m.shape[1]), pivots)
+    basis = np.zeros((free.size, m.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -_back_substitute(m, pivots, p).T % p
+    return basis
 
 
 def _ncols(t: int) -> int:
@@ -225,19 +267,6 @@ def _condition_matrix(cfg: PointConfig, z: FatPointSpec, t: int) -> np.ndarray:
     return deriv[pts, 0, dxs][:, a] * deriv[pts, 1, dys][:, b] % p
 
 
-def _products(basis: np.ndarray, t: int) -> np.ndarray:
-    # z*f, x*f and y*f for each row f of a basis over the degree t-1 monomials.
-    # In the graded order z keeps column j, and x and y move it to j + d + 1
-    # and j + d + 2, d the degree of column j.
-    a, b = _exponents(t - 1)
-    j = np.arange(a.size)
-    k = basis.shape[0]
-    prods = np.zeros((3 * k, _ncols(t)), dtype=np.int64)
-    for block, target in enumerate((j, j + a + b + 1, j + a + b + 2)):
-        prods[block * k:(block + 1) * k, target] = basis
-    return prods
-
-
 def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> list[list[int]]:
     """Rows [t, dim I_t], plus nu_t with `nu`, for t in [lo, hi] at the seeded points.
 
@@ -259,11 +288,30 @@ def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> lis
       columns; so the first rank M_s rows cut to c_s columns are a reduced
       echelon form of M_s, which is unique: they are the RREF of M_s.  One
       back-substitution thus gives the RREF kernel basis of I_{t-1} for
-      every t in the window.
+      every t in the window: the row of a free column phi is 1 at phi and
+      minus column phi of R at the pivots.
     * The products lie in I_t, and the RREF kernel basis of I_t is the
-      identity on the free (non-pivot) columns of M_t, so projecting I_t
-      onto those columns is injective.  The products' rank is therefore
-      the rank of their free columns: dim I_t columns instead of c_t.
+      identity on the free columns F_t of M_t, so projecting I_t onto F_t
+      is injective and the products' rank is the rank of their F_t
+      columns.  Pivots of M_{t-1} are the pivots of M_t below c_{t-1}, so
+      F_{t-1} = F_t & [0, c_{t-1}), and F_t is F_{t-1} followed by N_t,
+      the free columns of degree exactly t.  z keeps a column in the
+      graded order, so the z*f rows project to [I_k | 0] on
+      (F_{t-1}, N_t), k = dim I_{t-1}.  Clearing the F_{t-1} columns of
+      the x*f and y*f rows with them leaves their N_t columns unchanged,
+      so the rank is k plus the rank of the 2k x |N_t| matrix of x*f and
+      y*f on N_t, and, as dim I_t = k + |N_t|,
+      nu_t = |N_t| - rank(x*f, y*f on N_t).  x and y raise the degree of
+      a column by one, so that matrix reads only the degree-(t-1) block
+      of the kernel basis: there x^a y^b goes to column b of the degree-t
+      block under x and to column b + 1 under y.
+    * Only free columns are read.  Let g start the first degree block
+      that has free columns: every column before g is a pivot, and every
+      F_{t-1} is empty unless t - 1 reaches g's degree.  Rows of R whose
+      pivot is at or after g are zero before it, and clearing pivot i
+      upwards reads only rows i and above; so back-substituting
+      R[s:rank M_{hi-1}, g:c_{hi-1}], s the first row with a pivot at or
+      after g, gives every entry the degree-(t-1) blocks read.
     """
     z = as_spec(z)
     if lo > hi:
@@ -280,13 +328,28 @@ def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> lis
 
     rows = [[t, _ncols(t) - rank(t)] for t in range(lo, hi + 1)]
     if nu:
-        red = _back_substitute(m[:, :_ncols(hi - 1)], pivots[:rank(hi - 1)], p)
+        free = np.setdiff1d(np.arange(_ncols(hi)), pivots)
+        # Column j has degree d with d(d+1)/2 <= j < (d+1)(d+2)/2.
+        g = _ncols((isqrt(8 * int(free[0]) + 1) - 1) // 2 - 1) if free.size else _ncols(hi)
+        s, r = bisect_left(pivots, g), rank(hi - 1)
+        red = _back_substitute(m[s:r, g:_ncols(hi - 1)], [q - g for q in pivots[s:r]], p)
         for row in rows:
             t, dim = row
-            r, c = rank(t - 1), _ncols(t - 1)
-            basis = _kernel(red[:r, :c], pivots[:r], p)
-            free = np.setdiff1d(np.arange(_ncols(t)), pivots)
-            row.append(dim - rank_mod_p(_products(basis, t)[:, free], p))
+            k = _ncols(t - 1) - rank(t - 1)
+            n = dim - k
+            if k and n:
+                # The degree-(t-1) block of the kernel basis of I_{t-1}.
+                start, i0, i1 = _ncols(t - 2), rank(t - 2), rank(t - 1)
+                k0 = start - i0
+                block = np.zeros((k, t), dtype=np.int64)
+                block[:, np.array(pivots[i0:i1], dtype=np.int64) - start] = \
+                    -red[i0 - s:i1 - s, :k].T % p
+                block[np.arange(k0, k), free[k0:k] - start] = 1
+                prods = np.zeros((2 * k, t + 1), dtype=np.int64)
+                prods[:k, :t] = block
+                prods[k:, 1:] = block
+                n -= rank_mod_p(prods[:, free[k:k + n] - _ncols(t - 1)], p)
+            row.append(n)
     return rows
 
 

@@ -213,6 +213,23 @@ def test_oracle_nu_equivalence_grid():
           "(n <= 8, mults <= 3)")
 
 
+def test_golden_oracle_nine_tens_bytes_and_runtime():
+    # One 495 x 528 elimination and the generator counts of four degrees:
+    # 0.43 s before the deferred reduction and the degree-t counts, 0.27 s
+    # after (best of 5 in process, 2 cores, Python 3.11.7).
+    argv = ["oracle", "--mults", "10,10,10,10,10,10,10,10,10", "--window", "28:31",
+            "--nu", "--json"]
+    out = io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    elapsed = time.monotonic() - start
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        "1d807177d1c2ebe8ccac6bbf2d7bceb332beba903c86fa80422e93b3326d27e5"
+    assert elapsed < 2.5, f"oracle on nine 10-fold points took {elapsed:.2f}s"
+    _ok(f"golden: oracle --mults 10 x 9 --window 28:31 --nu in {elapsed:.2f}s")
+
+
 # ---------------------------------------------------------------------------
 # 3. Property suites (>= 10^4 cases total)
 

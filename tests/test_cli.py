@@ -186,6 +186,15 @@ def test_oracle_empty_window_rejected(capsys):
     assert code == 3 and "empty degree window [4, 3]" in err
 
 
+def test_oracle_window_and_degree_are_exclusive(capsys):
+    # --t used to be dropped without a word when --window was also given.
+    code, out, err = run(capsys, "oracle", "--mults", "2,2", "--t", "5", "--window", "1:2")
+    assert code == 2 and out == ""
+    assert "argument --window: not allowed with argument --t" in err
+    code, out, _ = run(capsys, "oracle", "--mults", "2,2", "--t", "5", "--json")
+    assert code == 0 and [row[0] for row in json.loads(out)["rows"]] == [5]
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "alpha")[0] == 2                       # missing input
     assert run(capsys, "alpha", "--mults", "1,x")[0] == 2     # malformed list

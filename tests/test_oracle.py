@@ -117,8 +117,10 @@ def _ref_table(cfg, mults, lo, hi, nu):
 @st.composite
 def _matrices(draw):
     # Tall, wide, empty and rank-deficient matrices up to 40 x 40, entries
-    # also outside [0, p), and primes up to the int64 cap.
-    p = draw(st.sampled_from([2, 3, 101, 31991, 3037000493]))
+    # also outside [0, p), and primes up to the int64 cap.  The reduction
+    # budget is 9 updates at 10^9 + 7, so the periodic full reduction runs
+    # inside one elimination, and 1 at 3037000493.
+    p = draw(st.sampled_from([2, 3, 101, 31991, 1000000007, 3037000493]))
     rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
@@ -144,6 +146,14 @@ def test_elimination_matches_gauss_jordan_reference(case):
     assert ns.dtype == ref.dtype and ns.shape == ref.shape
     assert (ns == ref).all()
     assert rank_mod_p(a, p) == a.shape[1] - ref.shape[0]
+
+
+@pytest.mark.parametrize("p, budget", [(2, 2**63 - 3), (31991, 9012831394),
+                                       (1000000007, 9), (3037000493, 1), (MAX_PRIME, 1)])
+def test_reduction_budget_keeps_int64(p, budget):
+    # An entry starts in [0, p) and each update lowers it by at most (p-1)^2.
+    assert oracle._budget(p) == budget
+    assert budget * (p - 1) ** 2 <= 2**63 - 1 - p
 
 
 def test_rank_mod_p_basics():
@@ -173,7 +183,7 @@ def test_nullspace_mod_p():
 
 @st.composite
 def _windows(draw):
-    p = draw(st.sampled_from([13, 101, 31991]))
+    p = draw(st.sampled_from([13, 101, 31991, 3037000493]))
     n = draw(st.integers(1, 8))
     mults = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
     lo = draw(st.integers(-2, 11))
