@@ -3,9 +3,9 @@
 from .lattice import (DivisorClass, FatPointSpec, WeylWord, Decomposition,
                       apply_inverse, apply_word, canonical_class, clamp_nonneg,
                       cremona_quad, decompose, intersection, is_exceptional,
-                      reduce_fundamental, sort_desc_tracked)
+                      reduce_fundamental)
 from .hilbert import (HilbertTable, beta_expected, expected_dim, find_alpha,
-                      find_tau, h1_dim, hilbert_polynomial, hilbert_table,
+                      find_tau, hilbert_polynomial, hilbert_table,
                       uniform_alpha_closed_form)
 
 __version__ = "0.1.0"
@@ -14,8 +14,8 @@ __all__ = [
     "DivisorClass", "FatPointSpec", "WeylWord", "Decomposition",
     "apply_inverse", "apply_word", "canonical_class", "clamp_nonneg",
     "cremona_quad", "decompose", "intersection", "is_exceptional",
-    "reduce_fundamental", "sort_desc_tracked",
+    "reduce_fundamental",
     "HilbertTable", "beta_expected", "expected_dim", "find_alpha",
-    "find_tau", "h1_dim", "hilbert_polynomial", "hilbert_table",
+    "find_tau", "hilbert_polynomial", "hilbert_table",
     "uniform_alpha_closed_form",
 ]

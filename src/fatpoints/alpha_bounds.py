@@ -65,6 +65,14 @@ def _clean(z) -> list[int]:
     return sorted((m for m in as_spec(z).mults if m > 0), reverse=True)
 
 
+def _check_rd(r: int, n: int, d: int) -> None:
+    # The degree-d curve through the first r of n points.
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if d < 1:
+        raise ValueError("d must be positive")
+
+
 # ---------------------------------------------------------------------------
 # Nef-class tests
 
@@ -92,10 +100,7 @@ def nef_test_bound(z, weights: Sequence, r: int, d: int) -> BoundReport:
         raise ValueError("weights must be nonnegative")
     if any(ints[i] < ints[i + 1] for i in range(n)):
         raise ValueError("weights must be nonincreasing")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, n, d)
     if ints[0] * d * d < sum(ints[1:r + 1]):
         raise ValueError("weights violate a0*d^2 >= a1+...+ar")
     if r * ints[0] < sum(ints[1:]):
@@ -119,10 +124,7 @@ def nef_variant_bound(z, variant: str, r: int, d: int, j: int | None = None) -> 
     """
     w = _clean(z)
     n = len(w)
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, n, d)
     total = sum(w)
     if variant == "a":
         if r * r < n * d * d:
@@ -383,10 +385,7 @@ def unloading_alpha(z, r: int, d: int) -> BoundReport:
     ends once k d reaches the running minimum.
     """
     z = as_spec(z)
-    if not 1 <= r <= z.n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={z.n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, z.n, d)
     w = _clean(z)
     value = _unloading_min(_Lowerings(w, min(r, len(w))), d)
     return BoundReport("unloading", ALPHA_LOWER, value, (("r", r), ("d", d)))
@@ -404,10 +403,7 @@ def unloading_alpha_formula(n: int, m: int, r: int, d: int) -> BoundReport:
     With u >= 0 and 0 < rho <= r defined by m n = u r + rho:
     alpha >= 1 + u d + min(d - 1, ceil(rho / d) - 1).
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, n, d)
     if 2 * r < n + d * d:
         raise ValueError("closed form needs 2r >= n + d^2")
     if m == 0:
@@ -546,10 +542,7 @@ def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
     k d, so the walk ends once k d reaches the running minimum.
     """
     z = as_spec(z)
-    if not 1 <= r <= z.n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={z.n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, z.n, d)
     g = (d - 1) * (d - 2) // 2
     w = _clean(z)
     seq = _Lowerings(w, min(r, len(w)))
@@ -570,10 +563,7 @@ def modified_unloading_alpha_formula_a(n: int, m: int, r: int, d: int) -> BoundR
     u and rho split m n = u r + rho with 0 < rho <= r; s is the largest
     integer with (s+1)(s+2) <= 2 rho, capped at d - 1.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, n, d)
     if not (2 * n >= 2 * r >= n + d * d):
         raise ValueError("closed form (a) needs 2n >= 2r >= n + d^2")
     if m == 0:
@@ -591,10 +581,7 @@ def modified_unloading_alpha_formula_b(n: int, m: int, r: int, d: int) -> BoundR
     alpha >= 1 + min(floor((m r + g - 1) / d), s + u d) with
     g = (d-1)(d-2)/2 and u, rho, s as in form (a).
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, n, d)
     if not (d * (d + 1) // 2 <= r <= min(n, d * d)):
         raise ValueError("closed form (b) needs d(d+1)/2 <= r <= min(n, d^2)")
     if m == 0:

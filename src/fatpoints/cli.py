@@ -26,7 +26,7 @@ from .hilbert import (_alpha_tau, beta_expected, exactness_flag, find_alpha,
                       find_tau, hilbert_table)
 from .lattice import DivisorClass, FatPointSpec, decompose
 from .oracle import DEFAULT_PRIME, PointConfig, oracle_table
-from .report import BoundReport
+from .report import ALPHA_LOWER, SHGH_CONDITIONAL, BoundReport
 from .resolution import betti_table
 
 
@@ -187,8 +187,8 @@ def _cmd_single(args, kind: str) -> int:
     else:
         rep = ab.semigroup_alpha_bound(z)
         value, method = rep.value, rep.method
-    validity = () if z.n <= 9 or kind == "psi" else ("SHGH-conditional",)
-    rep = BoundReport(method, "alpha-lower" if kind == "psi" else exactness_flag(z.n),
+    validity = () if z.n <= 9 or kind == "psi" else (SHGH_CONDITIONAL,)
+    rep = BoundReport(method, ALPHA_LOWER if kind == "psi" else exactness_flag(z.n),
                       value, (), validity)
     if args.json:
         sys.stdout.write(canonical_json(_report_json(z, rep)))
@@ -318,40 +318,29 @@ def _run_methods(makers) -> list[BoundReport]:
     return reports
 
 
-def _alpha_methods(z: FatPointSpec) -> list:
-    mults = z.mults
-    positive = sorted((m for m in mults if m > 0), reverse=True)
-    n = len(positive)
+def _alpha_methods(mults, positive: list[int], rds) -> list:
     makers = [lambda: ab.semigroup_alpha_bound(mults),
               lambda: ab.roe_alpha(mults)]
-    if n >= 1:
-        ra, da = ab.best_rd_a(n)
-        rb, db = ab.best_rd_b(n)
+    if positive:
+        (ra, da), (rb, db) = rds
         makers += [
             lambda: ab.nef_variant_bound(positive, "a", ra, da),
             lambda: ab.nef_variant_bound(positive, "b", rb, db),
             lambda: ab.best_variant_d_search(positive),
-            lambda: _best_of(ab.modified_unloading_alpha, positive, (ra, da), (rb, db),
-                             pick=max),
+            lambda: _best_of(ab.modified_unloading_alpha, positive, *rds, pick=max),
             lambda: ab.best_unloading_search(positive),
         ]
     return makers
 
 
-def _tau_methods(z: FatPointSpec) -> list:
-    mults = z.mults
-    positive = sorted((m for m in mults if m > 0), reverse=True)
-    n = len(positive)
+def _tau_methods(mults, positive: list[int], rds) -> list:
     makers = [lambda: tb.hirschowitz_tau(mults),
               lambda: tb.gimigliano_tau(mults),
               lambda: tb.catalisano_tau(mults)]
-    if n >= 2:
+    if len(positive) >= 2:
         makers.append(lambda: tb.roe_tau(positive))
-    if n >= 1:
-        ra, da = ab.best_rd_a(n)
-        rb, db = ab.best_rd_b(n)
-        makers.append(lambda: _best_of(tb.modified_unloading_tau, positive,
-                                       (ra, da), (rb, db), pick=min))
+    if positive:
+        makers.append(lambda: _best_of(tb.modified_unloading_tau, positive, *rds, pick=min))
     return makers
 
 
@@ -365,31 +354,32 @@ def _sqrt_rd(n: int) -> tuple[int, int]:
     return min(r, n), d
 
 
-def _uniform_extra_alpha(n: int, m: int) -> list:
-    ra, da = ab.best_rd_a(n)
+def _uniform_extra_alpha(positive: list[int], rds) -> list:
+    n, m = len(positive), positive[0]
+    (ra, da), _ = rds
     rf, df = _sqrt_rd(n)
     makers = [
-        lambda: ab.unloading_alpha((m,) * n, ra, da),
+        lambda: ab.unloading_alpha(positive, ra, da),
         lambda: ab.modified_unloading_alpha_formula_a(n, m, rf, df),
         lambda: ab.modified_unloading_alpha_formula_b(n, m, min(n, df * df), df),
     ]
-    if n > 9 and m >= 1:
+    if n > 9:
         makers.append(lambda: ab.nagata_reference(n, m))
     return makers
 
 
-def _uniform_extra_tau(n: int, m: int) -> list:
+def _uniform_extra_tau(positive: list[int], rds) -> list:
+    n, m = len(positive), positive[0]
     makers = []
-    if n > 9 and m >= 1:
+    if n > 9:
         makers += [lambda: tb.segre_tau(n, m), lambda: tb.cubic_tau(n, m)]
     if n >= 9:
         makers.append(lambda: tb.sqrt_specialization_tau(n, m))
     rf, df = _sqrt_rd(n)
     makers.append(lambda: tb.modified_unloading_tau_formula_a(n, m, rf, df))
     makers.append(lambda: tb.modified_unloading_tau_formula_b(n, m, min(n, df * df), df))
-    if n > 9 and m >= 1:
-        ra, da = ab.best_rd_a(n)
-        rb, db = ab.best_rd_b(n)
+    if n > 9:
+        (ra, da), (rb, db) = rds
         makers.append(lambda: tb.ran_tau(n, m, max(Fraction(n * da, ra),
                                                    Fraction(rb, db))))
     return makers
@@ -431,11 +421,15 @@ def _cmd_bounds(args) -> int:
     label = "Value" if exact else "Expected value (SHGH)"
     ea, et, _ = _alpha_tau(z)
     requested_alpha, requested_tau = _requested_reports(z, args)
-    alpha_reports = requested_alpha + _run_methods(_alpha_methods(z))
-    tau_reports = _run_methods(_tau_methods(z)) + requested_tau
-    if z.n > 0 and z.is_uniform() and z.mults[0] > 0:
-        alpha_reports += _run_methods(_uniform_extra_alpha(z.n, z.mults[0]))
-        tau_reports += _run_methods(_uniform_extra_tau(z.n, z.mults[0]))
+    # The sorted positive multiplicities and the (r, d) pairs of weight
+    # families (a) and (b), shared by every method list below.
+    positive = sorted((m for m in z.mults if m > 0), reverse=True)
+    rds = (ab.best_rd_a(len(positive)), ab.best_rd_b(len(positive))) if positive else None
+    alpha_reports = requested_alpha + _run_methods(_alpha_methods(z.mults, positive, rds))
+    tau_reports = _run_methods(_tau_methods(z.mults, positive, rds)) + requested_tau
+    if z.is_uniform() and z.mults[0] > 0:
+        alpha_reports += _run_methods(_uniform_extra_alpha(positive, rds))
+        tau_reports += _run_methods(_uniform_extra_tau(positive, rds))
     if args.json:
         docs = [_report_json(z, _value_report(z, "expected-alpha", ea))]
         docs += [_report_json(z, rep) for rep in alpha_reports]

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from .lattice import (DivisorClass, FatPointSpec, as_spec, canonical_class,
-                      decompose, intersection, reduce_fundamental_raw)
+from .lattice import (DivisorClass, FatPointSpec, as_spec, decompose,
+                      reduce_fundamental_raw)
 
 EXACT_POINT_LIMIT = 9
 
@@ -69,18 +70,6 @@ def _expected_dim(d: int, m) -> int:
     return max(0, (d * d + 3 * d + 2 - s) // 2)
 
 
-def h1_dim(f: DivisorClass) -> int:
-    """Expected first-cohomology dimension e(F) - chi(F) for degree >= 0."""
-    if f.degree < 0:
-        raise ValueError("h1_dim requires degree >= 0")
-    k = canonical_class(len(f.mults))
-    chi = (intersection(f, f) - intersection(k, f)) // 2 + 1
-    h1 = expected_dim(f) - chi
-    if h1 < 0:
-        raise RuntimeError(f"negative expected h1 for {f}: e={expected_dim(f)}, chi={chi}")
-    return h1
-
-
 class _FastDims:
     """Per-scheme evaluator of e(F_t(Z)) with an O(1) in-domain shortcut.
 
@@ -127,7 +116,7 @@ def find_alpha(z) -> int:
     z = as_spec(z)
     nm = _uniform_many(z)
     if nm is not None:
-        return _uniform_alpha_many(*nm)
+        return _uniform_alpha_tau(*nm)[0]
     return _FastDims(z).first_nonzero()
 
 
@@ -139,7 +128,7 @@ def _alpha_tau(z: FatPointSpec) -> tuple[int, int, _FastDims]:
     dims = _FastDims(z)
     nm = _uniform_many(z)
     if nm is not None:
-        return _uniform_alpha_many(*nm), _uniform_tau_many(*nm), dims
+        return (*_uniform_alpha_tau(*nm), dims)
     alpha = dims.first_nonzero()
     t = max(0, alpha - 1)
     while dims.e(t) != dims.hilbert_poly(t):
@@ -147,17 +136,19 @@ def _alpha_tau(z: FatPointSpec) -> tuple[int, int, _FastDims]:
     return alpha, t, dims
 
 
-def _uniform_alpha_many(n: int, m: int) -> int:
-    # n > 9 uniform: least t with P(t) > 0, stepping first by m then by 1.
-    a = -1
+def _uniform_alpha_tau(n: int, m: int) -> tuple[int, int]:
+    # n > 9 uniform, where 2 P(t) = t^2 + 3t + 2 - s: alpha is the least t
+    # with P(t) > 0, and tau the least t >= 0 with P(t) >= 0, that is
+    # t^2 + 3t + 2 > s - 1.
     s = n * m * (m + 1)
-    if m > 0:
-        while a * a + 3 * a + 2 - s < 0:
-            a += m
-        a -= m
-    while a * a + 3 * a + 2 - s <= 0:
-        a += 1
-    return a
+    return _least_above(s), max(_least_above(s - 1), 0)
+
+
+def _least_above(s: int) -> int:
+    # Least t >= -1 with t^2 + 3t + 2 > s.  Since (2t + 3)^2 =
+    # 4(t^2 + 3t + 2) + 1 and 2t + 3 >= 1, that holds iff
+    # 2t + 3 > isqrt(4s + 1).
+    return -1 if s < 0 else (isqrt(4 * s + 1) - 1) // 2
 
 
 def uniform_alpha_closed_form(n: int, m: int) -> int:
@@ -179,19 +170,6 @@ def find_tau(z) -> int:
     start.
     """
     return _alpha_tau(as_spec(z))[1]
-
-
-def _uniform_tau_many(n: int, m: int) -> int:
-    # n > 9 uniform: least t >= 0 with P(t) >= 0.
-    t = -1
-    s = n * m * (m + 1)
-    if m > 0:
-        while t * t + 3 * t + 2 - s < 0:
-            t += m
-        t -= m
-    while t * t + 3 * t + 2 - s < 0:
-        t += 1
-    return max(t, 0)
 
 
 @dataclass(frozen=True)

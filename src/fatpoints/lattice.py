@@ -148,12 +148,6 @@ class WeylWord:
 
     moves: tuple[Move, ...] = field(default_factory=tuple)
 
-    def __len__(self) -> int:
-        return len(self.moves)
-
-    def is_identity(self) -> bool:
-        return not self.moves
-
 
 def _apply_perm(f: DivisorClass, perm: tuple[int, ...]) -> DivisorClass:
     if len(perm) != len(f.mults):
@@ -168,22 +162,6 @@ def _apply_perm_inverse(f: DivisorClass, perm: tuple[int, ...]) -> DivisorClass:
     for i, p in enumerate(perm):
         out[p] = f.mults[i]
     return DivisorClass(f.degree, tuple(out))
-
-
-def sort_desc_tracked(primary: DivisorClass,
-                      companion: DivisorClass) -> tuple[DivisorClass, DivisorClass, WeylWord]:
-    """Sort primary's multiplicities nonincreasing, moving companion's the same way.
-
-    Ties break by original index, so the recorded permutation is
-    deterministic.  An already-sorted primary yields the identity word.
-    """
-    if len(primary.mults) != len(companion.mults):
-        raise ValueError("multiplicity length mismatch between primary and companion")
-    perm = _desc_perm(primary.mults)
-    if _is_identity(perm):
-        return primary, companion, WeylWord()
-    return (_apply_perm(primary, perm), _apply_perm(companion, perm),
-            WeylWord((("perm", perm),)))
 
 
 def cremona_quad(f: DivisorClass) -> DivisorClass:

@@ -361,26 +361,3 @@ def actual_hilbert(cfg: PointConfig, z, t: int) -> int:
 def actual_nu(cfg: PointConfig, z, t: int) -> int:
     """Number of degree-t minimal generators at the seeded points."""
     return oracle_table(cfg, z, t, t, nu=True)[0][2]
-
-
-def hilbert_majority(z, t: int, seeds=(0, 1, 2), prime: int = DEFAULT_PRIME) -> int:
-    """actual_hilbert by majority vote over several seeds.
-
-    Random points can fail to be general; the vote makes a single bad
-    draw harmless.  Disagreement across all seeds raises.
-    """
-    return _seed_vote(actual_hilbert, z, t, seeds, prime)
-
-
-def nu_majority(z, t: int, seeds=(0, 1, 2), prime: int = DEFAULT_PRIME) -> int:
-    """actual_nu by majority vote over several seeds."""
-    return _seed_vote(actual_nu, z, t, seeds, prime)
-
-
-def _seed_vote(oracle, z, t: int, seeds, prime: int) -> int:
-    z = as_spec(z)
-    values = [oracle(PointConfig.random(z.n, seed=s, prime=prime), z, t) for s in seeds]
-    best = max(set(values), key=values.count)
-    if values.count(best) * 2 <= len(values):
-        raise RuntimeError(f"no majority among oracle runs: {values}")
-    return best

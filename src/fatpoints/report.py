@@ -29,6 +29,3 @@ class BoundReport:
     value: int
     params: tuple[tuple[str, object], ...] = field(default_factory=tuple)
     validity: tuple[str, ...] = field(default_factory=tuple)
-
-    def params_dict(self) -> dict:
-        return dict(self.params)

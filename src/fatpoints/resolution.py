@@ -23,7 +23,7 @@ from operator import mul
 
 from .hilbert import (_alpha_tau, _expected_dim, expected_dim, find_alpha, find_tau,
                       hilbert_polynomial)
-from .lattice import DivisorClass, as_spec, is_exceptional
+from .lattice import DivisorClass, as_spec
 
 MAX_POINTS = 8
 
@@ -39,26 +39,6 @@ _EXC_TESTS: tuple[tuple[DivisorClass, int], ...] = (
     (DivisorClass(2, (1, 1, 1, 1, 1, 0, 0, 0)), 1),
     (DivisorClass(1, (1, 1, 0, 0, 0, 0, 0, 0)), 0),
 )
-
-
-@dataclass(frozen=True)
-class ExcInvariants:
-    """Split of an exceptional curve's degree around its top multiplicity."""
-
-    lam: int
-    big_lam: int
-    m_c: int
-
-
-def exc_invariants(c: DivisorClass) -> ExcInvariants:
-    """(min, max) of the top multiplicity and degree minus it; (0,0,0) for E_i."""
-    if not is_exceptional(c):
-        raise ValueError(f"{c} is not an exceptional class")
-    if c.degree == 0:
-        return ExcInvariants(0, 0, 0)
-    m_c = max(c.mults)
-    rest = c.degree - m_c
-    return ExcInvariants(min(m_c, rest), max(m_c, rest), m_c)
 
 
 def _as8(mults) -> tuple[int, ...]:
@@ -268,24 +248,3 @@ def classical_nu_bounds(z, alpha: int | None = None, beta: int | None = None,
         lower = max(d3, 1 if t == beta else 0, 0)
         out.append((t, lower, upper))
     return NuBounds(tuple(out), alpha + 1, alpha + beta - tau)
-
-
-def nu_bounds_point_split(z, t: int) -> tuple[int, int]:
-    """Bracket nu_{t+1} by adding/removing one simple point at the first slot.
-
-    With Z'' = Z - p_1 and Z' = Z + p_1:
-    max(h_Z(t+1) - 3 h_Z(t) + h_{Z''}(t-1), 0) <= nu_{t+1}
-    <= h_Z(t+1) - 3 h_Z(t) + h_{Z''}(t-1) + h_{Z'}(t).
-    Exact Hilbert values for n <= 9, conjectural beyond.
-    """
-    z = as_spec(z)
-    if z.n == 0 or z.mults[0] == 0:
-        raise ValueError("point-split bounds need a positive first multiplicity")
-    m = z.mults
-    z_minus = (m[0] - 1,) + m[1:]
-    z_plus = (m[0] + 1,) + m[1:]
-    base = expected_dim(DivisorClass(t + 1, m)) \
-        - 3 * expected_dim(DivisorClass(t, m)) \
-        + expected_dim(DivisorClass(t - 1, z_minus))
-    upper = base + expected_dim(DivisorClass(t, z_plus))
-    return max(base, 0), upper

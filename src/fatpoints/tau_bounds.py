@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .alpha_bounds import _ceil_div, _clean, _Lowerings, _Runs, _u_rho
+from .alpha_bounds import _ceil_div, _check_rd, _clean, _Lowerings, _Runs, _u_rho
 from .lattice import as_spec
 from .report import TAU_UPPER, CHAR_ZERO, BoundReport, fmt_rational
 
@@ -66,26 +66,6 @@ def hirschowitz_tau(z) -> BoundReport:
     while _ceil_div(d + 3, 2) * _ceil_div(d + 2, 2) * 2 <= s:
         d += 1
     return BoundReport("hirschowitz", TAU_UPPER, d)
-
-
-def ballico_tau(n: int, m: int) -> BoundReport:
-    """Least d with d(d+3) - n m(m+1) >= 2d(m-1) - 2 (uniform points)."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    d = 0
-    while d * (d + 3) - n * m * (m + 1) < 2 * d * (m - 1) - 2:
-        d += 1
-    return BoundReport("ballico", TAU_UPPER, d)
-
-
-def xu_tau(n: int, m: int) -> BoundReport:
-    """Least d with 9 (d+3)^2 > 10 n (m+1)^2 (uniform points)."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    d = 0
-    while 9 * (d + 3) * (d + 3) <= 10 * n * (m + 1) * (m + 1):
-        d += 1
-    return BoundReport("xu", TAU_UPPER, d)
 
 
 def sqrt_specialization_tau(n: int, m: int) -> BoundReport:
@@ -216,10 +196,7 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
     deg d >= sums[k] + g - 1, i.e. t is at least the k-th term.
     """
     z = as_spec(z)
-    if not 1 <= r <= z.n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={z.n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, z.n, d)
     g = (d - 1) * (d - 2) // 2
     w = _clean(z)
     seq = _Lowerings(w, min(r, len(w)))
@@ -236,10 +213,7 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
 
 def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:
     """Closed form when 2r >= n + d^2: max(ceil((m r + g - 1)/d), (u+1) d - 2)."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, n, d)
     if 2 * r < n + d * d:
         raise ValueError("closed form (a) needs 2r >= n + d^2")
     if m == 0:
@@ -254,10 +228,7 @@ def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundRep
 
 def modified_unloading_tau_formula_b(n: int, m: int, r: int, d: int) -> BoundReport:
     """Closed form when r <= d^2: max(ceil((rho + g - 1)/d) + u d, (u+1) d - 2)."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    _check_rd(r, n, d)
     if r > d * d:
         raise ValueError("closed form (b) needs r <= d^2")
     if m == 0:

@@ -194,7 +194,7 @@ def test_semigroup_bound_examples():
 
 def test_best_unloading_search():
     rep = ab.best_unloading_search([3] * 22)
-    assert rep.value == 15 and rep.params_dict() == {"r": 19, "d": 4}
+    assert rep.value == 15 and dict(rep.params) == {"r": 19, "d": 4}
     assert ab.best_unloading_search((1,)).value == 1
     assert ab.best_unloading_search(Z90).value >= 173
 

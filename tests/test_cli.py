@@ -10,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fatpoints
 from fatpoints import cli
 from fatpoints.cli import canonical_json, main
 
-CATALOGUE_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / \
-    "catalogue-small.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "perfbench" / "reference"
+CATALOGUE_POOL = REFERENCE / "catalogue-small.json"
+# One recorded query pool per benchmark workload.
+POOLS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def run(capsys, *argv):
@@ -343,3 +347,24 @@ def test_catalogue_pool_twice_in_one_process(capsys):
             code, out, _ = run(capsys, *query["argv"])
             assert code == 0, query["argv"]
             assert hashlib.sha256(out.encode()).hexdigest() == query["sha256"], query["argv"]
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_every_reference_query_gives_its_recorded_digest(capsys, pool):
+    # The --json outputs are the behavioural contract: every query the
+    # benchmark pool recorded must still print exactly the same bytes.
+    strata = json.loads((REFERENCE / f"{pool}.json").read_text())["strata"]
+    queries = [query for stratum in strata for case in stratum for query in case]
+    assert queries
+    for query in queries:
+        code, out, err = run(capsys, *query["argv"])
+        assert code == 0, (query["argv"], err)
+        assert hashlib.sha256(out.encode()).hexdigest() == query["sha256"], query["argv"]
+
+
+def test_every_public_name_resolves():
+    # A dropped comma in __all__ joins two names into one that resolves
+    # to nothing.
+    assert len(set(fatpoints.__all__)) == len(fatpoints.__all__)
+    for name in fatpoints.__all__:
+        assert hasattr(fatpoints, name), name

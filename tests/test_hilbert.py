@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpoints.hilbert import (beta_expected, expected_dim, find_alpha,
-                               find_tau, h1_dim, hilbert_polynomial,
+                               find_tau, hilbert_polynomial,
                                hilbert_table, uniform_alpha_closed_form,
-                               _expected_dim, _uniform_alpha_many, _uniform_tau_many)
-from fatpoints.lattice import DivisorClass, reduce_fundamental_raw
+                               _expected_dim, _uniform_alpha_tau)
+from fatpoints.lattice import (DivisorClass, canonical_class, intersection,
+                               reduce_fundamental_raw)
 
 specs = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=9)
 
@@ -73,14 +74,18 @@ def test_expected_dim_reduction_invariance():
             assert expected_dim(f) == 0
 
 
+def _chi(f: DivisorClass) -> int:
+    # Riemann-Roch: chi(F) = (F.F - K.F) / 2 + 1.
+    k = canonical_class(len(f.mults))
+    return (intersection(f, f) - intersection(k, f)) // 2 + 1
+
+
 def test_h1_examples():
-    # Nine simple points impose independent conditions on cubics: h1 = 0.
-    assert h1_dim(DivisorClass(3, (1,) * 9)) == 0
-    assert h1_dim(DivisorClass(4, ())) == 0
+    # Nine simple points impose independent conditions on cubics: e = chi.
+    assert expected_dim(DivisorClass(3, (1,) * 9)) == _chi(DivisorClass(3, (1,) * 9)) == 1
+    assert expected_dim(DivisorClass(4, ())) == _chi(DivisorClass(4, ())) == 15
     # Two double points off a conic band: e - chi stays nonnegative.
-    assert h1_dim(DivisorClass(2, (2, 2))) >= 0
-    with pytest.raises(ValueError):
-        h1_dim(DivisorClass(-1, (0, 0)))
+    assert expected_dim(DivisorClass(2, (2, 2))) >= _chi(DivisorClass(2, (2, 2)))
 
 
 def test_find_alpha_examples():
@@ -114,12 +119,11 @@ def test_closed_form_matches_search_exhaustively():
 
 
 def test_uniform_shortcut_agrees_with_expected_dims():
-    # The n > 9 closed-form scans must match the reduction-based search.
+    # The n > 9 closed forms must match the reduction-based search.
     for n in range(10, 26):
         for m in range(0, 7):
             z = [m] * n
-            a = _uniform_alpha_many(n, m)
-            t = _uniform_tau_many(n, m)
+            a, t = _uniform_alpha_tau(n, m)
             probe = 0
             while expected_dim(DivisorClass(probe, z)) == 0:
                 probe += 1
@@ -128,6 +132,40 @@ def test_uniform_shortcut_agrees_with_expected_dims():
             while expected_dim(DivisorClass(probe2, z)) != hilbert_polynomial(z, probe2):
                 probe2 += 1
             assert t == probe2, (n, m)
+
+
+def _uniform_alpha_loop(n: int, m: int) -> int:
+    # The stepping search the closed form replaced: least t with P(t) > 0,
+    # stepping first by m then by 1.
+    a = -1
+    s = n * m * (m + 1)
+    if m > 0:
+        while a * a + 3 * a + 2 - s < 0:
+            a += m
+        a -= m
+    while a * a + 3 * a + 2 - s <= 0:
+        a += 1
+    return a
+
+
+def _uniform_tau_loop(n: int, m: int) -> int:
+    # The stepping search the closed form replaced: least t >= 0 with P(t) >= 0.
+    t = -1
+    s = n * m * (m + 1)
+    if m > 0:
+        while t * t + 3 * t + 2 - s < 0:
+            t += m
+        t -= m
+    while t * t + 3 * t + 2 - s < 0:
+        t += 1
+    return max(t, 0)
+
+
+def test_uniform_closed_form_matches_the_stepping_search():
+    for n in [*range(10, 400), 1000, 9000, 10**5, 10**9]:
+        for m in range(0, 40):
+            assert _uniform_alpha_tau(n, m) == \
+                (_uniform_alpha_loop(n, m), _uniform_tau_loop(n, m)), (n, m)
 
 
 @settings(max_examples=150)

@@ -12,8 +12,7 @@ from fatpoints.cli import main
 from fatpoints.hilbert import expected_dim, hilbert_polynomial
 from fatpoints.lattice import DivisorClass, as_spec
 from fatpoints.oracle import (MAX_PRIME, PointConfig, actual_hilbert, actual_nu,
-                              hilbert_majority, nullspace_mod_p, nu_majority,
-                              oracle_table, rank_mod_p)
+                              nullspace_mod_p, oracle_table, rank_mod_p)
 
 
 def _gauss_jordan_nullspace(a, p):
@@ -335,11 +334,26 @@ def test_point_labeling_invariance():
             assert actual_hilbert(cfg, z, t) == actual_hilbert(cfg, zp, t)
 
 
+def _strict_majority(values):
+    best = max(set(values), key=values.count)
+    assert values.count(best) * 2 > len(values), values
+    return best
+
+
+def _seed_vote(z, lo, hi, nu=False):
+    # Per degree, the strict majority over seeds 0-2 of the oracle's last
+    # column: dim, or nu when asked for.
+    runs = [oracle_table(PointConfig.random(len(z), seed=s), z, lo, hi, nu)
+            for s in (0, 1, 2)]
+    return {row[0]: _strict_majority([run[i][-1] for run in runs])
+            for i, row in enumerate(runs[0])}
+
+
 def test_majority_vote_matches_expected():
     for z in [(2, 2), (3, 3, 3, 3, 3), (1,) * 9]:
-        for t in range(0, 10):
-            assert hilbert_majority(z, t) == expected_dim(DivisorClass(t, z))
-    assert nu_majority((3, 3, 3, 3, 3), 8) == 2
+        for t, dim in _seed_vote(z, 0, 9).items():
+            assert dim == expected_dim(DivisorClass(t, z)), (z, t)
+    assert _seed_vote((3, 3, 3, 3, 3), 8, 8, nu=True) == {8: 2}
 
 
 def test_prime_override():

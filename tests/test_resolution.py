@@ -4,31 +4,21 @@ import random
 import pytest
 
 from fatpoints.hilbert import beta_expected, expected_dim, find_alpha, find_tau
-from fatpoints.lattice import DivisorClass, reduce_fundamental_raw
+from fatpoints.lattice import DivisorClass, is_exceptional, reduce_fundamental_raw
 from fatpoints.oracle import PointConfig, actual_nu
-from fatpoints.resolution import (_EXC_TESTS, ExcInvariants, betti_table,
-                                  classical_nu_bounds, exc_invariants,
-                                  ker_mu_dim, nu_bounds_point_split,
-                                  quasi_uniform_resolution)
+from fatpoints.resolution import (_EXC_TESTS, betti_table, classical_nu_bounds,
+                                  ker_mu_dim, quasi_uniform_resolution)
 
 
-def test_exc_invariants_examples():
-    assert exc_invariants(DivisorClass(0, (0, -1, 0))) == ExcInvariants(0, 0, 0)
-    assert exc_invariants(DivisorClass(1, (1, 1))) == ExcInvariants(0, 1, 1)
-    assert exc_invariants(DivisorClass(6, (3, 2, 2, 2, 2, 2, 2, 2))) == ExcInvariants(3, 3, 3)
-    with pytest.raises(ValueError):
-        exc_invariants(DivisorClass(1, (1, 1, 1)))
-
-
-def test_exc_invariants_sum_law():
-    for c in [DivisorClass(1, (1, 1)), DivisorClass(2, (1, 1, 1, 1, 1)),
-              DivisorClass(3, (2, 1, 1, 1, 1, 1, 1)),
-              DivisorClass(4, (2, 2, 2, 1, 1, 1, 1, 1)),
-              DivisorClass(5, (2, 2, 2, 2, 2, 2, 1, 1)),
-              DivisorClass(6, (3, 2, 2, 2, 2, 2, 2, 2))]:
-        inv = exc_invariants(c)
-        assert inv.lam <= inv.big_lam
-        assert inv.lam + inv.big_lam == c.degree
+def test_exc_tests_are_exceptional_with_split_thresholds():
+    # Each representative is an exceptional class on 8 points, sorted, and
+    # its threshold is the smaller of the top multiplicity and the degree
+    # minus it.
+    for c, threshold in _EXC_TESTS:
+        assert is_exceptional(c), c
+        assert len(c.mults) == 8 and list(c.mults) == sorted(c.mults, reverse=True)
+        top = c.mults[0]
+        assert threshold == min(top, c.degree - top), c
 
 
 def test_ker_mu_examples():
@@ -240,22 +230,6 @@ def test_bounds_bracket_true_nu_small_grid():
         nb = classical_nu_bounds(z)
         for t, lo, hi in nb.per_degree:
             assert lo <= table.nu(t) <= hi, (z, t)
-        m = tuple(sorted(z, reverse=True))
-        in_window = {r[0] for r in table.rows}
-        if m[0] > 0:
-            for t in range(0, table.tau + 2):
-                lo2, hi2 = nu_bounds_point_split(m, t)
-                nu = table.nu(t + 1) if t + 1 in in_window else 0
-                assert lo2 <= nu <= hi2, (z, t)
-
-
-def test_point_split_examples():
-    assert nu_bounds_point_split((1,), 1) == (0, 0)
-    lo, hi = nu_bounds_point_split((3, 3, 3, 3, 3), 7)
-    assert lo <= 2 <= hi
-    assert nu_bounds_point_split((3, 3, 3, 3, 3), 2) == (0, 0)
-    with pytest.raises(ValueError):
-        nu_bounds_point_split((0, 1), 2)
 
 
 def test_betti_invariants_asserted_randomly():

@@ -45,12 +45,6 @@ def test_catalisano_examples():
     assert mixed.validity  # undefined-count resolution is flagged
 
 
-def test_ballico_xu_examples():
-    assert tb.ballico_tau(10, 1).value == 3
-    assert tb.xu_tau(10, 1).value == 4
-    assert tb.xu_tau(10, 0).value == 1
-
-
 def test_sqrt_specialization_examples():
     for m in range(0, 8):
         assert tb.sqrt_specialization_tau(16, m).value == 4 * m + 1
