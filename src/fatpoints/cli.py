@@ -22,8 +22,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import alpha_bounds as ab
 from . import tau_bounds as tb
-from .hilbert import (_alpha_tau, beta_expected, exactness_flag, find_alpha,
-                      find_tau, hilbert_table)
+from .hilbert import (EXACT_POINT_LIMIT, _alpha_tau, beta_expected, exactness_flag,
+                      find_alpha, find_tau, hilbert_table)
 from .lattice import DivisorClass, FatPointSpec, decompose
 from .oracle import DEFAULT_PRIME, PointConfig, oracle_table
 from .report import ALPHA_LOWER, SHGH_CONDITIONAL, BoundReport
@@ -157,11 +157,6 @@ def _report_json(z: FatPointSpec, rep: BoundReport) -> dict:
     }
 
 
-def _value_report(z: FatPointSpec, method: str, value: int,
-                  validity: tuple[str, ...] = ()) -> BoundReport:
-    return BoundReport(method, exactness_flag(z.n), value, (), validity)
-
-
 def _print_report(rep: BoundReport) -> None:
     def fmt(v):
         return ",".join(str(x) for x in v) if isinstance(v, tuple) else v
@@ -187,13 +182,14 @@ def _cmd_single(args, kind: str) -> int:
     else:
         rep = ab.semigroup_alpha_bound(z)
         value, method = rep.value, rep.method
-    validity = () if z.n <= 9 or kind == "psi" else (SHGH_CONDITIONAL,)
-    rep = BoundReport(method, ALPHA_LOWER if kind == "psi" else exactness_flag(z.n),
-                      value, (), validity)
+    exact = z.nonzero_count <= EXACT_POINT_LIMIT
+    validity = () if exact or kind == "psi" else (SHGH_CONDITIONAL,)
+    flag = ALPHA_LOWER if kind == "psi" else exactness_flag(z.nonzero_count)
+    rep = BoundReport(method, flag, value, (), validity)
     if args.json:
         sys.stdout.write(canonical_json(_report_json(z, rep)))
     else:
-        label = "Value" if z.n <= 9 else "Expected value (SHGH)"
+        label = "Value" if exact else "Expected value (SHGH)"
         if kind == "psi":
             label = "Lower bound via semigroup membership"
         print(f"{label} of {kind if kind != 'psi' else 'alpha'}: {value}")
@@ -417,13 +413,13 @@ def _requested_reports(z: FatPointSpec, args) -> tuple[list, list]:
 
 def _cmd_bounds(args) -> int:
     z = _spec_of(args)
-    exact = z.n <= 9
-    label = "Value" if exact else "Expected value (SHGH)"
-    ea, et, _ = _alpha_tau(z)
-    requested_alpha, requested_tau = _requested_reports(z, args)
     # The sorted positive multiplicities and the (r, d) pairs of weight
     # families (a) and (b), shared by every method list below.
     positive = sorted((m for m in z.mults if m > 0), reverse=True)
+    exact = len(positive) <= EXACT_POINT_LIMIT
+    label = "Value" if exact else "Expected value (SHGH)"
+    ea, et, _ = _alpha_tau(z)
+    requested_alpha, requested_tau = _requested_reports(z, args)
     rds = (ab.best_rd_a(len(positive)), ab.best_rd_b(len(positive))) if positive else None
     alpha_reports = requested_alpha + _run_methods(_alpha_methods(z.mults, positive, rds))
     tau_reports = _run_methods(_tau_methods(z.mults, positive, rds)) + requested_tau
@@ -431,9 +427,10 @@ def _cmd_bounds(args) -> int:
         alpha_reports += _run_methods(_uniform_extra_alpha(positive, rds))
         tau_reports += _run_methods(_uniform_extra_tau(positive, rds))
     if args.json:
-        docs = [_report_json(z, _value_report(z, "expected-alpha", ea))]
+        direction = exactness_flag(len(positive))
+        docs = [_report_json(z, BoundReport("expected-alpha", direction, ea))]
         docs += [_report_json(z, rep) for rep in alpha_reports]
-        docs.append(_report_json(z, _value_report(z, "expected-tau", et)))
+        docs.append(_report_json(z, BoundReport("expected-tau", direction, et)))
         docs += [_report_json(z, rep) for rep in tau_reports]
         sys.stdout.write(canonical_json(docs))
         return 0

@@ -12,6 +12,35 @@ evaluate max(0, P) on the result.  For n <= 9 points this equals the
 actual dimension (Nagata); for n > 9 it is the conjectured value, an
 upper bound for the least nonzero degree and a lower bound for the
 degree where conditions become independent.
+
+Two shortcuts let the characters skip most reductions.
+
+*Alpha and tau by bisection.*  On at most 9 positive multiplicities
+e(t) = e(F_t(Z)) is dim I_t.  Multiplying by a linear form injects I_t
+into I_{t+1}, so "e(t) > 0" holds from alpha on.  And e(t) - P(t) =
+deg Z - H_Z(t) never grows, since the Hilbert function of a zero
+dimensional scheme never decreases, so "e(t) = P(t)" holds from tau on.
+Both searches bisect a bracket known in O(1).  With s = sum m_i(m_i+1)
+and T the sum of the three largest multiplicities, every class of degree
+t >= T is already in the fundamental domain, so e(t) = max(0, P(t))
+there.  Hence alpha lies in [m_1, max(T, least t with P(t) > 0)], since
+no curve of degree below m_1 has a point of multiplicity m_1, and tau
+lies in [max(0, alpha - 1, least t >= 0 with P(t) >= 0), max(alpha - 1,
+T, least t with P(t) >= 0)].  Past 9 positive multiplicities e is only
+conjectural, and the searches step forward from 0 and from max(0, alpha
+- 1), except on uniform input, where they are closed forms in P alone.
+
+*Beta from the terminal class.*  decompose() reads membership and the
+fixed part off the terminal class (d; m) of the reduction alone, and
+the raw and the recorded reductions reach the same sorted terminal
+values.  The class is a member with no fixed part iff d >= 0 and no m_i
+is negative: at d >= 0 the fundamental domain gives d >= m_1 + m_2 + m_3,
+which with m_3 >= 0 rules out the line E0 - E1 - E2 as a fixed part.
+Then e is max(0, P) of the terminal class, and P = (F.F - K.F)/2 + 1 is
+invariant under the Weyl group, so e > 0 iff P(t) > 0 on the original
+class.  So beta is the least t >= max(alpha, least t with P(t) > 0)
+whose terminal class has d >= 0 and no negative entry, and every t >= T
+qualifies.
 """
 
 from __future__ import annotations
@@ -75,7 +104,8 @@ class _FastDims:
 
     Once t is at least the sum of the three largest multiplicities the
     sorted class is already terminal with nonnegative entries, so e is
-    just max(0, P(t)).
+    just max(0, P(t)).  On at most 9 positive multiplicities the alpha
+    and tau searches bisect, as the module docstring proves.
     """
 
     def __init__(self, z: FatPointSpec):
@@ -93,10 +123,39 @@ class _FastDims:
         return _expected_dim(t, self.mults)
 
     def first_nonzero(self) -> int:
-        t = 0
-        while self.e(t) == 0:
-            t += 1
-        return t
+        """Alpha: the least t >= 0 with e(t) > 0."""
+        if len(self.mults) > EXACT_POINT_LIMIT:
+            t = 0
+            while self.e(t) == 0:
+                t += 1
+            return t
+        top = self.mults[0] if self.mults else 0
+        return _least_true(lambda t: self.e(t) > 0, top,
+                           max(self.three_largest, _least_above(self.condition_sum)))
+
+    def first_independent(self, start: int) -> int:
+        """The least t >= start >= 0 with e(t) = P(t); tau at start = max(0, alpha - 1)."""
+        s = self.condition_sum
+        if len(self.mults) > EXACT_POINT_LIMIT:
+            t = start
+            while self.e(t) != self.hilbert_poly(t):
+                t += 1
+            return t
+        return _least_true(lambda t: self.e(t) == self.hilbert_poly(t),
+                           max(start, _least_above(s - 1)),
+                           max(start, self.three_largest, _least_above(s - 1)))
+
+
+def _least_true(holds, lo: int, hi: int) -> int:
+    # Least t in [lo, hi] with holds(t), for a predicate that stays true
+    # once true and holds at hi: at most ceil(log2(hi - lo + 1)) calls.
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _uniform_many(z: FatPointSpec) -> tuple[int, int] | None:
@@ -121,19 +180,16 @@ def find_alpha(z) -> int:
 
 
 def _alpha_tau(z: FatPointSpec) -> tuple[int, int, _FastDims]:
-    """(find_alpha(z), find_tau(z), the evaluator of z) with one alpha scan.
+    """(find_alpha(z), find_tau(z), the evaluator of z) with one alpha search.
 
-    The tau scan warm-starts at max(0, alpha - 1), as find_tau documents.
+    The tau search starts at max(0, alpha - 1), as find_tau documents.
     """
     dims = _FastDims(z)
     nm = _uniform_many(z)
     if nm is not None:
         return (*_uniform_alpha_tau(*nm), dims)
     alpha = dims.first_nonzero()
-    t = max(0, alpha - 1)
-    while dims.e(t) != dims.hilbert_poly(t):
-        t += 1
-    return alpha, t, dims
+    return alpha, dims.first_independent(max(0, alpha - 1)), dims
 
 
 def _uniform_alpha_tau(n: int, m: int) -> tuple[int, int]:
@@ -166,8 +222,7 @@ def find_tau(z) -> int:
 
     Exact for n <= 9 (the point where conditions become independent);
     for n > 9 a lower bound equal to the conjectured value.  The search
-    warm-starts at max(0, alpha - 1); the result does not depend on the
-    start.
+    starts at max(0, alpha - 1); the result does not depend on the start.
     """
     return _alpha_tau(as_spec(z))[1]
 
@@ -199,7 +254,7 @@ def hilbert_table(z, lo: int | None = None, hi: int | None = None) -> HilbertTab
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
     rows = tuple((t, dims.e(t)) for t in range(lo, hi + 1))
-    return HilbertTable(alpha, tau, rows, exactness_flag(z.n))
+    return HilbertTable(alpha, tau, rows, exactness_flag(z.nonzero_count))
 
 
 def beta_expected(z) -> int:
@@ -209,14 +264,21 @@ def beta_expected(z) -> int:
     linear system becomes zero dimensional.  Equating it with the empty
     fixed part of the semigroup decomposition is conditional on the
     expected dimensions being the true ones, hence exact only for n <= 9.
+    Each degree is tested on its terminal class, as the module docstring
+    shows; decompose() then checks the degree returned.
     """
     z = as_spec(z)
     if z.nonzero_count == 0:
         raise ValueError("beta is undefined for the empty subscheme")
-    t = find_alpha(z)
-    while True:
-        f = z.divisor_class(t)
-        dec = decompose(f)
-        if dec.in_semigroup and not dec.fixed_part and expected_dim(f) > 0:
-            return t
+    dims = _FastDims(z)
+    t = max(find_alpha(z), _least_above(dims.condition_sum))
+    while t < dims.three_largest:
+        d, m = reduce_fundamental_raw(t, z.mults)
+        if d >= 0 and m[-1] >= 0:
+            break
         t += 1
+    dec = decompose(z.divisor_class(t))
+    if not dec.in_semigroup or dec.fixed_part:
+        raise RuntimeError(f"beta degree {t} of {list(z.mults)} is not a member "
+                           "without fixed part")
+    return t

@@ -11,6 +11,25 @@ kernel dimension is unchanged), or the class is orthogonal to the line
 through the first two points (two correction terms), or it sits on one
 special ray (kernel r+1, cokernel r), or the map has maximal rank.
 
+Most of that analysis needs no new expected dimension.  An exceptional
+curve E with F.E < 0 is a fixed component of the system of F, so F and
+F - E have the same h^0, and for n <= 8 the same e.  Clamping a
+negative multiplicity -a to 0 removes a copies of E_i from a class that
+meets E_i in -a, again a fixed part.  So after such a subtraction e is
+kept and the next emptiness test is skipped.
+
+The most common of these is the line L = E0 - E1 - E2, tested last,
+which often fires many times over: a whole run of lines goes in one
+step.  Let m1 >= m2 >= m3 be the largest multiplicities.  After j lines
+F.L has risen by j, and m1 - j and m2 - j stay on top while
+m2 - j >= m3.  The conic, cubic and quartic representatives meet L in
+0, so their test values do not move; the quintic Q5 and the sextic Q6
+meet L in 1, so theirs fall by j.  So the loop subtracts L again for
+j = 1, ..., k - 1 with k = min(-F.L, m2 - m3 + 1, F.Q6 - 3 + 1,
+F.Q5 - 2 + 1), each bound at least 1 when the line test fires, and
+subtracting k lines at once matches k passes of the loop.
+F - (k-1)L still meets L negatively, so e is kept across the run.
+
 Also here: the classical per-degree generator bounds that the exact
 algorithm sharpens, and the predicted resolution shape for quasi-uniform
 schemes on 9 or more points (conjectural; callers must label it so).
@@ -54,33 +73,49 @@ def ker_mu_dim(f: DivisorClass) -> int:
 
     Case analysis for 8 general points: clamp and sort; an empty system
     has zero kernel; subtract any exceptional representative the class
-    meets below its threshold and repeat; then either the two-term
-    correction (class orthogonal to the line through the first two
-    points), the special ray (kernel r+1), or maximal rank.
+    meets below its threshold and repeat, a run of lines in one step;
+    then either the two-term correction (class orthogonal to the line
+    through the first two points), the special ray (kernel r+1), or
+    maximal rank.
     """
     d = f.degree
     m = list(_as8(f.mults))
+    here = None  # e of (d, m), kept across fixed components
     while True:
         m = sorted((x if x > 0 else 0 for x in m), reverse=True)
-        if _expected_dim(d, m) == 0:
-            return 0
+        if here is None:
+            here = _expected_dim(d, m)
+            if here == 0:
+                return 0
+        meets = []
         for c, lam in _EXC_TESTS:
-            if d * c.degree - sum(map(mul, m, c.mults)) < lam:
-                d -= c.degree
-                m = [a - b for a, b in zip(m, c.mults)]
+            meets.append(d * c.degree - sum(map(mul, m, c.mults)))
+            if meets[-1] < lam:
                 break
         else:
             break
+        if meets[-1] >= 0:
+            here = None  # c is no fixed component, so e may change
+        if c.degree == 1:
+            # A run of k = min(-F.L, m2 - m3 + 1, F.Q6 - 2, F.Q5 - 1) lines,
+            # as the module docstring proves.
+            q6, q5, *_, line = meets
+            k = min(-line, m[1] - m[2] + 1, q6 - 2, q5 - 1)
+            d -= k
+            m[0] -= k
+            m[1] -= k
+        else:
+            d -= c.degree
+            m = [a - b for a, b in zip(m, c.mults)]
     if d - m[0] - m[1] == 0:
         left = _expected_dim(d - 1, [m[0] - 1] + m[1:])
-        right = _expected_dim(d - 1, [m[0], m[1] - 1] + m[2:])
-        return left + right
+        if m[0] == m[1]:  # the two classes are one up to order
+            return 2 * left
+        return left + _expected_dim(d - 1, [m[0], m[1] - 1] + m[2:])
     r = m[7]
     if d == 8 * r + 3 and m == [3 * r + 1] * 7 + [r]:
         return r + 1
-    here = _expected_dim(d, m)
-    above = _expected_dim(d + 1, m)
-    return max(0, 3 * here - above)
+    return max(0, 3 * here - _expected_dim(d + 1, m))
 
 
 @dataclass(frozen=True)
@@ -108,7 +143,8 @@ def betti_table(z) -> BettiTable:
     alpha, tau, dims = _alpha_tau(z)
     degrees = list(range(alpha - 2, tau + 3))
     h = [dims.e(t) for t in degrees]
-    ker = [0 if t < alpha else ker_mu_dim(DivisorClass(t, mults)) for t in degrees]
+    # nu at degree t reads the kernel at t - 1, so the top degree's is unused.
+    ker = [0 if t < alpha else ker_mu_dim(DivisorClass(t, mults)) for t in degrees[:-1]]
     nu = []
     for i, t in enumerate(degrees):
         if i < 2:

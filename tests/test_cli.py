@@ -86,6 +86,30 @@ def test_bounds_small_n_uses_exact_label(capsys):
     assert "Expected value" not in out
 
 
+def test_exactness_counts_positive_multiplicities_not_points(capsys):
+    # One triple point padded with nine zeros is a one-point scheme: its
+    # characters are exact, in JSON and in text, single and in the suite.
+    triple = "0,0,0,0,0,0,0,0,0,3"
+    for kind, value in (("alpha", 3), ("tau", 2), ("beta", 3)):
+        code, out, _ = run(capsys, kind, "--mults", triple, "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["value"] == value, kind
+        assert doc["direction"] == "exact" and doc["validity"] == [], kind
+        code, out, _ = run(capsys, kind, "--mults", triple)
+        assert out.strip() == f"Value of {kind}: {value}"
+    code, out, _ = run(capsys, "bounds", "--mults", triple, "--json")
+    docs = {doc["method"]: doc for doc in json.loads(out)}
+    assert docs["expected-alpha"]["direction"] == docs["expected-tau"]["direction"] == "exact"
+    code, out, _ = run(capsys, "bounds", "--mults", triple)
+    assert "Value of alpha: 3" in out and "Value of tau: 2" in out
+    assert "Expected value" not in out and "note:" not in out
+    code, out, _ = run(capsys, "hilb", "--mults", triple, "--json")
+    assert json.loads(out)["direction"] == "exact"
+    # Ten positive multiplicities stay conjectural, zeros or not.
+    code, out, _ = run(capsys, "alpha", "--mults", "1,1,1,1,1,1,1,1,1,0,3", "--json")
+    assert json.loads(out)["direction"] == "shgh-conjectural"
+
+
 def test_bounds_json_roundtrip_and_agreement(capsys):
     code, text_out, _ = run(capsys, "bounds", "--uniform", "12:2")
     code, json_out, _ = run(capsys, "bounds", "--uniform", "12:2", "--json")

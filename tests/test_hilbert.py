@@ -1,15 +1,19 @@
+import itertools
 import random
+from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fatpoints.hilbert as hb
 from fatpoints.hilbert import (beta_expected, expected_dim, find_alpha,
                                find_tau, hilbert_polynomial,
                                hilbert_table, uniform_alpha_closed_form,
-                               _expected_dim, _uniform_alpha_tau)
-from fatpoints.lattice import (DivisorClass, canonical_class, intersection,
-                               reduce_fundamental_raw)
+                               _expected_dim, _FastDims, _least_above,
+                               _uniform_alpha_tau)
+from fatpoints.lattice import (DivisorClass, FatPointSpec, canonical_class,
+                               decompose, intersection, reduce_fundamental_raw)
 
 specs = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=9)
 
@@ -240,3 +244,98 @@ def test_beta_examples():
 def test_beta_between_alpha_and_tau_plus_one():
     for z in [(1,), (2, 2), (3, 3, 3, 3, 3), (2, 1, 1), (4, 4, 4, 4, 4, 4, 4, 1)]:
         assert find_alpha(z) <= beta_expected(z) <= find_tau(z) + 1
+
+
+# alpha, tau and beta as forward scans, as they were before the
+# bisection and the terminal-class test: alpha steps up from 0 and tau
+# from max(0, alpha - 1) on the same evaluator, and beta decomposes every
+# degree from alpha up.
+
+
+def _alpha_tau_scan(mults) -> tuple[int, int]:
+    dims = _FastDims(FatPointSpec(mults))
+    alpha = 0
+    while dims.e(alpha) == 0:
+        alpha += 1
+    tau = max(0, alpha - 1)
+    while dims.e(tau) != dims.hilbert_poly(tau):
+        tau += 1
+    return alpha, tau
+
+
+def _beta_scan(mults) -> int:
+    z = FatPointSpec(mults)
+    t = _alpha_tau_scan(mults)[0] if z.nonzero_count <= 9 else find_alpha(z)
+    while True:
+        f = z.divisor_class(t)
+        dec = decompose(f)
+        if dec.in_semigroup and not dec.fixed_part and expected_dim(f) > 0:
+            return t
+        t += 1
+
+
+def _exact_schemes():
+    # Every nonincreasing 9-tuple with entries <= 6, then a seeded sample
+    # of up to 9 entries <= 40 in any order, some padded with zeros past
+    # the ninth point.
+    yield from itertools.combinations_with_replacement(range(6, -1, -1), 9)
+    rng = random.Random(12)
+    for i in range(3500):
+        mults = [rng.randint(0, 40) for _ in range(rng.randint(1, 9))]
+        if i % 4 == 0:
+            mults += [0] * (10 - len(mults) + rng.randint(0, 2))
+            rng.shuffle(mults)
+        yield tuple(mults)
+
+
+def test_bisection_and_terminal_beta_match_the_scans():
+    padded = 0
+    for mults in _exact_schemes():
+        alpha, tau = _alpha_tau_scan(mults)
+        assert (find_alpha(mults), find_tau(mults)) == (alpha, tau), mults
+        table = hilbert_table(mults)
+        assert (table.alpha, table.tau) == (alpha, tau), mults
+        if any(mults):
+            assert beta_expected(mults) == _beta_scan(mults), mults
+        padded += len(mults) > 9
+    assert padded > 800
+
+
+def test_terminal_beta_matches_the_scan_past_nine_points():
+    for n, m in [(10, 1), (10, 3), (12, 2), (16, 1), (16, 3), (25, 2), (40, 1)]:
+        assert beta_expected([m] * n) == _beta_scan([m] * n), (n, m)
+    rng = random.Random(13)
+    for _ in range(40):
+        mults = [rng.randint(0, 6) for _ in range(rng.randint(10, 14))]
+        if sum(1 for x in mults if x) > 9:
+            assert beta_expected(mults) == _beta_scan(mults), mults
+
+
+def test_beta_decomposes_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hb, "decompose", lambda f: calls.append(f) or decompose(f))
+    for mults in [(2, 2), (3, 3, 3, 3, 3), (40, 40, 1), (9, 8, 8, 7, 5, 5, 2, 1, 1), (2,) * 12]:
+        calls.clear()
+        t = beta_expected(mults)
+        assert calls == [DivisorClass(t, mults)], mults
+
+
+def test_beta_rejects_a_degree_decompose_disowns(monkeypatch):
+    from fatpoints.lattice import Decomposition
+    monkeypatch.setattr(hb, "decompose", lambda f: Decomposition(False, None, ()))
+    with pytest.raises(RuntimeError):
+        beta_expected((2, 2))
+
+
+def test_alpha_bisection_evaluates_e_logarithmically(monkeypatch):
+    calls = []
+    e = _FastDims.e
+    monkeypatch.setattr(_FastDims, "e", lambda self, t: calls.append(t) or e(self, t))
+    rng = random.Random(14)
+    for _ in range(300):
+        mults = [rng.randint(0, 40) for _ in range(rng.randint(1, 9))] + [0] * rng.randint(0, 3)
+        dims = _FastDims(FatPointSpec(mults))
+        hi = max(dims.three_largest, _least_above(dims.condition_sum))
+        calls.clear()
+        find_alpha(mults)
+        assert len(calls) <= ceil(log2(hi + 1)) + 1, mults

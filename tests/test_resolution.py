@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from fatpoints.hilbert import beta_expected, expected_dim, find_alpha, find_tau
-from fatpoints.lattice import DivisorClass, is_exceptional, reduce_fundamental_raw
+from fatpoints import resolution
+from fatpoints.hilbert import (_expected_dim, beta_expected, expected_dim, find_alpha,
+                               find_tau)
+from fatpoints.lattice import (DivisorClass, intersection, is_exceptional,
+                               reduce_fundamental_raw)
 from fatpoints.oracle import PointConfig, actual_nu
 from fatpoints.resolution import (_EXC_TESTS, betti_table, classical_nu_bounds,
                                   ker_mu_dim, quasi_uniform_resolution)
@@ -130,6 +133,50 @@ def test_raw_path_matches_class_reference_up_to_ten():
     rng = random.Random(10)
     _assert_raw_path_matches_reference(
         [rng.randint(0, 10) for _ in range(rng.randint(0, 8))] for _ in range(500))
+
+
+def test_raw_path_matches_class_reference_up_to_forty():
+    # The catalogue reaches multiplicity 40, where runs of lines are
+    # longest: a seeded sample of tables, half of them with two equal top
+    # multiplicities, and of single classes at any degree.
+    rng = random.Random(40)
+    schemes = []
+    for i in range(150):
+        mults = [rng.randint(0, 40) for _ in range(rng.randint(1, 8))]
+        if i % 2:
+            mults[:2] = [max(mults)] * 2
+        schemes.append(mults[:8])
+    _assert_raw_path_matches_reference(schemes)
+    for _ in range(3000):
+        mults = [rng.randint(0, 45) for _ in range(8)]
+        f = DivisorClass(rng.randint(0, 2 * max(mults) + 8), mults)
+        assert ker_mu_dim(f) == _ker_mu_dim_ref(f), f
+
+
+def test_line_meets_only_the_quintic_and_sextic():
+    # The one-step line run rests on these intersections with the line
+    # through the first two points, which comes last.
+    line = DivisorClass(1, (1, 1, 0, 0, 0, 0, 0, 0))
+    assert [intersection(c, line) for c, _ in _EXC_TESTS] == [1, 1, 0, 0, 0, -1]
+    assert _EXC_TESTS[-1] == (line, 0)
+
+
+def test_a_run_of_lines_is_one_step(monkeypatch):
+    # Each pass of the loop sorts once, so sorts count passes.
+    calls, passes = [], []
+    monkeypatch.setattr(resolution, "_expected_dim",
+                        lambda d, m: calls.append(d) or _expected_dim(d, m))
+    monkeypatch.setattr(resolution, "sorted",
+                        lambda *a, **k: passes.append(1) or sorted(*a, **k), raising=False)
+    for t in range(41, 80):
+        f = DivisorClass(t, (40, 40, 1, 0, 0, 0, 0, 0))
+        calls.clear()
+        passes.clear()
+        assert ker_mu_dim(f) == _ker_mu_dim_ref(f), t
+        # 80 - t lines in one pass, a pass where nothing fires, then the
+        # orthogonal case: one emptiness test and one evaluation of the
+        # two equal correction terms.
+        assert len(passes) == 2 and len(calls) == 2, (t, passes, calls)
 
 
 def test_betti_table_examples():
