@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, isqrt
 from operator import neg
 from typing import Sequence
@@ -58,11 +57,6 @@ from .report import ALPHA_LOWER, CHAR_ZERO, BoundReport, fmt_rational
 def _ceil_div(a: int, b: int) -> int:
     # ceil(a / b) for integers with b != 0.
     return -((-a) // b)
-
-
-def _clean(z) -> list[int]:
-    # Positive multiplicities, sorted nonincreasing.
-    return sorted((m for m in as_spec(z).mults if m > 0), reverse=True)
 
 
 def _check_rd(r: int, n: int, d: int) -> None:
@@ -105,8 +99,7 @@ def nef_test_bound(z, weights: Sequence, r: int, d: int) -> BoundReport:
         raise ValueError("weights violate a0*d^2 >= a1+...+ar")
     if r * ints[0] < sum(ints[1:]):
         raise ValueError("weights violate r*a0 >= a1+...+an")
-    m = sorted(z.mults, reverse=True)
-    value = _ceil_div(sum(w * x for w, x in zip(ints[1:], m)), ints[0] * d)
+    value = _ceil_div(sum(w * x for w, x in zip(ints[1:], z.positive)), ints[0] * d)
     return BoundReport("nef-test", ALPHA_LOWER, value,
                        (("r", r), ("d", d),
                         ("weights", tuple(fmt_rational(w) for w in a))))
@@ -122,7 +115,8 @@ def nef_variant_bound(z, variant: str, r: int, d: int, j: int | None = None) -> 
         weight j/(r - d^2 + j), with a fractional last slot.
     n counts the positive multiplicities, which are sorted first.
     """
-    w = _clean(z)
+    z = as_spec(z)
+    w = z.positive
     n = len(w)
     _check_rd(r, n, d)
     total = sum(w)
@@ -145,7 +139,7 @@ def nef_variant_bound(z, variant: str, r: int, d: int, j: int | None = None) -> 
             raise ValueError("variant (d) needs j")
         if not 0 <= j <= d * d:
             raise ValueError("variant (d) needs 0 <= j <= d^2")
-        value = _prefix_spread_bound(w, list(accumulate(w, initial=0)), r, d, j)
+        value = _prefix_spread_bound(w, z.sums, r, d, j)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     params = [("r", r), ("d", d)]
@@ -154,7 +148,7 @@ def nef_variant_bound(z, variant: str, r: int, d: int, j: int | None = None) -> 
     return BoundReport(f"nef-{variant}", ALPHA_LOWER, value, tuple(params))
 
 
-def _prefix_spread_bound(w: list[int], sums: list[int], r: int, d: int, j: int) -> int:
+def _prefix_spread_bound(w: Sequence[int], sums: Sequence[int], r: int, d: int, j: int) -> int:
     """Weight family (d) in integers; sums[k] = w[0] + ... + w[k-1].
 
     The first d^2 - j weights are 1, the next q + j (q = r - d^2) are
@@ -203,11 +197,11 @@ def best_variant_d_search(z) -> BoundReport:
     ceil((P[d^2] r + min(q r, (n-r) d^2) w[r]) / (r d)), and when that
     is <= best the strict comparison can record none of them.
     """
-    w = _clean(z)
+    z = as_spec(z)
+    w, sums = z.positive, z.sums
     n = len(w)
     if n == 0:
         raise ValueError("the empty subscheme has no bound parameters")
-    sums = list(accumulate(w, initial=0))
     best, best_r, best_d, best_j = 0, 0, 0, 0
     for r in range(1, n + 1):
         w_r = w[r] if r < n else 0
@@ -276,7 +270,7 @@ class _Runs:
     # (0 once all are zero), in O(runs) and with no re-sort.
     __slots__ = ("vals", "cnts")
 
-    def __init__(self, w: list[int]):
+    def __init__(self, w: Sequence[int]):
         # A run ends at the first smaller entry, found by bisection, so a
         # build costs O(runs log n) rather than O(n).
         self.vals, self.cnts = [], []
@@ -333,7 +327,7 @@ class _Lowerings:
 
     __slots__ = ("tops", "sums", "_state", "_r")
 
-    def __init__(self, w: list[int], r: int):
+    def __init__(self, w: Sequence[int], r: int):
         self._state, self._r = _Runs(w), r
         self.tops, self.sums = [w[0] if w else 0], [self._state.top_sum(r)]
 
@@ -386,7 +380,7 @@ def unloading_alpha(z, r: int, d: int) -> BoundReport:
     """
     z = as_spec(z)
     _check_rd(r, z.n, d)
-    w = _clean(z)
+    w = z.positive
     value = _unloading_min(_Lowerings(w, min(r, len(w))), d)
     return BoundReport("unloading", ALPHA_LOWER, value, (("r", r), ("d", d)))
 
@@ -447,12 +441,12 @@ def best_unloading_search(z) -> BoundReport:
     to the end, so the walk gives its value.  The reported pair is
     recomputed once by ``unloading_alpha``.
     """
-    w = _clean(z)
+    z = as_spec(z)
+    w, sums = z.positive, z.sums
     n = len(w)
     if n == 0:
         raise ValueError("the empty subscheme has no bound parameters")
     w0 = w[0]
-    sums = list(accumulate(w, initial=0))
     best, best_r, best_d = 0, 0, 0
     for r in range(1, n + 1):
         low = best // max(w0, _ceil_div(sums[-1], r))
@@ -464,7 +458,7 @@ def best_unloading_search(z) -> BoundReport:
             value = _unloading_min(seq, d, best)
             if value > best:
                 best, best_r, best_d = value, r, d
-    best = unloading_alpha(w, best_r, best_d).value
+    best = unloading_alpha(z, best_r, best_d).value
     return BoundReport("best-unloading", ALPHA_LOWER, best,
                        (("r", best_r), ("d", best_d)))
 
@@ -482,7 +476,7 @@ def roe_alpha(z) -> BoundReport:
     through the scheme.  The top entry stays on top, so it is kept apart
     from the state of the rest.
     """
-    w = _clean(z) or [0]
+    w = as_spec(z).positive or (0,)
     top = w[0]
     rest = _Runs(w[1:])
     for i in range(2, len(w)):
@@ -544,7 +538,7 @@ def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
     z = as_spec(z)
     _check_rd(r, z.n, d)
     g = (d - 1) * (d - 2) // 2
-    w = _clean(z)
+    w = z.positive
     seq = _Lowerings(w, min(r, len(w)))
     low = _modified_x(seq, 0, d, g)
     k, kd = 1, d
@@ -611,7 +605,7 @@ def semigroup_alpha_bound(z) -> BoundReport:
     always a member, and returns one past the first failure.
     """
     z = as_spec(z)
-    if z.nonzero_count == 0:
+    if not z.positive:
         raise ValueError("the empty subscheme is everywhere effective")
     t = find_alpha(z)
     while t >= 0 and _in_semigroup(t, z.mults):

@@ -182,9 +182,9 @@ def _cmd_single(args, kind: str) -> int:
     else:
         rep = ab.semigroup_alpha_bound(z)
         value, method = rep.value, rep.method
-    exact = z.nonzero_count <= EXACT_POINT_LIMIT
+    exact = len(z.positive) <= EXACT_POINT_LIMIT
     validity = () if exact or kind == "psi" else (SHGH_CONDITIONAL,)
-    flag = ALPHA_LOWER if kind == "psi" else exactness_flag(z.nonzero_count)
+    flag = ALPHA_LOWER if kind == "psi" else exactness_flag(len(z.positive))
     rep = BoundReport(method, flag, value, (), validity)
     if args.json:
         sys.stdout.write(canonical_json(_report_json(z, rep)))
@@ -281,7 +281,7 @@ def _cmd_oracle(args) -> int:
     elif args.t is not None:
         lo = hi = args.t
     else:
-        alpha, tau, _ = _alpha_tau(z)
+        alpha, tau = _alpha_tau(z)
         lo, hi = max(0, alpha - 1), tau + 1
     rows = oracle_table(cfg, z, lo, hi, args.nu)
     columns = ["t", "dim"] + (["nu"] if args.nu else [])
@@ -314,29 +314,29 @@ def _run_methods(makers) -> list[BoundReport]:
     return reports
 
 
-def _alpha_methods(mults, positive: list[int], rds) -> list:
-    makers = [lambda: ab.semigroup_alpha_bound(mults),
-              lambda: ab.roe_alpha(mults)]
-    if positive:
+def _alpha_methods(z: FatPointSpec, rds) -> list:
+    makers = [lambda: ab.semigroup_alpha_bound(z),
+              lambda: ab.roe_alpha(z)]
+    if z.positive:
         (ra, da), (rb, db) = rds
         makers += [
-            lambda: ab.nef_variant_bound(positive, "a", ra, da),
-            lambda: ab.nef_variant_bound(positive, "b", rb, db),
-            lambda: ab.best_variant_d_search(positive),
-            lambda: _best_of(ab.modified_unloading_alpha, positive, *rds, pick=max),
-            lambda: ab.best_unloading_search(positive),
+            lambda: ab.nef_variant_bound(z, "a", ra, da),
+            lambda: ab.nef_variant_bound(z, "b", rb, db),
+            lambda: ab.best_variant_d_search(z),
+            lambda: _best_of(ab.modified_unloading_alpha, z, *rds, pick=max),
+            lambda: ab.best_unloading_search(z),
         ]
     return makers
 
 
-def _tau_methods(mults, positive: list[int], rds) -> list:
-    makers = [lambda: tb.hirschowitz_tau(mults),
-              lambda: tb.gimigliano_tau(mults),
-              lambda: tb.catalisano_tau(mults)]
-    if len(positive) >= 2:
-        makers.append(lambda: tb.roe_tau(positive))
-    if positive:
-        makers.append(lambda: _best_of(tb.modified_unloading_tau, positive, *rds, pick=min))
+def _tau_methods(z: FatPointSpec, rds) -> list:
+    makers = [lambda: tb.hirschowitz_tau(z),
+              lambda: tb.gimigliano_tau(z),
+              lambda: tb.catalisano_tau(z)]
+    if len(z.positive) >= 2:
+        makers.append(lambda: tb.roe_tau(z))
+    if z.positive:
+        makers.append(lambda: _best_of(tb.modified_unloading_tau, z, *rds, pick=min))
     return makers
 
 
@@ -350,12 +350,12 @@ def _sqrt_rd(n: int) -> tuple[int, int]:
     return min(r, n), d
 
 
-def _uniform_extra_alpha(positive: list[int], rds) -> list:
-    n, m = len(positive), positive[0]
+def _uniform_extra_alpha(z: FatPointSpec, rds) -> list:
+    n, m = z.n, z.mults[0]
     (ra, da), _ = rds
     rf, df = _sqrt_rd(n)
     makers = [
-        lambda: ab.unloading_alpha(positive, ra, da),
+        lambda: ab.unloading_alpha(z, ra, da),
         lambda: ab.modified_unloading_alpha_formula_a(n, m, rf, df),
         lambda: ab.modified_unloading_alpha_formula_b(n, m, min(n, df * df), df),
     ]
@@ -364,8 +364,8 @@ def _uniform_extra_alpha(positive: list[int], rds) -> list:
     return makers
 
 
-def _uniform_extra_tau(positive: list[int], rds) -> list:
-    n, m = len(positive), positive[0]
+def _uniform_extra_tau(z: FatPointSpec, rds) -> list:
+    n, m = z.n, z.mults[0]
     makers = []
     if n > 9:
         makers += [lambda: tb.segre_tau(n, m), lambda: tb.cubic_tau(n, m)]
@@ -381,8 +381,8 @@ def _uniform_extra_tau(positive: list[int], rds) -> list:
     return makers
 
 
-def _best_of(fn, mults, *rds, pick) -> BoundReport:
-    return pick((fn(mults, r, d) for r, d in rds), key=lambda rep: rep.value)
+def _best_of(fn, z: FatPointSpec, *rds, pick) -> BoundReport:
+    return pick((fn(z, r, d) for r, d in rds), key=lambda rep: rep.value)
 
 
 def _requested_reports(z: FatPointSpec, args) -> tuple[list, list]:
@@ -391,21 +391,20 @@ def _requested_reports(z: FatPointSpec, args) -> tuple[list, list]:
     # outside _run_methods, so a failed precondition exits 3 rather than
     # dropping the method that was asked for.
     alpha_reports, tau_reports = [], []
-    mults = z.mults
     if args.weights is not None:
         if args.r is None or args.d is None:
             raise ValueError("--weights needs --r and --d")
-        alpha_reports.append(ab.nef_test_bound(mults, args.weights, args.r, args.d))
+        alpha_reports.append(ab.nef_test_bound(z, args.weights, args.r, args.d))
     if args.r is not None or args.d is not None:
         if args.r is None or args.d is None:
             raise ValueError("method parameters need both --r and --d")
         alpha_reports += [
-            ab.unloading_alpha(mults, args.r, args.d),
-            ab.modified_unloading_alpha(mults, args.r, args.d),
+            ab.unloading_alpha(z, args.r, args.d),
+            ab.modified_unloading_alpha(z, args.r, args.d),
         ]
         if args.j is not None:
-            alpha_reports.append(ab.nef_variant_bound(mults, "d", args.r, args.d, j=args.j))
-        tau_reports.append(tb.modified_unloading_tau(mults, args.r, args.d))
+            alpha_reports.append(ab.nef_variant_bound(z, "d", args.r, args.d, j=args.j))
+        tau_reports.append(tb.modified_unloading_tau(z, args.r, args.d))
     elif args.j is not None:
         raise ValueError("--j needs --r and --d")
     return alpha_reports, tau_reports
@@ -413,21 +412,21 @@ def _requested_reports(z: FatPointSpec, args) -> tuple[list, list]:
 
 def _cmd_bounds(args) -> int:
     z = _spec_of(args)
-    # The sorted positive multiplicities and the (r, d) pairs of weight
-    # families (a) and (b), shared by every method list below.
-    positive = sorted((m for m in z.mults if m > 0), reverse=True)
-    exact = len(positive) <= EXACT_POINT_LIMIT
+    n = len(z.positive)
+    exact = n <= EXACT_POINT_LIMIT
     label = "Value" if exact else "Expected value (SHGH)"
-    ea, et, _ = _alpha_tau(z)
+    ea, et = _alpha_tau(z)
     requested_alpha, requested_tau = _requested_reports(z, args)
-    rds = (ab.best_rd_a(len(positive)), ab.best_rd_b(len(positive))) if positive else None
-    alpha_reports = requested_alpha + _run_methods(_alpha_methods(z.mults, positive, rds))
-    tau_reports = _run_methods(_tau_methods(z.mults, positive, rds)) + requested_tau
+    # The (r, d) pairs of weight families (a) and (b), shared by every
+    # method list below.
+    rds = (ab.best_rd_a(n), ab.best_rd_b(n)) if n else None
+    alpha_reports = requested_alpha + _run_methods(_alpha_methods(z, rds))
+    tau_reports = _run_methods(_tau_methods(z, rds)) + requested_tau
     if z.is_uniform() and z.mults[0] > 0:
-        alpha_reports += _run_methods(_uniform_extra_alpha(positive, rds))
-        tau_reports += _run_methods(_uniform_extra_tau(positive, rds))
+        alpha_reports += _run_methods(_uniform_extra_alpha(z, rds))
+        tau_reports += _run_methods(_uniform_extra_tau(z, rds))
     if args.json:
-        direction = exactness_flag(len(positive))
+        direction = exactness_flag(n)
         docs = [_report_json(z, BoundReport("expected-alpha", direction, ea))]
         docs += [_report_json(z, rep) for rep in alpha_reports]
         docs.append(_report_json(z, BoundReport("expected-tau", direction, et)))

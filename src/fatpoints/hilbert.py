@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 
 from .lattice import (DivisorClass, FatPointSpec, as_spec, decompose,
@@ -68,9 +69,7 @@ def exactness_flag(n: int) -> str:
 
 def hilbert_polynomial(z, t: int) -> int:
     """P_Z(t) = (t^2 + 3t + 2 - sum m_i(m_i+1)) / 2; always an integer."""
-    z = as_spec(z)
-    s = sum(m * (m + 1) for m in z.mults)
-    return (t * t + 3 * t + 2 - s) // 2
+    return (t * t + 3 * t + 2 - as_spec(z).condition_sum) // 2
 
 
 def expected_dim(f: DivisorClass) -> int:
@@ -99,51 +98,14 @@ def _expected_dim(d: int, m) -> int:
     return max(0, (d * d + 3 * d + 2 - s) // 2)
 
 
-class _FastDims:
-    """Per-scheme evaluator of e(F_t(Z)) with an O(1) in-domain shortcut.
-
-    Once t is at least the sum of the three largest multiplicities the
-    sorted class is already terminal with nonnegative entries, so e is
-    just max(0, P(t)).  On at most 9 positive multiplicities the alpha
-    and tau searches bisect, as the module docstring proves.
-    """
-
-    def __init__(self, z: FatPointSpec):
-        self.mults = tuple(sorted((m for m in z.mults if m > 0), reverse=True))
-        padded = self.mults + (0, 0, 0)
-        self.three_largest = padded[0] + padded[1] + padded[2]
-        self.condition_sum = sum(m * (m + 1) for m in self.mults)
-
-    def hilbert_poly(self, t: int) -> int:
-        return (t * t + 3 * t + 2 - self.condition_sum) // 2
-
-    def e(self, t: int) -> int:
-        if t >= self.three_largest:
-            return max(0, self.hilbert_poly(t))
-        return _expected_dim(t, self.mults)
-
-    def first_nonzero(self) -> int:
-        """Alpha: the least t >= 0 with e(t) > 0."""
-        if len(self.mults) > EXACT_POINT_LIMIT:
-            t = 0
-            while self.e(t) == 0:
-                t += 1
-            return t
-        top = self.mults[0] if self.mults else 0
-        return _least_true(lambda t: self.e(t) > 0, top,
-                           max(self.three_largest, _least_above(self.condition_sum)))
-
-    def first_independent(self, start: int) -> int:
-        """The least t >= start >= 0 with e(t) = P(t); tau at start = max(0, alpha - 1)."""
-        s = self.condition_sum
-        if len(self.mults) > EXACT_POINT_LIMIT:
-            t = start
-            while self.e(t) != self.hilbert_poly(t):
-                t += 1
-            return t
-        return _least_true(lambda t: self.e(t) == self.hilbert_poly(t),
-                           max(start, _least_above(s - 1)),
-                           max(start, self.three_largest, _least_above(s - 1)))
+def _e(z: FatPointSpec, t: int) -> int:
+    # e(F_t(Z)).  Once t is at least the sum of the three largest
+    # multiplicities the sorted class is already terminal with
+    # nonnegative entries, so e is just max(0, P(t)).
+    w = z.positive
+    if t >= sum(w[:3]):
+        return max(0, (t * t + 3 * t + 2 - z.condition_sum) // 2)
+    return _expected_dim(t, w)
 
 
 def _least_true(holds, lo: int, hi: int) -> int:
@@ -158,38 +120,40 @@ def _least_true(holds, lo: int, hi: int) -> int:
     return lo
 
 
-def _uniform_many(z: FatPointSpec) -> tuple[int, int] | None:
-    # (n, m) of a uniform scheme past the exact range, where alpha and tau
-    # have closed-form searches on P alone.
-    if z.n > EXACT_POINT_LIMIT and z.is_uniform():
-        return z.n, z.mults[0]
-    return None
-
-
 def find_alpha(z) -> int:
     """Least degree t >= 0 with e(F_t(Z)) > 0.
 
     Exact for n <= 9; for n > 9 this is the conjectured value of the
     least degree of a curve through Z, an upper bound unconditionally.
     """
-    z = as_spec(z)
-    nm = _uniform_many(z)
-    if nm is not None:
-        return _uniform_alpha_tau(*nm)[0]
-    return _FastDims(z).first_nonzero()
+    return _alpha_tau(as_spec(z), with_tau=False)[0]
 
 
-def _alpha_tau(z: FatPointSpec) -> tuple[int, int, _FastDims]:
-    """(find_alpha(z), find_tau(z), the evaluator of z) with one alpha search.
+def _alpha_tau(z: FatPointSpec, with_tau: bool = True) -> tuple[int, int | None]:
+    """(find_alpha(z), find_tau(z)) with one alpha search; tau is None without with_tau.
 
-    The tau search starts at max(0, alpha - 1), as find_tau documents.
+    On at most 9 positive multiplicities both searches bisect the brackets
+    of the module docstring.  Past 9 they are closed forms in P on uniform
+    input, and otherwise scans from 0 and from max(0, alpha - 1), as
+    find_tau documents.
     """
-    dims = _FastDims(z)
-    nm = _uniform_many(z)
-    if nm is not None:
-        return (*_uniform_alpha_tau(*nm), dims)
-    alpha = dims.first_nonzero()
-    return alpha, dims.first_independent(max(0, alpha - 1)), dims
+    w, s = z.positive, z.condition_sum
+    if len(w) > EXACT_POINT_LIMIT and w[0] == w[-1]:
+        return _uniform_alpha_tau(len(w), w[0])
+    top = sum(w[:3])
+    if len(w) > EXACT_POINT_LIMIT:
+        alpha = next(t for t in count() if _e(z, t) > 0)
+    else:
+        alpha = _least_true(lambda t: _e(z, t) > 0, w[0] if w else 0,
+                            max(top, _least_above(s)))
+    if not with_tau:
+        return alpha, None
+    start = max(0, alpha - 1)
+    if len(w) > EXACT_POINT_LIMIT:
+        return alpha, next(t for t in count(start) if _e(z, t) == hilbert_polynomial(z, t))
+    lo = max(start, _least_above(s - 1))
+    return alpha, _least_true(lambda t: _e(z, t) == hilbert_polynomial(z, t),
+                              lo, max(lo, top))
 
 
 def _uniform_alpha_tau(n: int, m: int) -> tuple[int, int]:
@@ -246,15 +210,15 @@ class HilbertTable:
 def hilbert_table(z, lo: int | None = None, hi: int | None = None) -> HilbertTable:
     """Tabulate e(F_t(Z)) for t in [lo, hi], default [alpha-1, tau+1]."""
     z = as_spec(z)
-    alpha, tau, dims = _alpha_tau(z)
+    alpha, tau = _alpha_tau(z)
     if lo is None:
         lo = alpha - 1
     if hi is None:
         hi = tau + 1
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
-    rows = tuple((t, dims.e(t)) for t in range(lo, hi + 1))
-    return HilbertTable(alpha, tau, rows, exactness_flag(z.nonzero_count))
+    rows = tuple((t, _e(z, t)) for t in range(lo, hi + 1))
+    return HilbertTable(alpha, tau, rows, exactness_flag(len(z.positive)))
 
 
 def beta_expected(z) -> int:
@@ -268,11 +232,10 @@ def beta_expected(z) -> int:
     shows; decompose() then checks the degree returned.
     """
     z = as_spec(z)
-    if z.nonzero_count == 0:
+    if not z.positive:
         raise ValueError("beta is undefined for the empty subscheme")
-    dims = _FastDims(z)
-    t = max(find_alpha(z), _least_above(dims.condition_sum))
-    while t < dims.three_largest:
+    t = max(find_alpha(z), _least_above(z.condition_sum))
+    while t < sum(z.positive[:3]):
         d, m = reduce_fundamental_raw(t, z.mults)
         if d >= 0 and m[-1] >= 0:
             break

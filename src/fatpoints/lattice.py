@@ -26,6 +26,8 @@ orthogonal exceptional classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 Move = tuple
@@ -67,7 +69,13 @@ class DivisorClass:
 
 @dataclass(frozen=True)
 class FatPointSpec:
-    """Multiplicities m_1, ..., m_n of a fat-point subscheme at general points."""
+    """Multiplicities m_1, ..., m_n of a fat-point subscheme at general points.
+
+    At general points the characters depend only on the multiset of
+    positive multiplicities.  Its normal form, ``positive``, with its
+    prefix ``sums`` and ``condition_sum``, is computed here on first read
+    and nowhere else.
+    """
 
     mults: tuple[int, ...]
 
@@ -81,9 +89,20 @@ class FatPointSpec:
     def n(self) -> int:
         return len(self.mults)
 
-    @property
-    def nonzero_count(self) -> int:
-        return sum(1 for m in self.mults if m > 0)
+    @cached_property
+    def positive(self) -> tuple[int, ...]:
+        """The positive multiplicities, sorted nonincreasing."""
+        return tuple(sorted((m for m in self.mults if m > 0), reverse=True))
+
+    @cached_property
+    def sums(self) -> tuple[int, ...]:
+        """Prefix sums of ``positive``: sums[k] is the sum of its first k entries."""
+        return tuple(accumulate(self.positive, initial=0))
+
+    @cached_property
+    def condition_sum(self) -> int:
+        """sum m_i (m_i + 1), twice the number of conditions the scheme imposes."""
+        return sum(m * (m + 1) for m in self.positive)
 
     def divisor_class(self, t: int) -> DivisorClass:
         """The class t*E0 - sum(m_i * E_i) of degree-t curves through the scheme."""

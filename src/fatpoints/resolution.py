@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .hilbert import (_alpha_tau, _expected_dim, expected_dim, find_alpha, find_tau,
-                      hilbert_polynomial)
+from .hilbert import (_alpha_tau, _e, _expected_dim, _least_above, expected_dim,
+                      find_alpha, find_tau, hilbert_polynomial)
 from .lattice import DivisorClass, as_spec
 
 MAX_POINTS = 8
@@ -140,9 +140,9 @@ def betti_table(z) -> BettiTable:
     """Hilbert values and Betti numbers for t from alpha-2 to tau+2 (n <= 8)."""
     z = as_spec(z)
     mults = _as8(z.mults)
-    alpha, tau, dims = _alpha_tau(z)
+    alpha, tau = _alpha_tau(z)
     degrees = list(range(alpha - 2, tau + 3))
-    h = [dims.e(t) for t in degrees]
+    h = [_e(z, t) for t in degrees]
     # nu at degree t reads the kernel at t - 1, so the top degree's is unused.
     ker = [0 if t < alpha else ker_mu_dim(DivisorClass(t, mults)) for t in degrees[:-1]]
     nu = []
@@ -218,9 +218,7 @@ def quasi_uniform_resolution(z) -> QuasiUniformResolution:
     def h(t: int) -> int:
         return max(hilbert_polynomial(z, t), 0)
 
-    alpha = 0
-    while h(alpha) == 0:
-        alpha += 1
+    alpha = _least_above(z.condition_sum)  # the least t with P(t) > 0
     a = h(alpha)
     b = max(h(alpha + 1) - 3 * a, 0)
     c = max(3 * a - h(alpha + 1), 0)

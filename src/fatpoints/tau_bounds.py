@@ -12,9 +12,10 @@ n > 9 points only, smaller n is rejected rather than extrapolated.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
-from .alpha_bounds import _ceil_div, _check_rd, _clean, _Lowerings, _Runs, _u_rho
+from .alpha_bounds import _ceil_div, _check_rd, _Lowerings, _Runs, _u_rho
 from .lattice import as_spec
 from .report import TAU_UPPER, CHAR_ZERO, BoundReport, fmt_rational
 
@@ -41,29 +42,32 @@ def _check_uniform_big(n: int, m: int) -> None:
 def gimigliano_tau(z) -> BoundReport:
     """tau <= m_1 + ... + m_d for the least d with d(d+3) >= 2n.
 
-    For n <= 2 the d = 1 case of this statement can undershoot the true
-    value (two points of multiplicity >= 2 need degree m_1 + m_2 - 1);
-    the computed value is still reported, with a caveat.
+    Needs d^2 >= n.  Since d(d+3) >= 2n > 2d^2 forces d < 3, that fails
+    only at n = 2 and n = 5, where the points lie on a unique line or
+    conic C, a (-1)-curve of the blow-up.  C is a fixed component in every
+    degree t < (m_1 + ... + m_n) / d, and the sum can fall below tau
+    there: at 9,8,7,7,7 it is 17, while tau is 19.  So those n are
+    rejected.  At n = 1 the value m_1 is above tau = m_1 - 1.
     """
-    w = _clean(z)
+    w = as_spec(z).positive
     n = len(w)
     if n == 0:
         raise ValueError("the empty subscheme needs no bound")
     d = 0
     while d * (d + 3) < 2 * n:
         d += 1
-    validity = () if n >= 3 else ("stated for n >= 3; can undershoot for fewer points",)
-    return BoundReport("gimigliano", TAU_UPPER, sum(w[:d]), (("d", d),), validity)
+    if d * d < n:
+        raise ValueError(f"bound needs d^2 >= n, got n={n}, d={d}")
+    return BoundReport("gimigliano", TAU_UPPER, sum(w[:d]), (("d", d),))
 
 
 def hirschowitz_tau(z) -> BoundReport:
     """Least d >= m_1 with ceil((d+3)/2) * ceil((d+2)/2) > sum m_i(m_i+1)/2."""
-    w = _clean(z)
-    if not w:
+    z = as_spec(z)
+    if not z.positive:
         raise ValueError("the empty subscheme needs no bound")
-    s = sum(m * (m + 1) for m in w)
-    d = w[0]
-    while _ceil_div(d + 3, 2) * _ceil_div(d + 2, 2) * 2 <= s:
+    d = z.positive[0]
+    while _ceil_div(d + 3, 2) * _ceil_div(d + 2, 2) * 2 <= z.condition_sum:
         d += 1
     return BoundReport("hirschowitz", TAU_UPPER, d)
 
@@ -94,11 +98,11 @@ def catalisano_tau(z) -> BoundReport:
     reference formulation compares against an undefined count; it is
     resolved as the number of positive multiplicities and flagged.
     """
-    w = _clean(z)
+    w = as_spec(z).positive
     n = len(w)
     if n < 5:
         raise ValueError("bound needs at least 5 points of positive multiplicity")
-    if len(set(w)) == 1:
+    if w[0] == w[-1]:
         return BoundReport("catalisano", TAU_UPPER, _catalisano_uniform(n, w[0]))
     return BoundReport(
         "catalisano", TAU_UPPER, _catalisano_mixed(w),
@@ -129,20 +133,14 @@ def _catalisano_uniform(n: int, m: int) -> int:
     return t
 
 
-def _catalisano_mixed(w: list[int]) -> int:
+def _catalisano_mixed(w: tuple[int, ...]) -> int:
     n = len(w)
-    # Segment boundaries: counts where the sorted multiplicities strictly
-    # drop, plus n; values are the multiplicity on each segment.
-    counts: list[int] = []
-    values: list[int] = []
-    for i in range(n - 1):
-        if w[i] > w[i + 1]:
-            counts.append(i + 1)
-            values.append(w[i])
-    counts.append(n)
-    values.append(w[n - 1])
-    diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)] + [values[-1]]
-    fs, rs = zip(*(_split_floor(c) for c in counts))
+    # Segments are the runs of equal multiplicities: each ends at a count
+    # where the sorted values strictly drop, or at n.
+    runs = _Runs(w)
+    values = runs.vals
+    diffs = [a - b for a, b in zip(values, values[1:] + [0])]
+    fs, rs = zip(*(_split_floor(c) for c in accumulate(runs.cnts)))
     t = -1 if rs[-1] == 0 else 0
     d1 = t + fs[-1]
     t += sum(f * v for f, v in zip(fs, diffs))
@@ -168,7 +166,7 @@ def roe_tau(z) -> BoundReport:
     z = as_spec(z)
     if z.n < 2:
         raise ValueError("bound needs at least 2 points")
-    w = _clean(z) or [0]
+    w = z.positive or (0,)
     top = w[0]
     rest = _Runs(w[1:])
     for i in range(1, len(w) - 1):
@@ -198,7 +196,7 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
     z = as_spec(z)
     _check_rd(r, z.n, d)
     g = (d - 1) * (d - 2) // 2
-    w = _clean(z)
+    w = z.positive
     seq = _Lowerings(w, min(r, len(w)))
     tops, sums = seq.tops, seq.sums
     t, k, kd = 0, 0, 0

@@ -388,7 +388,8 @@ def test_property_sandwich_laws():
             cases += 1
         upper_reports = [tb.hirschowitz_tau(z), tb.roe_tau(z) if n >= 2 else None,
                          tb.modified_unloading_tau(z, r, d)]
-        if sum(1 for x in z if x > 0) >= 3:
+        if sum(1 for x in z if x > 0) not in (2, 5):
+            # The bound needs d^2 >= n, which fails at n = 2 and 5 only.
             upper_reports.append(tb.gimigliano_tau(z))
         if sum(1 for x in z if x > 0) >= 5:
             upper_reports.append(tb.catalisano_tau(z))

@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from fatpoints import alpha_bounds as ab
 from fatpoints.hilbert import find_alpha
+from fatpoints.lattice import FatPointSpec
 
 Z90 = (90, 80, 70, 60, 50, 40, 40, 40, 30, 20, 10)
 
@@ -307,7 +307,7 @@ def _naive_prefix_spread(w, r, d, j):
 
 def _naive_variant_d_all(z):
     # Every (r, d, j) the family-(d) search visits, in visiting order.
-    w = ab._clean(z)
+    w = FatPointSpec(z).positive
     values = {}
     for r in range(1, len(w) + 1):
         d = 0
@@ -327,7 +327,7 @@ def _first_max(values):
 
 
 def _naive_unloading_all(z):
-    w = ab._clean(z)
+    w = FatPointSpec(z).positive
     values = {}
     for r in range(1, len(w) + 1):
         d = 1
@@ -376,10 +376,10 @@ def test_searches_match_exhaustive_on_uniform_vectors(nm):
 @given(_mixed, st.data())
 def test_integer_prefix_spread_matches_fractions(z, data):
     # Every branch: d^2 >= r (family (c)), j = 0, and 1 <= j <= d^2.
-    w = ab._clean(z)
+    spec = FatPointSpec(z)
+    w, sums = spec.positive, spec.sums
     if not w:
         return
-    sums = list(accumulate(w, initial=0))
     r = data.draw(st.integers(1, len(w)))
     d = data.draw(st.integers(1, 7))
     j = data.draw(st.integers(0, d * d))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import fatpoints
 from fatpoints import cli
 from fatpoints.cli import canonical_json, main
+from fatpoints.lattice import FatPointSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference"
@@ -252,6 +254,60 @@ def test_bounds_explicit_method_parameters(capsys):
 
     code, _, err = run(capsys, "bounds", "--uniform", "10:2", "--j", "3")
     assert code == 3 and "--r" in err
+
+
+def test_one_bounds_query_builds_one_spec(capsys, monkeypatch):
+    # Every method reads the normal form of the one spec the query builds.
+    builds = []
+    init = FatPointSpec.__init__
+    monkeypatch.setattr(FatPointSpec, "__init__",
+                        lambda self, mults: builds.append(mults) or init(self, mults))
+    for args in [("--uniform", "22:3"), ("--uniform", "9:2"), ("--mults", "9,8,7,7,7"),
+                 ("--mults", "5,0,4,3,3,1,0,2,2,1,1"), ("--mults", "0,0"),
+                 ("--uniform", "22:3", "--r", "19", "--d", "4", "--j", "3"),
+                 ("--mults", "5,4,3", "--r", "3", "--d", "2", "--weights", "1,1,1,1")]:
+        builds.clear()
+        code, _, err = run(capsys, "bounds", *args, "--json")
+        assert code == 0, (args, err)
+        assert len(builds) == 1, args
+
+
+def _json_without_input(capsys, *argv) -> list:
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, (argv, err)
+    doc = json.loads(out)
+    docs = doc if isinstance(doc, list) else [doc]
+    for d in docs:
+        del d["input"]
+    return docs
+
+
+def test_outputs_depend_only_on_the_positive_multiplicities(capsys):
+    # Permuting the multiplicities and padding them with zeros changes
+    # only the input block of every command.  Uniform schemes leave out
+    # bounds: is_uniform() counts zeros, so a padded uniform scheme runs
+    # no uniform-only method.
+    rng = random.Random(16)
+    for i in range(320):
+        if i % 4 == 0:
+            n, m = rng.randint(1, 14), rng.randint(1, 6)
+            mults, given = [m] * n, ("--uniform", f"{n}:{m}")
+        else:
+            mults = [rng.randint(1, 8) for _ in range(rng.randint(2, 13))]
+            if len(set(mults)) == 1:
+                mults[0] += 1
+            given = ("--mults", ",".join(map(str, mults)))
+        other = mults + [0] * rng.randint(1, 3)
+        rng.shuffle(other)
+        commands = ["alpha", "tau", "beta", "psi", "hilb"]
+        if len(mults) <= 8:
+            commands.append("res")
+        if given[0] == "--mults":
+            commands.append("bounds")
+        for command in commands:
+            assert _json_without_input(capsys, command, *given) == \
+                _json_without_input(capsys, command, "--mults", ",".join(map(str, other))), \
+                (command, mults, other)
 
 
 def test_bounds_requested_method_precondition_exits_3(capsys):

@@ -10,7 +10,7 @@ import fatpoints.hilbert as hb
 from fatpoints.hilbert import (beta_expected, expected_dim, find_alpha,
                                find_tau, hilbert_polynomial,
                                hilbert_table, uniform_alpha_closed_form,
-                               _expected_dim, _FastDims, _least_above,
+                               _e, _expected_dim, _least_above,
                                _uniform_alpha_tau)
 from fatpoints.lattice import (DivisorClass, FatPointSpec, canonical_class,
                                decompose, intersection, reduce_fundamental_raw)
@@ -253,19 +253,19 @@ def test_beta_between_alpha_and_tau_plus_one():
 
 
 def _alpha_tau_scan(mults) -> tuple[int, int]:
-    dims = _FastDims(FatPointSpec(mults))
+    z = FatPointSpec(mults)
     alpha = 0
-    while dims.e(alpha) == 0:
+    while _e(z, alpha) == 0:
         alpha += 1
     tau = max(0, alpha - 1)
-    while dims.e(tau) != dims.hilbert_poly(tau):
+    while _e(z, tau) != hilbert_polynomial(z, tau):
         tau += 1
     return alpha, tau
 
 
 def _beta_scan(mults) -> int:
     z = FatPointSpec(mults)
-    t = _alpha_tau_scan(mults)[0] if z.nonzero_count <= 9 else find_alpha(z)
+    t = _alpha_tau_scan(mults)[0] if len(z.positive) <= 9 else find_alpha(z)
     while True:
         f = z.divisor_class(t)
         dec = decompose(f)
@@ -329,13 +329,12 @@ def test_beta_rejects_a_degree_decompose_disowns(monkeypatch):
 
 def test_alpha_bisection_evaluates_e_logarithmically(monkeypatch):
     calls = []
-    e = _FastDims.e
-    monkeypatch.setattr(_FastDims, "e", lambda self, t: calls.append(t) or e(self, t))
+    monkeypatch.setattr(hb, "_e", lambda z, t: calls.append(t) or _e(z, t))
     rng = random.Random(14)
     for _ in range(300):
         mults = [rng.randint(0, 40) for _ in range(rng.randint(1, 9))] + [0] * rng.randint(0, 3)
-        dims = _FastDims(FatPointSpec(mults))
-        hi = max(dims.three_largest, _least_above(dims.condition_sum))
+        z = FatPointSpec(mults)
+        hi = max(sum(z.positive[:3]), _least_above(z.condition_sum))
         calls.clear()
         find_alpha(mults)
         assert len(calls) <= ceil(log2(hi + 1)) + 1, mults

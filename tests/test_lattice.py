@@ -205,7 +205,7 @@ def test_fat_point_spec_validation():
         FatPointSpec((1, -1))
     z = FatPointSpec((2, 2))
     assert z.divisor_class(3) == DivisorClass(3, (2, 2))
-    assert z.n == 2 and z.nonzero_count == 2
+    assert z.n == 2 and z.positive == (2, 2)
 
 
 def test_big_magnitudes_are_exact():

@@ -1,10 +1,16 @@
+import contextlib
+import io
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from fatpoints import tau_bounds as tb
-from fatpoints.hilbert import find_tau
+from fatpoints.cli import main
+from fatpoints.hilbert import find_tau, hilbert_polynomial
+from fatpoints.oracle import PointConfig, oracle_table
 
 
 def test_conic_and_cubic_specializations():
@@ -25,8 +31,47 @@ def test_gimigliano_examples():
     assert tb.gimigliano_tau([1] * 10).value == 4
     assert tb.gimigliano_tau([2] * 9).value == 6
     assert tb.gimigliano_tau((5,)).value == 5
-    with pytest.raises(ValueError):
-        tb.gimigliano_tau((0, 0))
+    for z in [(0, 0), (2, 2), (3, 1, 0), (9, 8, 7, 7, 7), (1, 1, 1, 1, 1)]:
+        with pytest.raises(ValueError):
+            tb.gimigliano_tau(z)
+
+
+def test_gimigliano_rejects_the_conic_case_the_oracle_refutes():
+    # m_1 + m_2 = 17 would be the bound at 9,8,7,7,7, but at every seed
+    # the five points impose dependent conditions in degrees 17 and 18:
+    # dim I_17 = 12 against P = 6 and dim I_18 = 26 against P = 25.
+    z = (9, 8, 7, 7, 7)
+    assert (hilbert_polynomial(z, 17), hilbert_polynomial(z, 18)) == (6, 25)
+    for seed in range(3):
+        assert oracle_table(PointConfig.random(5, seed=seed), z, 17, 19) == \
+            [[17, 12], [18, 26], [19, hilbert_polynomial(z, 19)]], seed
+    assert find_tau(z) == 19
+    with pytest.raises(ValueError, match="d\\^2 >= n"):
+        tb.gimigliano_tau(z)
+
+
+def _bounds_docs(mults) -> list:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bounds", "--mults", ",".join(map(str, mults)), "--json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def test_bounds_suite_brackets_the_exact_characters_on_the_grid():
+    # Every nonincreasing tuple of 1 to 9 multiplicities in 1..5, where
+    # the expected alpha and tau are exact: no alpha-lower report lies
+    # above alpha and no tau-upper report below tau.
+    for n in range(1, 10):
+        for mults in itertools.combinations_with_replacement(range(5, 0, -1), n):
+            docs = _bounds_docs(mults)
+            value = {doc["method"]: doc["value"] for doc in docs}
+            alpha, tau = value["expected-alpha"], value["expected-tau"]
+            for doc in docs:
+                if doc["direction"] == "alpha-lower":
+                    assert doc["value"] <= alpha, (mults, doc)
+                elif doc["direction"] == "tau-upper":
+                    assert doc["value"] >= tau, (mults, doc)
+            assert ("gimigliano" in value) == (n not in (2, 5)), mults
 
 
 def test_hirschowitz_examples():
@@ -147,8 +192,8 @@ def test_sandwich_every_bound_above_tau():
         reports = []
         if sum(1 for x in z if x > 0) >= 5:
             reports.append(tb.catalisano_tau(z))
-        if sum(1 for x in z if x > 0) >= 3:
-            # The d = 1 case of this bound is unsound for two points.
+        if sum(1 for x in z if x > 0) not in (2, 5):
+            # The bound needs d^2 >= n, which fails at n = 2 and 5 only.
             reports.append(tb.gimigliano_tau(z))
         reports += [tb.hirschowitz_tau(z), tb.roe_tau(z)]
         r = rng.randrange(1, n + 1)
@@ -162,6 +207,13 @@ def test_sandwich_every_bound_above_tau():
                       f"{rep.value} < {tau}")
 
 
+def _value_or_error(fn, z):
+    try:
+        return fn(z).value
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_padding_and_permutation_invariance():
     rng = random.Random(7)
     for _ in range(30):
@@ -171,5 +223,6 @@ def test_padding_and_permutation_invariance():
         shuffled = z[:]
         rng.shuffle(shuffled)
         for fn in (tb.gimigliano_tau, tb.hirschowitz_tau, tb.catalisano_tau):
-            assert fn(z).value == fn(zz).value == fn(shuffled).value
+            assert _value_or_error(fn, z) == _value_or_error(fn, zz) \
+                == _value_or_error(fn, shuffled)
         assert tb.roe_tau(z).value == tb.roe_tau(shuffled).value

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from fatpoints import alpha_bounds as ab
 from fatpoints import tau_bounds as tb
+from fatpoints.lattice import FatPointSpec
 
 
 def _lowered(v, r):
@@ -128,7 +129,7 @@ def test_state_matches_sort_and_clamp(mults, steps):
 def test_lowering_sequence_matches_repeated_lowering(z, reads):
     # Reads out of order first, then every k <= 40 in order.
     v0 = sorted(z, reverse=True)
-    w = ab._clean(z)
+    w = FatPointSpec(z).positive
     for r in range(1, len(z) + 1):
         seq = ab._Lowerings(w, min(r, len(w)))
         expected, v = [], v0
@@ -153,7 +154,7 @@ def test_unloading_matches_reference(z, d):
 def test_early_stopped_minimum_decides_against_best(z, d, best):
     # Exact when the bound beats best, and at most best otherwise.
     v = sorted(z, reverse=True)
-    w = ab._clean(z)
+    w = FatPointSpec(z).positive
     for r in range(1, len(z) + 1):
         value = _first_t(lambda t: _unloading_certifies_ref(t, v, r, d))
         got = ab._unloading_min(ab._Lowerings(w, min(r, len(w))), d, best)
@@ -260,7 +261,7 @@ def test_lowering_empties_after_the_lemma_count_and_caps_bound_each_pair(z, data
 def _search_before_cap(z):
     # The search without the cap: every r builds a lowering sequence and
     # every d with d^2 <= r walks it until it cannot beat the best.
-    w = ab._clean(z)
+    w = FatPointSpec(z).positive
     best, best_r, best_d = 0, 0, 0
     for r in range(1, len(w) + 1):
         seq = ab._Lowerings(w, r)
@@ -317,7 +318,7 @@ def test_one_state_build_per_call(monkeypatch):
     monkeypatch.setattr(ab, "unloading_alpha",
                         lambda *args: scans.append(args[1:]) or unloading_alpha(*args))
     for mults in (z, [7] * 40 + [0]):
-        w = ab._clean(mults)
+        w = FatPointSpec(mults).positive
         best, capped = 0, []
         for r in range(1, len(w) + 1):
             if any(_cap(w, r, d) > best for d in range(1, isqrt(r) + 1)):
