@@ -51,7 +51,7 @@ from typing import Sequence
 
 from .hilbert import find_alpha
 from .lattice import as_spec, reduce_fundamental_raw
-from .report import ALPHA_LOWER, CHAR_ZERO, BoundReport, fmt_rational
+from .report import ALPHA_LOWER, CHAR_ZERO, BoundReport, PreconditionError, fmt_rational
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -62,9 +62,9 @@ def _ceil_div(a: int, b: int) -> int:
 def _check_rd(r: int, n: int, d: int) -> None:
     # The degree-d curve through the first r of n points.
     if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+        raise PreconditionError(f"need 1 <= r <= n, got r={r}, n={n}")
     if d < 1:
-        raise ValueError("d must be positive")
+        raise PreconditionError("d must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -82,23 +82,23 @@ def nef_test_bound(z, weights: Sequence, r: int, d: int) -> BoundReport:
     n = z.n
     a = [Fraction(w) for w in weights]
     if len(a) > n + 1:
-        raise ValueError(f"weight vector longer than n+1 = {n + 1}")
+        raise PreconditionError(f"weight vector longer than n+1 = {n + 1}")
     a += [Fraction(0)] * (n + 1 - len(a))
     lcm = 1
     for w in a:
         lcm = lcm * w.denominator // gcd(lcm, w.denominator)
     ints = [int(w * lcm) for w in a]
     if all(w == 0 for w in ints):
-        raise ValueError("weights must not be all zero")
+        raise PreconditionError("weights must not be all zero")
     if any(w < 0 for w in ints):
-        raise ValueError("weights must be nonnegative")
+        raise PreconditionError("weights must be nonnegative")
     if any(ints[i] < ints[i + 1] for i in range(n)):
-        raise ValueError("weights must be nonincreasing")
+        raise PreconditionError("weights must be nonincreasing")
     _check_rd(r, n, d)
     if ints[0] * d * d < sum(ints[1:r + 1]):
-        raise ValueError("weights violate a0*d^2 >= a1+...+ar")
+        raise PreconditionError("weights violate a0*d^2 >= a1+...+ar")
     if r * ints[0] < sum(ints[1:]):
-        raise ValueError("weights violate r*a0 >= a1+...+an")
+        raise PreconditionError("weights violate r*a0 >= a1+...+an")
     value = _ceil_div(sum(w * x for w, x in zip(ints[1:], z.positive)), ints[0] * d)
     return BoundReport("nef-test", ALPHA_LOWER, value,
                        (("r", r), ("d", d),
@@ -122,26 +122,26 @@ def nef_variant_bound(z, variant: str, r: int, d: int, j: int | None = None) -> 
     total = sum(w)
     if variant == "a":
         if r * r < n * d * d:
-            raise ValueError("variant (a) needs r^2 >= n*d^2")
+            raise PreconditionError("variant (a) needs r^2 >= n*d^2")
         value = _ceil_div(total * d, r)
     elif variant == "b":
         if r * r > n * d * d:
-            raise ValueError("variant (b) needs r^2 <= n*d^2")
+            raise PreconditionError("variant (b) needs r^2 <= n*d^2")
         value = _ceil_div(total * r, n * d)
     elif variant == "c":
         if d * d < r:
-            raise ValueError("variant (c) needs d^2 >= r")
+            raise PreconditionError("variant (c) needs d^2 >= r")
         value = _ceil_div(sum(w[:r]), d)
     elif variant == "d":
         if d * d >= r:
-            raise ValueError("variant (d) needs d^2 < r")
+            raise PreconditionError("variant (d) needs d^2 < r")
         if j is None:
-            raise ValueError("variant (d) needs j")
+            raise PreconditionError("variant (d) needs j")
         if not 0 <= j <= d * d:
-            raise ValueError("variant (d) needs 0 <= j <= d^2")
+            raise PreconditionError("variant (d) needs 0 <= j <= d^2")
         value = _prefix_spread_bound(w, z.sums, r, d, j)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise PreconditionError(f"unknown variant {variant!r}")
     params = [("r", r), ("d", d)]
     if variant == "d":
         params.append(("j", j))
@@ -201,7 +201,7 @@ def best_variant_d_search(z) -> BoundReport:
     w, sums = z.positive, z.sums
     n = len(w)
     if n == 0:
-        raise ValueError("the empty subscheme has no bound parameters")
+        raise PreconditionError("the empty subscheme has no bound parameters")
     best, best_r, best_d, best_j = 0, 0, 0, 0
     for r in range(1, n + 1):
         w_r = w[r] if r < n else 0
@@ -225,13 +225,11 @@ def best_variant_d_search(z) -> BoundReport:
 def best_rd_a(n: int) -> tuple[int, int]:
     """(r, d) with r <= n and r^2 >= n d^2 maximizing n d / r (smallest d on ties)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise PreconditionError("n must be positive")
     root = isqrt(n)
     r, d = (root if root * root == n else root + 1), 1
     for cand_d in range(1, root + 1):
-        cand_r = cand_d * root
-        while cand_r * cand_r < cand_d * cand_d * n:
-            cand_r += 1
+        cand_r = isqrt(cand_d * cand_d * n - 1) + 1  # least r with r^2 >= d^2 n
         if cand_r * d < cand_d * r:
             r, d = cand_r, cand_d
     return r, d
@@ -240,15 +238,12 @@ def best_rd_a(n: int) -> tuple[int, int]:
 def best_rd_b(n: int) -> tuple[int, int]:
     """(r, d) with r <= n and r^2 <= n d^2 maximizing r / d (smallest d on ties)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise PreconditionError("n must be positive")
     root = isqrt(n)
     top = root if root * root == n else root + 1
     r, d = (root if root * root == n else root - 1), 1
     for cand_d in range(1, top + 1):
-        cand_r = cand_d * top
-        while cand_r * cand_r > cand_d * cand_d * n:
-            cand_r -= 1
-        cand_r = min(cand_r, n)
+        cand_r = min(isqrt(cand_d * cand_d * n), n)  # largest r with r^2 <= d^2 n
         if cand_r * d > cand_d * r:
             r, d = cand_r, cand_d
     return r, d
@@ -399,7 +394,7 @@ def unloading_alpha_formula(n: int, m: int, r: int, d: int) -> BoundReport:
     """
     _check_rd(r, n, d)
     if 2 * r < n + d * d:
-        raise ValueError("closed form needs 2r >= n + d^2")
+        raise PreconditionError("closed form needs 2r >= n + d^2")
     if m == 0:
         return BoundReport("unloading-formula", ALPHA_LOWER, 0, (("r", r), ("d", d)))
     u, rho = _u_rho(n, m, r)
@@ -445,7 +440,7 @@ def best_unloading_search(z) -> BoundReport:
     w, sums = z.positive, z.sums
     n = len(w)
     if n == 0:
-        raise ValueError("the empty subscheme has no bound parameters")
+        raise PreconditionError("the empty subscheme has no bound parameters")
     w0 = w[0]
     best, best_r, best_d = 0, 0, 0
     for r in range(1, n + 1):
@@ -559,7 +554,7 @@ def modified_unloading_alpha_formula_a(n: int, m: int, r: int, d: int) -> BoundR
     """
     _check_rd(r, n, d)
     if not (2 * n >= 2 * r >= n + d * d):
-        raise ValueError("closed form (a) needs 2n >= 2r >= n + d^2")
+        raise PreconditionError("closed form (a) needs 2n >= 2r >= n + d^2")
     if m == 0:
         return BoundReport("modified-unloading-formula-a", ALPHA_LOWER, 0,
                            (("r", r), ("d", d)), (CHAR_ZERO,))
@@ -577,7 +572,7 @@ def modified_unloading_alpha_formula_b(n: int, m: int, r: int, d: int) -> BoundR
     """
     _check_rd(r, n, d)
     if not (d * (d + 1) // 2 <= r <= min(n, d * d)):
-        raise ValueError("closed form (b) needs d(d+1)/2 <= r <= min(n, d^2)")
+        raise PreconditionError("closed form (b) needs d(d+1)/2 <= r <= min(n, d^2)")
     if m == 0:
         return BoundReport("modified-unloading-formula-b", ALPHA_LOWER, 0,
                            (("r", r), ("d", d)), (CHAR_ZERO,))
@@ -598,16 +593,17 @@ def _in_semigroup(t: int, mults) -> bool:
     return d >= 0 and d >= m[0]
 
 
-def semigroup_alpha_bound(z) -> BoundReport:
+def semigroup_alpha_bound(z, alpha: int | None = None) -> BoundReport:
     """Least t whose class lies in the exceptional semigroup.
 
     Scans downward from the expected least nonzero degree, whose class is
-    always a member, and returns one past the first failure.
+    always a member, and returns one past the first failure.  A caller
+    that already has that degree (``find_alpha(z)``) passes it as alpha.
     """
     z = as_spec(z)
     if not z.positive:
-        raise ValueError("the empty subscheme is everywhere effective")
-    t = find_alpha(z)
+        raise PreconditionError("the empty subscheme is everywhere effective")
+    t = find_alpha(z) if alpha is None else alpha
     while t >= 0 and _in_semigroup(t, z.mults):
         t -= 1
     return BoundReport("semigroup-membership", ALPHA_LOWER, t + 1)
@@ -619,7 +615,7 @@ def nagata_reference(n: int, m: int) -> BoundReport:
     Not a proven bound; reported for comparison with the proven methods.
     """
     if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+        raise PreconditionError("need n >= 1 and m >= 1")
     value = isqrt(m * m * n) + 1
     return BoundReport("nagata-reference", ALPHA_LOWER, value,
                        (), ("conjectural reference, not a proven bound",))

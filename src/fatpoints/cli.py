@@ -19,6 +19,7 @@ import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from . import alpha_bounds as ab
 from . import tau_bounds as tb
@@ -26,7 +27,7 @@ from .hilbert import (EXACT_POINT_LIMIT, _alpha_tau, beta_expected, exactness_fl
                       find_alpha, find_tau, hilbert_table)
 from .lattice import DivisorClass, FatPointSpec, decompose
 from .oracle import DEFAULT_PRIME, PointConfig, oracle_table
-from .report import ALPHA_LOWER, SHGH_CONDITIONAL, BoundReport
+from .report import ALPHA_LOWER, SHGH_CONDITIONAL, BoundReport, PreconditionError
 from .resolution import betti_table
 
 
@@ -304,85 +305,73 @@ def _cmd_oracle(args) -> int:
 
 
 def _run_methods(makers) -> list[BoundReport]:
-    """Evaluate bound thunks in order, skipping inapplicable ones."""
+    """Evaluate bound thunks in order, dropping those that do not apply.
+
+    Only a PreconditionError means "does not apply"; any other error
+    propagates, so a broken method exits non-zero instead of vanishing.
+    """
     reports = []
     for make in makers:
         try:
             reports.append(make())
-        except ValueError:
+        except PreconditionError:
             continue
     return reports
-
-
-def _alpha_methods(z: FatPointSpec, rds) -> list:
-    makers = [lambda: ab.semigroup_alpha_bound(z),
-              lambda: ab.roe_alpha(z)]
-    if z.positive:
-        (ra, da), (rb, db) = rds
-        makers += [
-            lambda: ab.nef_variant_bound(z, "a", ra, da),
-            lambda: ab.nef_variant_bound(z, "b", rb, db),
-            lambda: ab.best_variant_d_search(z),
-            lambda: _best_of(ab.modified_unloading_alpha, z, *rds, pick=max),
-            lambda: ab.best_unloading_search(z),
-        ]
-    return makers
-
-
-def _tau_methods(z: FatPointSpec, rds) -> list:
-    makers = [lambda: tb.hirschowitz_tau(z),
-              lambda: tb.gimigliano_tau(z),
-              lambda: tb.catalisano_tau(z)]
-    if len(z.positive) >= 2:
-        makers.append(lambda: tb.roe_tau(z))
-    if z.positive:
-        makers.append(lambda: _best_of(tb.modified_unloading_tau, z, *rds, pick=min))
-    return makers
 
 
 def _sqrt_rd(n: int) -> tuple[int, int]:
     # d = floor(sqrt(n)) with the least r >= d*sqrt(n): the standard
     # parameter choice for the closed-form modified-unloading bounds.
+    # For n >= 1, d^2 <= n, so d^2 <= r <= n.
     d = max(1, math.isqrt(n))
-    r = d * d
-    while r * r < d * d * n:
-        r += 1
-    return min(r, n), d
+    return math.isqrt(d * d * n - 1) + 1, d
 
 
-def _uniform_extra_alpha(z: FatPointSpec, rds) -> list:
-    n, m = z.n, z.mults[0]
-    (ra, da), _ = rds
-    rf, df = _sqrt_rd(n)
-    makers = [
-        lambda: ab.unloading_alpha(z, ra, da),
-        lambda: ab.modified_unloading_alpha_formula_a(n, m, rf, df),
-        lambda: ab.modified_unloading_alpha_formula_b(n, m, min(n, df * df), df),
-    ]
-    if n > 9:
-        makers.append(lambda: ab.nagata_reference(n, m))
-    return makers
+def _default_methods(z: FatPointSpec, alpha: int, requested_tau: list) -> tuple[list, list]:
+    """The default suite's alpha and tau thunks, in report order.
 
-
-def _uniform_extra_tau(z: FatPointSpec, rds) -> list:
-    n, m = z.n, z.mults[0]
-    makers = []
-    if n > 9:
-        makers += [lambda: tb.segre_tau(n, m), lambda: tb.cubic_tau(n, m)]
-    if n >= 9:
-        makers.append(lambda: tb.sqrt_specialization_tau(n, m))
-    rf, df = _sqrt_rd(n)
-    makers.append(lambda: tb.modified_unloading_tau_formula_a(n, m, rf, df))
-    makers.append(lambda: tb.modified_unloading_tau_formula_b(n, m, min(n, df * df), df))
-    if n > 9:
-        (ra, da), (rb, db) = rds
-        makers.append(lambda: tb.ran_tau(n, m, max(Fraction(n * da, ra),
-                                                   Fraction(rb, db))))
-    return makers
-
-
-def _best_of(fn, z: FatPointSpec, *rds, pick) -> BoundReport:
-    return pick((fn(z, r, d) for r, d in rds), key=lambda rep: rep.value)
+    alpha is find_alpha(z).  The explicitly requested tau reports sit
+    between the general and the uniform-only tau methods.  Every method
+    checks its own preconditions; the guards here keep out only the
+    calls a method would accept but should not get, and the parameter
+    choices that need a positive multiplicity.
+    """
+    n = len(z.positive)
+    by_value = attrgetter("value")
+    alphas = [lambda: ab.semigroup_alpha_bound(z, alpha), lambda: ab.roe_alpha(z)]
+    taus = [lambda: tb.hirschowitz_tau(z), lambda: tb.gimigliano_tau(z),
+            lambda: tb.catalisano_tau(z)]
+    if n >= 2:
+        # roe_tau's own check counts zeros: roe_tau([0] * 5) is 0.
+        taus.append(lambda: tb.roe_tau(z))
+    if n:
+        # The (r, d) pairs of weight families (a) and (b).
+        rds = (ra, da), (rb, db) = ab.best_rd_a(n), ab.best_rd_b(n)
+        alphas += [
+            lambda: ab.nef_variant_bound(z, "a", ra, da),
+            lambda: ab.nef_variant_bound(z, "b", rb, db),
+            lambda: ab.best_variant_d_search(z),
+            lambda: max((ab.modified_unloading_alpha(z, r, d) for r, d in rds), key=by_value),
+            lambda: ab.best_unloading_search(z),
+        ]
+        taus.append(
+            lambda: min((tb.modified_unloading_tau(z, r, d) for r, d in rds), key=by_value))
+    taus += [lambda rep=rep: rep for rep in requested_tau]
+    if n and z.is_uniform():
+        m = z.positive[0]
+        rf, df = _sqrt_rd(n)
+        alphas += [lambda: ab.unloading_alpha(z, ra, da),
+                   lambda: ab.modified_unloading_alpha_formula_a(n, m, rf, df),
+                   lambda: ab.modified_unloading_alpha_formula_b(n, m, df * df, df)]
+        taus += [lambda: tb.segre_tau(n, m), lambda: tb.cubic_tau(n, m),
+                 lambda: tb.sqrt_specialization_tau(n, m),
+                 lambda: tb.modified_unloading_tau_formula_a(n, m, rf, df),
+                 lambda: tb.modified_unloading_tau_formula_b(n, m, df * df, df)]
+        if n > 9:
+            # Both are stated for n > 9 but accept any n >= 1.
+            alphas.append(lambda: ab.nagata_reference(n, m))
+            taus.append(lambda: tb.ran_tau(n, m, max(Fraction(n * da, ra), Fraction(rb, db))))
+    return alphas, taus
 
 
 def _requested_reports(z: FatPointSpec, args) -> tuple[list, list]:
@@ -417,14 +406,9 @@ def _cmd_bounds(args) -> int:
     label = "Value" if exact else "Expected value (SHGH)"
     ea, et = _alpha_tau(z)
     requested_alpha, requested_tau = _requested_reports(z, args)
-    # The (r, d) pairs of weight families (a) and (b), shared by every
-    # method list below.
-    rds = (ab.best_rd_a(n), ab.best_rd_b(n)) if n else None
-    alpha_reports = requested_alpha + _run_methods(_alpha_methods(z, rds))
-    tau_reports = _run_methods(_tau_methods(z, rds)) + requested_tau
-    if z.is_uniform() and z.mults[0] > 0:
-        alpha_reports += _run_methods(_uniform_extra_alpha(z, rds))
-        tau_reports += _run_methods(_uniform_extra_tau(z, rds))
+    alpha_makers, tau_makers = _default_methods(z, ea, requested_tau)
+    alpha_reports = requested_alpha + _run_methods(alpha_makers)
+    tau_reports = _run_methods(tau_makers)
     if args.json:
         direction = exactness_flag(n)
         docs = [_report_json(z, BoundReport("expected-alpha", direction, ea))]

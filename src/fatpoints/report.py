@@ -12,6 +12,10 @@ CHAR_ZERO = "characteristic 0 only"
 SHGH_CONDITIONAL = "SHGH-conditional"
 
 
+class PreconditionError(ValueError):
+    """A bound method does not apply to the given scheme or parameters."""
+
+
 def fmt_rational(x) -> str:
     """Exact rendering: integers plainly, other rationals as p/q."""
     f = Fraction(x)

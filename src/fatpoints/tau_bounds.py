@@ -15,9 +15,10 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
-from .alpha_bounds import _ceil_div, _check_rd, _Lowerings, _Runs, _u_rho
+from .alpha_bounds import _ceil_div, _check_rd, _Lowerings, _Runs, _tri_root, _u_rho
+from .hilbert import _least_above
 from .lattice import as_spec
-from .report import TAU_UPPER, CHAR_ZERO, BoundReport, fmt_rational
+from .report import TAU_UPPER, CHAR_ZERO, BoundReport, PreconditionError, fmt_rational
 
 
 def segre_tau(n: int, m: int) -> BoundReport:
@@ -34,9 +35,9 @@ def cubic_tau(n: int, m: int) -> BoundReport:
 
 def _check_uniform_big(n: int, m: int) -> None:
     if n <= 9:
-        raise ValueError("bound is stated for n > 9 points only")
+        raise PreconditionError("bound is stated for n > 9 points only")
     if m < 1:
-        raise ValueError("multiplicity must be positive")
+        raise PreconditionError("multiplicity must be positive")
 
 
 def gimigliano_tau(z) -> BoundReport:
@@ -52,12 +53,11 @@ def gimigliano_tau(z) -> BoundReport:
     w = as_spec(z).positive
     n = len(w)
     if n == 0:
-        raise ValueError("the empty subscheme needs no bound")
-    d = 0
-    while d * (d + 3) < 2 * n:
-        d += 1
+        raise PreconditionError("the empty subscheme needs no bound")
+    # The least d with d(d + 3) >= 2n, that is d^2 + 3d + 2 > 2n + 1.
+    d = _least_above(2 * n + 1)
     if d * d < n:
-        raise ValueError(f"bound needs d^2 >= n, got n={n}, d={d}")
+        raise PreconditionError(f"bound needs d^2 >= n, got n={n}, d={d}")
     return BoundReport("gimigliano", TAU_UPPER, sum(w[:d]), (("d", d),))
 
 
@@ -65,7 +65,7 @@ def hirschowitz_tau(z) -> BoundReport:
     """Least d >= m_1 with ceil((d+3)/2) * ceil((d+2)/2) > sum m_i(m_i+1)/2."""
     z = as_spec(z)
     if not z.positive:
-        raise ValueError("the empty subscheme needs no bound")
+        raise PreconditionError("the empty subscheme needs no bound")
     d = z.positive[0]
     while _ceil_div(d + 3, 2) * _ceil_div(d + 2, 2) * 2 <= z.condition_sum:
         d += 1
@@ -79,9 +79,9 @@ def sqrt_specialization_tau(n: int, m: int) -> BoundReport:
     ceil(sqrt(n)); an equality for square n >= 9 once m is large enough.
     """
     if n < 9:
-        raise ValueError("bound is stated for n >= 9 points only")
+        raise PreconditionError("bound is stated for n >= 9 points only")
     if m < 0:
-        raise ValueError("multiplicity must be nonnegative")
+        raise PreconditionError("multiplicity must be nonnegative")
     root = isqrt(n)
     if root * root != n:
         root += 1
@@ -101,7 +101,7 @@ def catalisano_tau(z) -> BoundReport:
     w = as_spec(z).positive
     n = len(w)
     if n < 5:
-        raise ValueError("bound needs at least 5 points of positive multiplicity")
+        raise PreconditionError("bound needs at least 5 points of positive multiplicity")
     if w[0] == w[-1]:
         return BoundReport("catalisano", TAU_UPPER, _catalisano_uniform(n, w[0]))
     return BoundReport(
@@ -111,13 +111,8 @@ def catalisano_tau(z) -> BoundReport:
 
 def _split_floor(points: int) -> tuple[int, int]:
     # Largest f with f(f+1) <= 2*points, and least r with 2r >= 2*points - f(f+1).
-    f = 0
-    while (f + 1) * (f + 2) <= 2 * points:
-        f += 1
-    r = 0
-    while 2 * r < 2 * points - f * (f + 1):
-        r += 1
-    return f, r
+    f = _tri_root(points) + 1
+    return f, points - f * (f + 1) // 2
 
 
 def _catalisano_uniform(n: int, m: int) -> int:
@@ -165,7 +160,7 @@ def roe_tau(z) -> BoundReport:
     """
     z = as_spec(z)
     if z.n < 2:
-        raise ValueError("bound needs at least 2 points")
+        raise PreconditionError("bound needs at least 2 points")
     w = z.positive or (0,)
     top = w[0]
     rest = _Runs(w[1:])
@@ -213,7 +208,7 @@ def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundRep
     """Closed form when 2r >= n + d^2: max(ceil((m r + g - 1)/d), (u+1) d - 2)."""
     _check_rd(r, n, d)
     if 2 * r < n + d * d:
-        raise ValueError("closed form (a) needs 2r >= n + d^2")
+        raise PreconditionError("closed form (a) needs 2r >= n + d^2")
     if m == 0:
         return BoundReport("modified-unloading-formula-a", TAU_UPPER, 0,
                            (("r", r), ("d", d)), (CHAR_ZERO,))
@@ -228,7 +223,7 @@ def modified_unloading_tau_formula_b(n: int, m: int, r: int, d: int) -> BoundRep
     """Closed form when r <= d^2: max(ceil((rho + g - 1)/d) + u d, (u+1) d - 2)."""
     _check_rd(r, n, d)
     if r > d * d:
-        raise ValueError("closed form (b) needs r <= d^2")
+        raise PreconditionError("closed form (b) needs r <= d^2")
     if m == 0:
         return BoundReport("modified-unloading-formula-b", TAU_UPPER, 0,
                            (("r", r), ("d", d)), (CHAR_ZERO,))
@@ -247,10 +242,10 @@ def ran_tau(n: int, m: int, c) -> BoundReport:
     square-root ceiling uses integer arithmetic only.
     """
     if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+        raise PreconditionError("need n >= 1 and m >= 0")
     c = Fraction(c)
     if c <= 0:
-        raise ValueError("the slope c must be positive")
+        raise PreconditionError("the slope c must be positive")
     if n * c.denominator ** 2 >= c.numerator ** 2:
         value = -3 + _ceil_div((m + 1) * n * c.denominator, c.numerator)
     else:

@@ -88,6 +88,41 @@ def test_best_rd_examples():
         assert rb <= n and rb * rb <= n * db * db
 
 
+def _best_rd_a_loop(n):
+    # Reference for best_rd_a: the least r stepped up from d * isqrt(n).
+    root = math.isqrt(n)
+    r, d = (root if root * root == n else root + 1), 1
+    for cand_d in range(1, root + 1):
+        cand_r = cand_d * root
+        while cand_r * cand_r < cand_d * cand_d * n:
+            cand_r += 1
+        if cand_r * d < cand_d * r:
+            r, d = cand_r, cand_d
+    return r, d
+
+
+def _best_rd_b_loop(n):
+    # Reference for best_rd_b: the largest r stepped down from d * top.
+    root = math.isqrt(n)
+    top = root if root * root == n else root + 1
+    r, d = (root if root * root == n else root - 1), 1
+    for cand_d in range(1, top + 1):
+        cand_r = cand_d * top
+        while cand_r * cand_r > cand_d * cand_d * n:
+            cand_r -= 1
+        cand_r = min(cand_r, n)
+        if cand_r * d > cand_d * r:
+            r, d = cand_r, cand_d
+    return r, d
+
+
+def test_best_rd_closed_forms_match_the_stepping_loops():
+    rng = random.Random(14)
+    for n in list(range(1, 2001)) + [rng.randint(2001, 10 ** 5) for _ in range(20)]:
+        assert ab.best_rd_a(n) == _best_rd_a_loop(n), n
+        assert ab.best_rd_b(n) == _best_rd_b_loop(n), n
+
+
 def test_unloading_examples():
     u = [3] * 22
     assert ab.unloading_alpha(u, 19, 4).value == 15

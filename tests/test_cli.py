@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fatpoints
-from fatpoints import cli
+from fatpoints import cli, hilbert
+from fatpoints import tau_bounds as tb
 from fatpoints.cli import canonical_json, main
 from fatpoints.lattice import FatPointSpec
+from fatpoints.report import PreconditionError
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference"
@@ -256,20 +259,117 @@ def test_bounds_explicit_method_parameters(capsys):
     assert code == 3 and "--r" in err
 
 
+_BOUNDS_ARGS = [("--uniform", "22:3"), ("--uniform", "9:2"), ("--mults", "9,8,7,7,7"),
+                ("--mults", "5,0,4,3,3,1,0,2,2,1,1"), ("--mults", "0,0"),
+                ("--uniform", "22:3", "--r", "19", "--d", "4", "--j", "3"),
+                ("--mults", "5,4,3", "--r", "3", "--d", "2", "--weights", "1,1,1,1")]
+
+
 def test_one_bounds_query_builds_one_spec(capsys, monkeypatch):
     # Every method reads the normal form of the one spec the query builds.
     builds = []
     init = FatPointSpec.__init__
     monkeypatch.setattr(FatPointSpec, "__init__",
                         lambda self, mults: builds.append(mults) or init(self, mults))
-    for args in [("--uniform", "22:3"), ("--uniform", "9:2"), ("--mults", "9,8,7,7,7"),
-                 ("--mults", "5,0,4,3,3,1,0,2,2,1,1"), ("--mults", "0,0"),
-                 ("--uniform", "22:3", "--r", "19", "--d", "4", "--j", "3"),
-                 ("--mults", "5,4,3", "--r", "3", "--d", "2", "--weights", "1,1,1,1")]:
+    for args in _BOUNDS_ARGS:
         builds.clear()
         code, _, err = run(capsys, "bounds", *args, "--json")
         assert code == 0, (args, err)
         assert len(builds) == 1, args
+
+
+def test_one_bounds_query_searches_alpha_once(capsys, monkeypatch):
+    # The semigroup bound starts from the alpha the query already found.
+    calls = []
+    search = hilbert._alpha_tau
+    counted = lambda *a, **k: calls.append(a) or search(*a, **k)
+    monkeypatch.setattr(hilbert, "_alpha_tau", counted)
+    monkeypatch.setattr(cli, "_alpha_tau", counted)
+    for args in _BOUNDS_ARGS:
+        calls.clear()
+        code, _, err = run(capsys, "bounds", *args, "--json")
+        assert code == 0, (args, err)
+        assert len(calls) == 1, args
+
+
+def test_only_a_precondition_error_drops_a_default_method(capsys, monkeypatch):
+    # A method that does not apply is left out; one that breaks is an error.
+    argv = ("bounds", "--uniform", "12:2", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = [doc for doc in json.loads(out) if doc["method"] != "hirschowitz"]
+
+    def broken(z):
+        raise ValueError("boom")
+    monkeypatch.setattr(tb, "hirschowitz_tau", broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "boom" in err
+
+    def inapplicable(z):
+        raise PreconditionError("boom")
+    monkeypatch.setattr(tb, "hirschowitz_tau", inapplicable)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out) == want
+
+
+def _sqrt_rd_loop(n):
+    # Reference for cli._sqrt_rd: r stepped up from d^2.
+    d = max(1, math.isqrt(n))
+    r = d * d
+    while r * r < d * d * n:
+        r += 1
+    return min(r, n), d
+
+
+def test_sqrt_rd_closed_form_matches_the_stepping_loop():
+    rng = random.Random(14)
+    for n in list(range(1, 2001)) + [rng.randint(2001, 10 ** 5) for _ in range(20)]:
+        assert cli._sqrt_rd(n) == _sqrt_rd_loop(n), n
+
+
+# The builder lists the uniform-only methods last: four alpha, six tau.
+_UNIFORM_ONLY_ALPHA = ("unloading", "modified-unloading-formula-a",
+                       "modified-unloading-formula-b", "nagata-reference")
+_UNIFORM_ONLY_TAU = ("conic-specialization", "cubic-specialization", "sqrt-specialization",
+                     "modified-unloading-formula-a", "modified-unloading-formula-b",
+                     "ran-from-alpha")
+
+
+def _uniform_only_violations(n: int, m: int) -> set:
+    # The uniform-only reports on n points of multiplicity m that fall on
+    # the wrong side of the expected value: a proven alpha-lower report
+    # above alpha, or a tau-upper report below tau.
+    z = FatPointSpec((m,) * n)
+    alpha, tau = hilbert._alpha_tau(z)
+    alpha_makers, tau_makers = cli._default_methods(z, alpha, [])
+    lower = cli._run_methods(alpha_makers[-len(_UNIFORM_ONLY_ALPHA):])
+    upper = cli._run_methods(tau_makers[-len(_UNIFORM_ONLY_TAU):])
+    assert tuple(rep.method for rep in lower) == _UNIFORM_ONLY_ALPHA, (n, m)
+    assert tuple(rep.method for rep in upper) == _UNIFORM_ONLY_TAU, (n, m)
+    wrong = {(rep.method, n, m) for rep in lower if rep.value > alpha
+             and not any("conjectural" in v for v in rep.validity)}
+    return wrong | {(rep.method, n, m) for rep in upper if rep.value < tau}
+
+
+_CUBIC_DEFECT = {("cubic-specialization", 10, 2), ("cubic-specialization", 11, 1)}
+
+
+def test_uniform_only_methods_bracket_the_expected_values():
+    # n > 9 uniform, where the expected alpha is a proven upper bound for
+    # alpha and the expected tau a proven lower bound for tau.
+    violations = set()
+    for n in range(10, 301):
+        for m in range(1, 21):
+            violations |= _uniform_only_violations(n, m)
+    assert violations - _CUBIC_DEFECT == set()
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: tau_bounds.cubic_tau reports "
+                   "floor(m*n/3), below the expected tau, at 10:2 and 11:1")
+@pytest.mark.parametrize("n, m", [(10, 2), (11, 1)])
+def test_cubic_specialization_brackets_the_expected_tau(n, m):
+    assert _uniform_only_violations(n, m) == set()
 
 
 def _json_without_input(capsys, *argv) -> list:

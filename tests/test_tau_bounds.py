@@ -11,6 +11,7 @@ from fatpoints import tau_bounds as tb
 from fatpoints.cli import main
 from fatpoints.hilbert import find_tau, hilbert_polynomial
 from fatpoints.oracle import PointConfig, oracle_table
+from fatpoints.report import PreconditionError
 
 
 def test_conic_and_cubic_specializations():
@@ -34,6 +35,39 @@ def test_gimigliano_examples():
     for z in [(0, 0), (2, 2), (3, 1, 0), (9, 8, 7, 7, 7), (1, 1, 1, 1, 1)]:
         with pytest.raises(ValueError):
             tb.gimigliano_tau(z)
+
+
+def _split_floor_loop(points):
+    # Reference for tau_bounds._split_floor: f and r stepped up from 0.
+    f = 0
+    while (f + 1) * (f + 2) <= 2 * points:
+        f += 1
+    r = 0
+    while 2 * r < 2 * points - f * (f + 1):
+        r += 1
+    return f, r
+
+
+def _gimigliano_d_loop(n):
+    # Reference for gimigliano_tau's d: the least d with d(d+3) >= 2n,
+    # stepped up from 0.
+    d = 0
+    while d * (d + 3) < 2 * n:
+        d += 1
+    return d
+
+
+def test_closed_forms_match_the_stepping_loops():
+    rng = random.Random(14)
+    for n in list(range(1, 2001)) + [rng.randint(2001, 10 ** 5) for _ in range(20)]:
+        assert tb._split_floor(n) == _split_floor_loop(n), n
+        d = _gimigliano_d_loop(n)
+        if n in (2, 5):
+            with pytest.raises(PreconditionError, match=f"got n={n}, d={d}$"):
+                tb.gimigliano_tau([1] * n)
+        else:
+            assert tb.gimigliano_tau([1] * n).params == (("d", d),), n
+    assert tb._split_floor(0) == _split_floor_loop(0)
 
 
 def test_gimigliano_rejects_the_conic_case_the_oracle_refutes():
