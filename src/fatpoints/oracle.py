@@ -5,16 +5,21 @@ points at seeded random coordinates over F_p and compute actual ranks:
 
 * the dimension of the degree-t piece of the ideal is
   (t+1)(t+2)/2 - rank(M), where M stacks, for each point and each
-  partial-derivative order below its multiplicity, the evaluation of
-  that derivative on the degree-t monomial basis;
+  partial-derivative order below its multiplicity (and at most t), the
+  evaluation of that derivative on the degree-t monomial basis;
 * the number of degree-t minimal generators is dim I_t minus the rank
   of the span of x*f, y*f, z*f over a basis f of I_{t-1}.
 
 The matrix columns are ordered by total degree, and an entry does not
-depend on t, so the matrix of every degree s <= t is a column prefix of
-the degree-t one.  `oracle_table` therefore builds and row-reduces one
+depend on t, so the matrix of every degree s <= t is, up to zero rows,
+a column prefix of the degree-t one.  `oracle_table` therefore builds and row-reduces one
 matrix per degree window, at its top degree: each degree's rank is the
-number of pivots inside its prefix.  For generator counts, one
+number of pivots inside its prefix.  The heaviest point is first moved
+to the origin by a translation, which keeps every dimension and
+generator count; there its conditions are, up to units, the unit
+vectors of the columns of degree below its multiplicity, so those
+columns are pivots without elimination and only the other points'
+conditions on the later columns are reduced.  For generator counts, one
 back-substitution over the free columns yields the RREF kernel basis of
 I_{s-1} for every s in the window; nu_s reduces to the rank of the x*f
 and y*f rows on the free columns of degree exactly s, which read only
@@ -37,10 +42,11 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
+from typing import Sequence
 
 import numpy as np
 
-from .lattice import FatPointSpec, as_spec
+from .lattice import as_spec
 
 DEFAULT_PRIME = 31991
 
@@ -167,7 +173,9 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
         m[r, c:] = m[r, c:] % p * pow(int(m[r, c]), -1, p) % p
-        below = np.nonzero(m[r + 1:, c])[0] + r + 1
+        # Row r was zero in column c if it was swapped, so the rows below
+        # the pivot with an entry there are the rest of the scan's hits.
+        below = nz[1:] + r
         if below.size:
             if pending == budget:
                 m[r + 1:, c + 1:] %= p
@@ -237,15 +245,18 @@ def _exponents(t: int) -> tuple[np.ndarray, np.ndarray]:
     return deg - b, b
 
 
-def _condition_matrix(cfg: PointConfig, z: FatPointSpec, t: int) -> np.ndarray:
-    """Rows (point, dx, dy) with dx + dy below the point's multiplicity, in
-    that order; the entry in column x^a y^b is the dx-th x- and dy-th
-    y-derivative of x^a y^b at the point, mod p."""
+def _condition_matrix(cfg: PointConfig, mults: Sequence[int], t: int,
+                      origin: tuple[int, int]) -> np.ndarray:
+    """Rows (point, dx, dy) with dx + dy below min(m, t + 1), m the point's
+    multiplicity, in that order; the entry in column x^a y^b is the dx-th
+    x- and dy-th y-derivative of x^a y^b at the point minus `origin`, mod p.
+    Orders above t are left out: every column has degree <= t, so their
+    rows would be zero."""
     if t < 0:  # no monomials, so no conditions
         return np.zeros((0, 0), dtype=np.int64)
     p = cfg.prime
     a, b = _exponents(t)
-    live = [(pt, m) for pt, m in zip(cfg.points, z.mults) if m > 0]
+    live = [(pt, min(m, t + 1)) for pt, m in zip(cfg.points, mults) if m > 0]
     if not live:
         return np.zeros((0, a.size), dtype=np.int64)
     depth = max(m for _, m in live)
@@ -254,9 +265,11 @@ def _condition_matrix(cfg: PointConfig, z: FatPointSpec, t: int) -> np.ndarray:
     falling = np.ones((t + 1, depth), dtype=np.int64)
     for d in range(1, depth):
         falling[:, d] = falling[:, d - 1] * ((e - d + 1) % p) % p
-    # powers[i, v, k] = (coordinate v of point i)^k mod p.
+    # powers[i, v, k] = (coordinate v of point i, minus origin)^k mod p.
     powers = np.ones((len(live), 2, t + 1), dtype=np.int64)
-    coords = np.array([(x % p, y % p) for (x, y), _ in live], dtype=np.int64)
+    x0, y0 = origin
+    coords = np.array([((x - x0) % p, (y - y0) % p) for (x, y), _ in live],
+                      dtype=np.int64)
     for k in range(1, t + 1):
         powers[:, :, k] = powers[:, :, k - 1] * coords % p
     # deriv[i, v, d, k] = d-th derivative of (coordinate v)^k at point i.
@@ -272,10 +285,29 @@ def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> lis
 
     One condition matrix M = M_hi is built and eliminated per call.  Its
     columns are graded (`_exponents`) and an entry depends on the point,
-    (dx, dy) and (a, b) but not on the degree, so M_s is exactly the first
-    c_s = (s+1)(s+2)/2 columns of M for every s <= hi; a derivative order
-    above s is a zero row of M_s, as it is in a matrix built at degree s.
+    (dx, dy) and (a, b) but not on the degree, so M_s, the first
+    c_s = (s+1)(s+2)/2 columns of M, is the degree-s matrix for every
+    s <= hi up to the zero rows of the derivative orders above s, which
+    change neither its rank nor its row space.
 
+    * The heaviest point k (the first one on a tie) is moved to the origin
+      and its conditions never enter the elimination.  The translation
+      [x:y:z] -> [x - x0 z : y - y0 z : z] by point k = (x0, y0) is a
+      graded automorphism of R that fixes z: it maps I(Z)_s onto the
+      degree-s piece of the ideal of the translated scheme for every s,
+      and so keeps every dim I_s; it maps R_1 onto itself, hence
+      R_1 I_{s-1} onto the same product space of the translated ideal,
+      and keeps every nu_s = dim I_s - dim R_1 I_{s-1} too.  At
+      the origin the row (dx, dy) of point k is dx! dy! times the unit
+      vector of column x^dx y^dy, and dx! dy! is invertible mod p as
+      dx, dy <= hi < p.  Its rows, the orders dx + dy < min(m_k, hi + 1),
+      thus span exactly the unit vectors of the first
+      c = c_{min(m_k - 1, hi)} columns; clearing those columns from the
+      other points' rows with them leaves the later columns unchanged, so
+      M is row-equivalent to [I_c 0; 0 M'], M' the other points' rows on
+      the columns from c on.  The pivots of M are 0, ..., c-1 followed by
+      c plus the pivots of M', and its RREF is I_c above the RREF of M'
+      shifted right by c columns; only M' is eliminated.
     * The pivot columns of an echelon form are the greedy column basis:
       a column is a pivot iff it is not in the span of the columns before
       it.  So rank M_s is the number of pivots below c_s, and
@@ -311,7 +343,9 @@ def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> lis
       pivot is at or after g are zero before it, and clearing pivot i
       upwards reads only rows i and above; so back-substituting
       R[s:rank M_{hi-1}, g:c_{hi-1}], s the first row with a pivot at or
-      after g, gives every entry the degree-(t-1) blocks read.
+      after g, gives every entry the degree-(t-1) blocks read.  The first
+      c columns are pivots, so g >= c and s >= c, and that block is the
+      same block of the echelon form of M', c rows up and c columns left.
     """
     z = as_spec(z)
     if lo > hi:
@@ -321,7 +355,13 @@ def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> lis
     if len(z.mults) != len(cfg.points):
         raise ValueError(f"{len(z.mults)} multiplicities but {len(cfg.points)} points")
     p = cfg.prime
-    m, pivots = _echelon(_condition_matrix(cfg, z, hi), p)
+    mults, c, origin = list(z.mults), 0, (0, 0)
+    if mults:
+        heavy = mults.index(max(mults))
+        c, origin = _ncols(min(mults[heavy] - 1, hi)), cfg.points[heavy]
+        mults[heavy] = 0
+    m, rest = _echelon(_condition_matrix(cfg, mults, hi, origin)[:, c:], p)
+    pivots = list(range(c)) + [c + q for q in rest]
 
     def rank(s: int) -> int:
         return bisect_left(pivots, _ncols(s))
@@ -332,7 +372,11 @@ def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> lis
         # Column j has degree d with d(d+1)/2 <= j < (d+1)(d+2)/2.
         g = _ncols((isqrt(8 * int(free[0]) + 1) - 1) // 2 - 1) if free.size else _ncols(hi)
         s, r = bisect_left(pivots, g), rank(hi - 1)
-        red = _back_substitute(m[s:r, g:_ncols(hi - 1)], [q - g for q in pivots[s:r]], p)
+        # m is the echelon form of the block after the first c rows and
+        # columns; s >= c and g >= c, while r and c_{hi-1} fall below c
+        # only when every column is a pivot.
+        red = _back_substitute(m[s - c:max(r - c, 0), g - c:max(_ncols(hi - 1) - c, 0)],
+                               [q - g for q in pivots[s:r]], p)
         for row in rows:
             t, dim = row
             k = _ncols(t - 1) - rank(t - 1)

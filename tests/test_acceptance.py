@@ -214,9 +214,11 @@ def test_oracle_nu_equivalence_grid():
 
 
 def test_golden_oracle_nine_tens_bytes_and_runtime():
-    # One 495 x 528 elimination and the generator counts of four degrees:
-    # 0.43 s before the deferred reduction and the degree-t counts, 0.27 s
-    # after (best of 5 in process, 2 cores, Python 3.11.7).
+    # One elimination and the generator counts of four degrees: 0.43 s
+    # before the deferred reduction and the degree-t counts, 0.20-0.32 s
+    # after, with a 495 x 528 matrix; 0.13 s once the heaviest point sits
+    # at the origin, and the matrix is 440 x 473 (best of 5 in process,
+    # 2 cores, Python 3.11.7).
     argv = ["oracle", "--mults", "10,10,10,10,10,10,10,10,10", "--window", "28:31",
             "--nu", "--json"]
     out = io.StringIO()

@@ -4,13 +4,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints import oracle
 from fatpoints.cli import main
 from fatpoints.hilbert import expected_dim, hilbert_polynomial
-from fatpoints.lattice import DivisorClass, as_spec
+from fatpoints.lattice import DivisorClass
 from fatpoints.oracle import (MAX_PRIME, PointConfig, actual_hilbert, actual_nu,
                               nullspace_mod_p, oracle_table, rank_mod_p)
 
@@ -193,6 +193,26 @@ def _windows(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_windows())
+# A tie for the heaviest point, which then sits at the origin.
+@example((PointConfig.random(3, seed=1, prime=101), (3, 1, 3), 0, 6, True))
+# The heaviest point is not the first one.
+@example((PointConfig.random(4, seed=2), (1, 2, 4, 0), -1, 7, True))
+@example((PointConfig.random(4, seed=3), (2, 0, 1, 5), 4, 8, True))
+# Every column is a pivot of the heaviest point: m_k >= hi + 1.
+@example((PointConfig.random(3, seed=0), (2, 7, 1), 0, 5, True))
+@example((PointConfig.random(2, seed=1, prime=13), (6, 6), 3, 5, True))
+# m_k = hi: the heaviest point's pivots end at c_{hi-1}.
+@example((PointConfig.random(3, seed=0), (5, 2, 2), 3, 5, True))
+# One point.
+@example((PointConfig.random(1, seed=3, prime=13), (4,), -2, 6, True))
+@example((PointConfig.random(1, seed=0), (3,), 0, 5, False))
+# No conditions at all.
+@example((PointConfig.random(3, seed=0, prime=101), (0, 0, 0), -1, 4, True))
+@example((PointConfig.random(0, seed=0), (), 0, 3, True))
+# The smallest primes, where every degree is below p, and the largest.
+@example((PointConfig.random(4, seed=0, prime=2), (1, 2, 0, 1), 0, 1, True))
+@example((PointConfig.random(3, seed=1, prime=3), (2, 1, 1), 0, 2, True))
+@example((PointConfig.random(5, seed=0, prime=3037000493), (4, 3, 3, 1, 4), 2, 9, True))
 def test_table_matches_per_degree_reference(case):
     # One graded matrix per window against a matrix per degree in monomial
     # order: ranks as prefix pivot counts, kernels cut from one RREF.
@@ -200,15 +220,18 @@ def test_table_matches_per_degree_reference(case):
     assert oracle_table(cfg, mults, lo, hi, nu) == _ref_table(cfg, mults, lo, hi, nu)
 
 
-def _python_condition_matrix(cfg, mults, t):
-    # Reference in Python ints: rows (point, dx, dy), graded columns x^a y^b.
+def _python_condition_matrix(cfg, mults, t, origin):
+    # Reference in Python ints: rows (point, dx, dy) for every order below
+    # the multiplicity, each with its order dx + dy; graded columns x^a y^b;
+    # every point moved by -origin.
     p = cfg.prime
     cols = [(d - b, b) for d in range(t + 1) for b in range(d + 1)]
+    x0, y0 = origin
 
     def deriv(coord, k, d):
         return math.perm(k, d) * pow(coord, k - d, p) if k >= d else 0
 
-    return [[deriv(x, a, dx) * deriv(y, b, dy) % p for a, b in cols]
+    return [(dx + dy, [deriv(x - x0, a, dx) * deriv(y - y0, b, dy) % p for a, b in cols])
             for (x, y), mult in zip(cfg.points, mults)
             for dx in range(mult) for dy in range(mult - dx)]
 
@@ -221,18 +244,41 @@ def test_condition_matrix_matches_python_ints(p, seed, t, data):
     n = data.draw(st.integers(1, 5))
     mults = data.draw(st.lists(st.integers(0, max(t, 0) + 4), min_size=n, max_size=n))
     cfg = PointConfig.random(n, seed=seed, prime=p)
-    built = oracle._condition_matrix(cfg, as_spec(mults), t)
+    origin = data.draw(st.sampled_from([(0, 0)] + list(cfg.points)))
+    built = oracle._condition_matrix(cfg, mults, t, origin)
     assert built.dtype == np.int64
     if t < 0:
         assert built.shape == (0, 0)
         return
-    expected = _python_condition_matrix(cfg, mults, t)
-    assert built.shape == (len(expected), (t + 1) * (t + 2) // 2)
-    assert built.tolist() == expected
-    # Every lower degree's matrix is a column prefix.
+    expected = _python_condition_matrix(cfg, mults, t, origin)
+    # Orders above t vanish on every column, and the build leaves them out.
+    assert not any(any(row) for order, row in expected if order > t)
+    kept = [(order, row) for order, row in expected if order <= t]
+    assert built.shape == (len(kept), (t + 1) * (t + 2) // 2)
+    assert built.tolist() == [row for _, row in kept]
+    # Every lower degree's matrix is a column prefix, less the orders above it.
     for s in range(t):
-        assert (oracle._condition_matrix(cfg, as_spec(mults), s)
-                == built[:, :(s + 1) * (s + 2) // 2]).all()
+        low = [i for i, (order, _) in enumerate(kept) if order <= s]
+        assert (oracle._condition_matrix(cfg, mults, s, origin)
+                == built[low, :(s + 1) * (s + 2) // 2]).all()
+
+
+@pytest.mark.parametrize("z, lo, hi", [
+    ((10**5, 9 * 10**4, 5), 0, 6),
+    ((40, 3, 2, 25), 2, 9),
+    ((3, 12, 12), 4, 10),
+    ((1, 50), 0, 3),
+    ((1200, 1200), 2, 2),
+])
+def test_multiplicities_above_the_degree_act_as_degree_plus_one(z, lo, hi):
+    # Vanishing to order m > hi + 1 imposes nothing more in degree <= hi
+    # than order hi + 1, and the matrix holds only those orders' rows.
+    cfg = PointConfig.random(len(z), seed=2)
+    clipped = tuple(min(m, hi + 1) for m in z)
+    for nu in (False, True):
+        assert oracle_table(cfg, z, lo, hi, nu) == oracle_table(cfg, clipped, lo, hi, nu)
+    rows = sum((m + 1) * m // 2 for m in clipped)
+    assert oracle._condition_matrix(cfg, z, hi, (0, 0)).shape == (rows, (hi + 1) * (hi + 2) // 2)
 
 
 @pytest.mark.parametrize("z, lo, hi", [
@@ -254,9 +300,9 @@ def test_table_builds_one_matrix_at_top_degree(monkeypatch):
     built = []
     real = oracle._condition_matrix
 
-    def counting(cfg, z, t):
+    def counting(cfg, mults, t, origin):
         built.append(t)
-        return real(cfg, z, t)
+        return real(cfg, mults, t, origin)
 
     monkeypatch.setattr(oracle, "_condition_matrix", counting)
     cfg = PointConfig.random(5, seed=0)
@@ -264,6 +310,24 @@ def test_table_builds_one_matrix_at_top_degree(monkeypatch):
         built.clear()
         oracle_table(cfg, (3, 3, 3, 3, 3), 6, 9, nu=nu)
         assert built == [9]
+
+
+def test_heaviest_point_stays_out_of_the_elimination(monkeypatch):
+    # Five triple points in degree 9: 30 conditions on 55 monomials, of
+    # which the point at the origin's 6 are the first 6 columns' pivots.
+    shapes = []
+    real = oracle._echelon
+
+    def recording(a, p):
+        shapes.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(oracle, "_echelon", recording)
+    cfg = PointConfig.random(5, seed=0)
+    for nu in (True, False):
+        shapes.clear()
+        oracle_table(cfg, (3, 3, 3, 3, 3), 6, 9, nu=nu)
+        assert shapes[0] == (24, 49)
 
 
 def test_point_config_validation():
