@@ -374,9 +374,9 @@ def unloading_alpha(z, r: int, d: int) -> BoundReport:
     ends once k d reaches the running minimum.
     """
     z = as_spec(z)
-    _check_rd(r, z.n, d)
     w = z.positive
-    value = _unloading_min(_Lowerings(w, min(r, len(w))), d)
+    _check_rd(r, len(w), d)
+    value = _unloading_min(_Lowerings(w, r), d)
     return BoundReport("unloading", ALPHA_LOWER, value, (("r", r), ("d", d)))
 
 
@@ -531,10 +531,10 @@ def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
     k d, so the walk ends once k d reaches the running minimum.
     """
     z = as_spec(z)
-    _check_rd(r, z.n, d)
-    g = (d - 1) * (d - 2) // 2
     w = z.positive
-    seq = _Lowerings(w, min(r, len(w)))
+    _check_rd(r, len(w), d)
+    g = (d - 1) * (d - 2) // 2
+    seq = _Lowerings(w, r)
     low = _modified_x(seq, 0, d, g)
     k, kd = 1, d
     while kd < low:

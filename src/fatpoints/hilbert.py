@@ -37,8 +37,8 @@ values.  The class is a member with no fixed part iff d >= 0 and no m_i
 is negative: at d >= 0 the fundamental domain gives d >= m_1 + m_2 + m_3,
 which with m_3 >= 0 rules out the line E0 - E1 - E2 as a fixed part.
 Then e is max(0, P) of the terminal class, and P = (F.F - K.F)/2 + 1 is
-invariant under the Weyl group, so e > 0 iff P(t) > 0 on the original
-class.  So beta is the least t >= max(alpha, least t with P(t) > 0)
+invariant under the Weyl group, so e >= 2 iff P(t) >= 2 on the original
+class.  So beta is the least t >= max(alpha, least t with P(t) >= 2)
 whose terminal class has d >= 0 and no negative entry, and every t >= T
 qualifies.
 """
@@ -222,7 +222,7 @@ def hilbert_table(z, lo: int | None = None, hi: int | None = None) -> HilbertTab
 
 
 def beta_expected(z) -> int:
-    """Least t >= alpha where F_t(Z) has no fixed part and a nonzero system.
+    """Least t >= alpha where F_t(Z) has no fixed part and e >= 2.
 
     This is the expected least degree in which the base locus of the
     linear system becomes zero dimensional.  Equating it with the empty
@@ -230,11 +230,21 @@ def beta_expected(z) -> int:
     expected dimensions being the true ones, hence exact only for n <= 9.
     Each degree is tested on its terminal class, as the module docstring
     shows; decompose() then checks the degree returned.
+
+    The scan starts at the least t with P(t) >= 2.  On a member without
+    fixed part e = max(0, P), so below that degree such a system is
+    empty or a single curve, which is its own base locus: at nine points
+    of multiplicity m, I_{3m} holds only m times the cubic through them,
+    so beta is 3m + 1, not 3m.  P increases for t >= -1, so from there on
+    every member without fixed part has e >= 2: a system of dimension at
+    least 2 with no fixed curve, whose base locus is finite.  As
+    (t + 1)(t + 2) and sum m_i(m_i + 1) are even, P(t) >= 2 iff
+    t^2 + 3t + 2 > condition_sum + 2.
     """
     z = as_spec(z)
     if not z.positive:
         raise ValueError("beta is undefined for the empty subscheme")
-    t = max(find_alpha(z), _least_above(z.condition_sum))
+    t = max(find_alpha(z), _least_above(z.condition_sum + 2))
     while t < sum(z.positive[:3]):
         d, m = reduce_fundamental_raw(t, z.mults)
         if d >= 0 and m[-1] >= 0:

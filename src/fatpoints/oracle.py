@@ -172,7 +172,12 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        m[r, c:] = m[r, c:] % p * pow(int(m[r, c]), -1, p) % p
+        # Scale the pivot row in place, reduced first: its unreduced
+        # entries times the inverse could leave int64.
+        prow = m[r, c:]
+        prow %= p
+        prow *= pow(int(prow[0]), -1, p)
+        prow %= p
         # Row r was zero in column c if it was swapped, so the rows below
         # the pivot with an entry there are the rest of the scan's hits.
         below = nz[1:] + r
@@ -180,7 +185,13 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             if pending == budget:
                 m[r + 1:, c + 1:] %= p
                 pending = 0
-            m[below, c:] -= np.outer(m[below, c], m[r, c:])
+            if below.size == rows - r - 1:
+                # Every row below has an entry in column c: update the
+                # contiguous slab in place, not a gathered copy.
+                slab = m[r + 1:, c:]
+                slab -= slab[:, :1] * prow
+            else:
+                m[below, c:] -= np.outer(m[below, c], prow)
             pending += 1
         pivots.append(c)
     return m, pivots

@@ -189,10 +189,10 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
     deg d >= sums[k] + g - 1, i.e. t is at least the k-th term.
     """
     z = as_spec(z)
-    _check_rd(r, z.n, d)
-    g = (d - 1) * (d - 2) // 2
     w = z.positive
-    seq = _Lowerings(w, min(r, len(w)))
+    _check_rd(r, len(w), d)
+    g = (d - 1) * (d - 2) // 2
+    seq = _Lowerings(w, r)
     tops, sums = seq.tops, seq.sums
     t, k, kd = 0, 0, 0
     while tops[k] > 0:

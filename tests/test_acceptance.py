@@ -309,7 +309,10 @@ def test_property_dominance_laws():
             z = [rng.randrange(0, 6)] * n
         else:
             z = [rng.randrange(0, 6) for _ in range(n)]
-        r = rng.randrange(1, n + 1)
+        if sum(z) == 0:
+            continue
+        # r counts positive multiplicities only, as every method's check does.
+        r = rng.randrange(1, sum(1 for m in z if m) + 1)
         d = rng.randrange(1, 5)
         unl = ab.unloading_alpha(z, r, d).value
         assert ab.modified_unloading_alpha(z, r, d).value >= unl
@@ -328,7 +331,8 @@ def test_property_dominance_laws():
     # Formula/algorithm agreement wherever the side conditions hold.
     for _ in range(400):
         n = rng.randrange(2, 22)
-        m = rng.randrange(0, 6)
+        # m >= 1: on m = 0 the algorithms have no point for the curve to pass.
+        m = rng.randrange(1, 6)
         d = rng.randrange(1, 6)
         r = rng.randrange(1, n + 1)
         z = [m] * n
@@ -377,7 +381,7 @@ def test_property_sandwich_laws():
             continue
         hard = n <= 9
         alpha, tau = find_alpha(z), find_tau(z)
-        r = rng.randrange(1, n + 1)
+        r = rng.randrange(1, sum(1 for m in z if m) + 1)
         d = rng.randrange(1, 4)
         lower_reports = [ab.semigroup_alpha_bound(z), ab.roe_alpha(z),
                          ab.unloading_alpha(z, r, d),
@@ -420,7 +424,8 @@ def test_property_padding_and_permutation_invariance():
         padded = z + [0] * rng.randrange(1, 3)
         shuffled = z[:]
         rng.shuffle(shuffled)
-        r = rng.randrange(1, n + 1)
+        # r counts positive multiplicities only, as every method's check does.
+        r = rng.randrange(1, sum(1 for m in z if m) + 1)
         d = rng.randrange(1, 4)
         checks = [
             (find_alpha, (z,), (padded,), (shuffled,)),

@@ -127,9 +127,10 @@ def test_unloading_examples():
     u = [3] * 22
     assert ab.unloading_alpha(u, 19, 4).value == 15
     assert ab.unloading_alpha(u, 14, 3).value == 14  # r^2 <= n d^2: same as nef test
-    assert ab.unloading_alpha([0, 0], 1, 1).value == 0
-    with pytest.raises(ValueError):
-        ab.unloading_alpha((1, 1), 3, 1)
+    # r counts positive multiplicities: zeros are no points to pass through.
+    for z, r in (([0, 0], 1), ((1, 1), 3), ((1, 1, 0), 3)):
+        with pytest.raises(ValueError):
+            ab.unloading_alpha(z, r, 1)
 
 
 def test_unloading_formula_examples():
@@ -146,8 +147,9 @@ def test_unloading_formula_rejects_nonpositive_d():
 
 
 def test_unloading_formula_matches_algorithm():
+    # m >= 1: on m = 0 the algorithm has no point for the curve to pass.
     for n in range(4, 26):
-        for m in range(0, 5):
+        for m in range(1, 5):
             for d in range(1, 5):
                 for r in range(1, n + 1):
                     if 2 * r >= n + d * d:
@@ -172,7 +174,8 @@ def test_roe_exact_for_simple_points():
 def test_modified_unloading_examples():
     assert ab.modified_unloading_alpha([13] * 1000, 981, 31).value == 424
     assert ab.modified_unloading_alpha([13] * 9000, 8918, 94).value == 1267
-    assert ab.modified_unloading_alpha([0, 0, 0], 2, 1).value == 0
+    with pytest.raises(ValueError):
+        ab.modified_unloading_alpha([0, 0, 0], 2, 1)
     # J_0 = [0, 0] and I_0 = [2, 1] is empty: degree 1 is neither
     # subtracted nor ruled out.
     assert ab.modified_unloading_alpha([1, 1], 2, 4).value == 1
@@ -204,8 +207,9 @@ def test_modified_formula_b_rejects_nonpositive_d():
 
 
 def test_modified_formulas_match_algorithm():
+    # m >= 1, as in test_unloading_formula_matches_algorithm.
     for n in range(4, 24):
-        for m in range(0, 5):
+        for m in range(1, 5):
             for d in range(1, 5):
                 for r in range(1, n + 1):
                     z = [m] * n
@@ -248,7 +252,7 @@ def test_dominance_unloading_beats_nef_test():
         z = sorted((rng.randrange(0, 7) for _ in range(n)), reverse=True)
         if sum(z) == 0:
             continue
-        r = rng.randrange(1, n + 1)
+        r = rng.randrange(1, len(FatPointSpec(z).positive) + 1)
         d = rng.randrange(1, 5)
         unl = ab.unloading_alpha(z, r, d).value
         for variant in "abcd":
@@ -277,7 +281,9 @@ def test_dominance_modified_beats_plain_unloading():
     for _ in range(80):
         n = rng.randrange(2, 14)
         z = [rng.randrange(0, 7) for _ in range(n)]
-        r = rng.randrange(1, n + 1)
+        if sum(z) == 0:
+            continue
+        r = rng.randrange(1, len(FatPointSpec(z).positive) + 1)
         d = rng.randrange(1, 5)
         assert ab.modified_unloading_alpha(z, r, d).value \
             >= ab.unloading_alpha(z, r, d).value, (z, r, d)
@@ -293,7 +299,7 @@ def test_soundness_every_bound_below_alpha():
         alpha = find_alpha(z)
         hard = n <= 9
         reports = [ab.semigroup_alpha_bound(z), ab.roe_alpha(z)]
-        r = rng.randrange(1, n + 1)
+        r = rng.randrange(1, len(FatPointSpec(z).positive) + 1)
         d = rng.randrange(1, 4)
         reports.append(ab.unloading_alpha(z, r, d))
         reports.append(ab.modified_unloading_alpha(z, r, d))

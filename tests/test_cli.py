@@ -423,6 +423,27 @@ def test_bounds_requested_method_precondition_exits_3(capsys):
         assert message in err, (args, err)
 
 
+def test_requested_r_counts_positive_multiplicities_only(capsys):
+    # Zero multiplicities are not points: padding the scheme with them
+    # must not let r past the positive count, in any requested method.
+    messages = set()
+    for mults in ("3", "3,0,0"):
+        for extra in ((), ("--j", "0")):
+            code, out, err = run(capsys, "bounds", "--mults", mults, "--r", "3", "--d", "1",
+                                 *extra)
+            assert code == 3 and out == "", (mults, extra)
+            messages.add(err)
+    assert messages == {"error: need 1 <= r <= n, got r=3, n=1\n"}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_beta_of_nine_uniform_points_is_past_the_cubic(capsys, m):
+    # I_{3m} of nine general m-fold points is m times their one cubic,
+    # a single curve, so the base locus first becomes finite at 3m + 1.
+    code, out, _ = run(capsys, "beta", "--uniform", f"9:{m}", "--json")
+    assert code == 0 and json.loads(out)["value"] == 3 * m + 1
+
+
 def test_negative_window_lo_needs_the_equals_form(capsys):
     # argparse reads "-3:-1" after a space as an option, not as the value.
     for command in ("hilb", "oracle"):
@@ -463,6 +484,34 @@ _json_docs = st.recursive(
 @given(_json_docs)
 def test_canonical_json_matches_indented_json_dumps(doc):
     assert canonical_json(doc) == json.dumps(doc, indent=2, separators=(",", ": ")) + "\n"
+
+
+def _shared_docs():
+    # Documents in which one dict object occurs more than once.
+    block = {"mults": [4, 4, 0], "n": 3}
+    yield [{"input": block, "value": 1}, {"input": block, "value": 2}]
+    yield {"outer": block, "deeper": [[block, {"again": block}]], "last": block}
+    pair = {"left": block, "right": [block, {}], "tail": [block]}
+    yield [pair, {"pair": pair, "block": block}, [[pair]], pair]
+
+
+@pytest.mark.parametrize("doc", list(_shared_docs()))
+def test_canonical_json_renders_shared_dicts_at_every_depth(doc):
+    # A dict met again is copied from its first text only at the same
+    # indentation; at another depth it is rendered afresh.
+    expected = json.dumps(doc, indent=2, separators=(",", ": ")) + "\n"
+    assert canonical_json(doc) == expected
+    assert canonical_json(doc) == expected
+
+
+def test_bounds_reports_share_one_input_block(capsys, monkeypatch):
+    docs = []
+    write = cli.canonical_json
+    monkeypatch.setattr(cli, "canonical_json", lambda doc: docs.append(doc) or write(doc))
+    code, out, _ = run(capsys, "bounds", "--uniform", "60:4", "--json")
+    assert code == 0 and len(docs) == 1 and len(docs[0]) > 20
+    assert len({id(report["input"]) for report in docs[0]}) == 1
+    assert out == json.dumps(json.loads(out), indent=2, separators=(",", ": ")) + "\n"
 
 
 def test_canonical_json_rejects_other_types():

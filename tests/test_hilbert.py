@@ -269,7 +269,8 @@ def _beta_scan(mults) -> int:
     while True:
         f = z.divisor_class(t)
         dec = decompose(f)
-        if dec.in_semigroup and not dec.fixed_part and expected_dim(f) > 0:
+        # A single curve (e = 1) is its own base locus.
+        if dec.in_semigroup and not dec.fixed_part and expected_dim(f) >= 2:
             return t
         t += 1
 

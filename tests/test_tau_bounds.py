@@ -147,10 +147,11 @@ def test_roe_tau_examples():
 def test_modified_unloading_tau_examples():
     assert tb.modified_unloading_tau([5] * 20, 16, 4).value \
         == tb.modified_unloading_tau_formula_b(20, 5, 16, 4).value == 26
-    assert tb.modified_unloading_tau([0, 0], 1, 1).value == 0
     assert tb.modified_unloading_tau([3] * 16, 16, 4).value >= find_tau([3] * 16) == 13
-    with pytest.raises(ValueError):
-        tb.modified_unloading_tau((1, 1), 3, 1)
+    # r counts positive multiplicities: zeros are no points to pass through.
+    for z, r in (([0, 0], 1), ((1, 1), 3), ((1, 1, 0), 3)):
+        with pytest.raises(ValueError):
+            tb.modified_unloading_tau(z, r, 1)
 
 
 def test_modified_tau_formula_values():
@@ -176,8 +177,9 @@ def test_modified_tau_formula_b_rejects_nonpositive_d():
 
 
 def test_modified_tau_formulas_match_algorithm():
+    # m >= 1: on m = 0 the algorithm has no point for the curve to pass.
     for n in range(4, 24):
-        for m in range(0, 5):
+        for m in range(1, 5):
             for d in range(1, 5):
                 for r in range(1, n + 1):
                     z = [m] * n
@@ -230,7 +232,7 @@ def test_sandwich_every_bound_above_tau():
             # The bound needs d^2 >= n, which fails at n = 2 and 5 only.
             reports.append(tb.gimigliano_tau(z))
         reports += [tb.hirschowitz_tau(z), tb.roe_tau(z)]
-        r = rng.randrange(1, n + 1)
+        r = rng.randrange(1, sum(1 for x in z if x > 0) + 1)
         d = rng.randrange(1, 4)
         reports.append(tb.modified_unloading_tau(z, r, d))
         for rep in reports:

@@ -15,12 +15,14 @@ against a copy of itself without the cap.
 import random
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpoints import alpha_bounds as ab
 from fatpoints import tau_bounds as tb
 from fatpoints.lattice import FatPointSpec
+from fatpoints.report import PreconditionError
 
 
 def _lowered(v, r):
@@ -140,13 +142,27 @@ def test_lowering_sequence_matches_repeated_lowering(z, reads):
             assert seq.at(k) == expected[k], (z, r, k)
 
 
+def _r_ranges(z):
+    # The r a fixed-r procedure accepts, 1 up to the positive count, and
+    # the r past it up to len(z), which it rejects: zeros are no points.
+    positive = sum(1 for x in z if x)
+    return range(1, positive + 1), range(positive + 1, len(z) + 1)
+
+
+def _rejects_past_the_positive_count(procedure, z, d):
+    for r in _r_ranges(z)[1]:
+        with pytest.raises(PreconditionError):
+            procedure(z, r, d)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_vectors, st.integers(1, 4))
 def test_unloading_matches_reference(z, d):
     v = sorted(z, reverse=True)
-    for r in range(1, len(z) + 1):
+    for r in _r_ranges(z)[0]:
         value = _first_t(lambda t: _unloading_certifies_ref(t, v, r, d))
         assert ab.unloading_alpha(z, r, d).value == value, (z, r, d)
+    _rejects_past_the_positive_count(ab.unloading_alpha, z, d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,9 +185,10 @@ def test_early_stopped_minimum_decides_against_best(z, d, best):
 def test_modified_unloading_alpha_matches_reference(z, d):
     v = sorted(z, reverse=True)
     g = (d - 1) * (d - 2) // 2
-    for r in range(1, len(z) + 1):
+    for r in _r_ranges(z)[0]:
         value = _first_t(lambda t: _hr_certifies_ref(t, v, r, d, g))
         assert ab.modified_unloading_alpha(z, r, d).value == value, (z, r, d)
+    _rejects_past_the_positive_count(ab.modified_unloading_alpha, z, d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,9 +196,10 @@ def test_modified_unloading_alpha_matches_reference(z, d):
 def test_modified_unloading_tau_matches_reference(z, d):
     v = sorted(z, reverse=True)
     g = (d - 1) * (d - 2) // 2
-    for r in range(1, len(z) + 1):
+    for r in _r_ranges(z)[0]:
         value = _first_t(lambda t: not _hr_tau_succeeds_ref(t, v, r, d, g))
         assert tb.modified_unloading_tau(z, r, d).value == value, (z, r, d)
+    _rejects_past_the_positive_count(tb.modified_unloading_tau, z, d)
 
 
 def test_tri_root_matches_capped_loop():
@@ -248,7 +266,9 @@ def test_lowering_empties_after_the_lemma_count_and_caps_bound_each_pair(z, data
     if steps:
         assert seq.at(steps - 1)[0] > 0, (w, r)
     for d in range(1, isqrt(r) + 1):
-        assert ab.unloading_alpha(w, r, d).value <= _cap(w, r, d), (w, r, d)
+        # The closed form of the pair: w may hold zeros, which
+        # unloading_alpha rejects past the positive count.
+        assert ab._unloading_min(seq, d) <= _cap(w, r, d), (w, r, d)
     # The d with cap > best form the interval the search computes.
     for best in range(1, 3 * steps + 2):
         top = isqrt(r)
