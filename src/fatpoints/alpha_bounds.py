@@ -30,15 +30,20 @@ Z = m_1 p_1 + ... + m_n p_n for all t below the reported value.
   generated by exceptional classes and the anticanonical class.
 
 Every unloading procedure runs over one multiplicity state, runs of
-equal values lowered without re-sorting.  Those with a fixed r take
-their bound in one walk over its lowering sequence, which depends only
-on the multiplicities and r, so each step is lowered once per call.
-The unloading parameter search bounds every (r, d) by an O(1) cap (the
-lowering sequence of r empties after a number of steps known in closed
-form) and lowers nothing for the pairs whose cap cannot beat the running
-best: at 9000 points of multiplicity 13 it walks about 5,000 of the
-565,000 pairs and builds a lowering sequence for about 2,900 of the
-9,000 values of r.
+equal values lowered without re-sorting, and one lowering step is one
+pass over those runs that also yields the drop of the sum of the r
+largest entries.  Those with a fixed r take their bound in one walk over
+its lowering sequence, which depends only on the multiplicities and r.
+The sequence is kept on the ``FatPointSpec`` by r, so plain and modified
+unloading and the modified unloading tau bound of one query share it,
+and each step is lowered once per query.  The unloading parameter search
+bounds every (r, d) by an O(1) cap (the lowering sequence of r empties
+after a number of steps known in closed form) and lowers nothing for the
+pairs whose cap cannot beat the running best: at 9000 points of
+multiplicity 13 it walks about 5,000 of the 565,000 pairs and builds a
+lowering sequence for about 2,900 of the 9,000 values of r.  It reads
+the kept sequence of an r when there is one, and keeps only the one of
+the r it reports, which ``unloading_alpha`` would keep anyway.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from operator import neg
 from typing import Sequence
 
 from .hilbert import find_alpha
-from .lattice import as_spec, reduce_fundamental_raw
+from .lattice import FatPointSpec, as_spec, reduce_fundamental_raw
 from .report import ALPHA_LOWER, CHAR_ZERO, BoundReport, PreconditionError, fmt_rational
 
 
@@ -74,12 +79,13 @@ def _check_rd(r: int, n: int, d: int) -> None:
 def nef_test_bound(z, weights: Sequence, r: int, d: int) -> BoundReport:
     """alpha >= ceil(sum(a_i m_i) / (a_0 d)) for an admissible weight vector.
 
-    ``weights`` is the full vector (a_0, a_1, ..., a_n); rational entries
-    are cleared to integers by the common denominator before checking the
-    admissibility inequalities.
+    ``weights`` is the full vector (a_0, a_1, ..., a_n), n the number of
+    positive multiplicities, which a_1, ..., a_n meet sorted first, so zero
+    padding changes nothing; rational entries are cleared to integers by
+    the common denominator before checking the admissibility inequalities.
     """
     z = as_spec(z)
-    n = z.n
+    n = len(z.positive)
     a = [Fraction(w) for w in weights]
     if len(a) > n + 1:
         raise PreconditionError(f"weight vector longer than n+1 = {n + 1}")
@@ -262,7 +268,19 @@ class _Runs:
     # A list sorted nonincreasing and nonnegative, as runs of equal
     # positive values.  top_sum(r) is the sum of the r largest entries;
     # lower(r) lowers them by one, clamps at 0 and returns the new largest
-    # (0 once all are zero), in O(runs) and with no re-sort.
+    # (0 once all are zero) with the drop of top_sum(r), in O(runs) and
+    # with no re-sort.
+    #
+    # The drop.  If at most r entries are positive, every one of them is
+    # lowered and the r largest are all of them, so top_sum(r) drops by
+    # their number.  Otherwise let the boundary run, of value v, hold the
+    # r-th largest entry or, when the first r end a run, the next one:
+    # `inside` of its entries lie in the first r and `outside` past them.
+    # The runs above it drop by one and stay at least v, so the new r
+    # largest are those r - inside entries, then the outside entries
+    # still at v, then the lowered ones at v - 1; every later entry is at
+    # most v - 1.  That takes min(inside, outside) entries at v in place
+    # of ones at v - 1, so top_sum(r) drops by r - min(inside, outside).
     __slots__ = ("vals", "cnts")
 
     def __init__(self, w: Sequence[int]):
@@ -285,8 +303,9 @@ class _Runs:
             r -= c
         return s
 
-    def lower(self, r: int) -> int:
+    def lower(self, r: int) -> tuple[int, int]:
         vals, cnts = self.vals, self.cnts
+        drop = r
         # Whole runs 0..j-1 drop by one, which keeps them above run j.
         j = 0
         while j < len(vals) and r >= cnts[j]:
@@ -294,6 +313,8 @@ class _Runs:
             r -= cnts[j]
             j += 1
         if j < len(vals):
+            # Run j is the boundary run, r of its entries inside.
+            drop -= min(r, cnts[j] - r)
             if r:
                 # r entries of run j drop below the rest of it.
                 cnts[j] -= r
@@ -305,9 +326,12 @@ class _Runs:
             if j and vals[j - 1] == vals[j]:
                 del vals[j]
                 cnts[j - 1] += cnts.pop(j)
-        elif vals and not vals[-1]:
-            del vals[-1], cnts[-1]
-        return vals[0] if vals else 0
+        else:
+            # Only the positive entries were lowered, r short of the ask.
+            drop -= r
+            if vals and not vals[-1]:
+                del vals[-1], cnts[-1]
+        return (vals[0] if vals else 0), drop
 
 
 class _Lowerings:
@@ -315,9 +339,15 @@ class _Lowerings:
 
     at(k) is (tops[k], sums[k]): the largest entry and the sum of the r
     largest after the r largest were lowered by one (clamped at 0) k
-    times.  The lists grow only through at(), so a search that reads the
-    sequence for several d lowers each step once; the hot walks index
-    them directly and call at() when they reach the end.
+    times.  Each step is one ``_Runs.lower`` pass, and sums[k + 1] is
+    sums[k] less the drop that pass returns: r - min(inside, outside),
+    the entries of the boundary run inside and outside the first r, when
+    more than r entries are positive, else the number of positive entries
+    (proof at ``_Runs``).  So only sums[0] is summed.  The lists grow only through
+    at(), so every reader of the sequence lowers each step once; the hot
+    walks index them directly and call at() when they reach the end.
+    ``_lowerings`` keeps one sequence per r on the spec for its fixed-r
+    readers.
     """
 
     __slots__ = ("tops", "sums", "_state", "_r")
@@ -329,9 +359,20 @@ class _Lowerings:
     def at(self, k: int) -> tuple[int, int]:
         tops, sums, state, r = self.tops, self.sums, self._state, self._r
         while len(tops) <= k:
-            tops.append(state.lower(r))
-            sums.append(state.top_sum(r))
+            top, drop = state.lower(r)
+            tops.append(top)
+            sums.append(sums[-1] - drop)
         return tops[k], sums[k]
+
+
+def _lowerings(z: FatPointSpec, r: int) -> _Lowerings:
+    # The lowering sequence of z's positive multiplicities for r, built
+    # once per spec: the fixed-r methods of one query share it, and the
+    # parameter search reads it.  It lives as long as z does.
+    seq = z.lowerings.get(r)
+    if seq is None:
+        seq = z.lowerings[r] = _Lowerings(z.positive, r)
+    return seq
 
 
 def _unloading_min(seq: _Lowerings, d: int, best: int = -1) -> int:
@@ -374,9 +415,8 @@ def unloading_alpha(z, r: int, d: int) -> BoundReport:
     ends once k d reaches the running minimum.
     """
     z = as_spec(z)
-    w = z.positive
-    _check_rd(r, len(w), d)
-    value = _unloading_min(_Lowerings(w, r), d)
+    _check_rd(r, len(z.positive), d)
+    value = _unloading_min(_lowerings(z, r), d)
     return BoundReport("unloading", ALPHA_LOWER, value, (("r", r), ("d", d)))
 
 
@@ -430,11 +470,14 @@ def best_unloading_search(z) -> BoundReport:
     d with cap > best form one interval: d > best // E_r, d^2 <= r and,
     when w[0] <= best, d <= (P[r] - 1) // best.  An r whose interval is
     empty builds no lowering sequence.  One sequence per r serves its
-    surviving d; a pair stops as soon as its running minimum is at most
-    the best (at once, if its k = 0 term is, so the interval is not
-    narrowed after a win), and a pair that beats the best ran its walk
-    to the end, so the walk gives its value.  The reported pair is
-    recomputed once by ``unloading_alpha``.
+    surviving d: the one a fixed-r method kept on the spec if there is
+    one, else a new one that is not kept, since keeping a sequence for
+    every r would hold them all at once.  A pair stops as soon as its
+    running minimum is at most the best (at once, if its k = 0 term is,
+    so the interval is not narrowed after a win), and a pair that beats
+    the best ran its walk to the end, so the walk gives its value.  The
+    reported pair is recomputed once by ``unloading_alpha``, which keeps
+    the sequence of its r; it is handed the one the search walked.
     """
     z = as_spec(z)
     w, sums = z.positive, z.sums
@@ -442,17 +485,21 @@ def best_unloading_search(z) -> BoundReport:
     if n == 0:
         raise PreconditionError("the empty subscheme has no bound parameters")
     w0 = w[0]
-    best, best_r, best_d = 0, 0, 0
+    kept = z.lowerings
+    best, best_r, best_d, best_seq = 0, 0, 0, None
     for r in range(1, n + 1):
         low = best // max(w0, _ceil_div(sums[-1], r))
         top = isqrt(r) if w0 > best else min(isqrt(r), (sums[r] - 1) // best)
         if low >= top:
             continue
-        seq = _Lowerings(w, r)
+        seq = kept.get(r)
+        if seq is None:
+            seq = _Lowerings(w, r)
         for d in range(low + 1, top + 1):
             value = _unloading_min(seq, d, best)
             if value > best:
-                best, best_r, best_d = value, r, d
+                best, best_r, best_d, best_seq = value, r, d, seq
+    kept.setdefault(best_r, best_seq)
     best = unloading_alpha(z, best_r, best_d).value
     return BoundReport("best-unloading", ALPHA_LOWER, best,
                        (("r", best_r), ("d", best_d)))
@@ -475,9 +522,12 @@ def roe_alpha(z) -> BoundReport:
     top = w[0]
     rest = _Runs(w[1:])
     for i in range(2, len(w)):
-        while top < rest.top_sum(i):
+        # Each sweep lowers the same i entries it sums, so the sum follows
+        # the drops that lower returns.
+        s = rest.top_sum(i)
+        while top < s:
             top += 1
-            rest.lower(i)
+            s -= rest.lower(i)[1]
     return BoundReport("roe-unloading", ALPHA_LOWER, top)
 
 
@@ -531,10 +581,9 @@ def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
     k d, so the walk ends once k d reaches the running minimum.
     """
     z = as_spec(z)
-    w = z.positive
-    _check_rd(r, len(w), d)
+    _check_rd(r, len(z.positive), d)
     g = (d - 1) * (d - 2) // 2
-    seq = _Lowerings(w, r)
+    seq = _lowerings(z, r)
     low = _modified_x(seq, 0, d, g)
     k, kd = 1, d
     while kd < low:

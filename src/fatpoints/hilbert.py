@@ -27,8 +27,9 @@ there.  Hence alpha lies in [m_1, max(T, least t with P(t) > 0)], since
 no curve of degree below m_1 has a point of multiplicity m_1, and tau
 lies in [max(0, alpha - 1, least t >= 0 with P(t) >= 0), max(alpha - 1,
 T, least t with P(t) >= 0)].  Past 9 positive multiplicities e is only
-conjectural, and the searches step forward from 0 and from max(0, alpha
-- 1), except on uniform input, where they are closed forms in P alone.
+conjectural, and the searches step forward from m_1 and from max(0,
+alpha - 1), except on uniform input, where they are closed forms in P
+alone; e(t) = 0 below m_1 on any input (proof in ``_alpha_tau``).
 
 *Beta from the terminal class.*  decompose() reads membership and the
 fixed part off the terminal class (d; m) of the reduction alone, and
@@ -134,15 +135,33 @@ def _alpha_tau(z: FatPointSpec, with_tau: bool = True) -> tuple[int, int | None]
 
     On at most 9 positive multiplicities both searches bisect the brackets
     of the module docstring.  Past 9 they are closed forms in P on uniform
-    input, and otherwise scans from 0 and from max(0, alpha - 1), as
+    input, and otherwise scans from m_1 and from max(0, alpha - 1), as
     find_tau documents.
+
+    The alpha scan may start at m_1, since e(t) = 0 for 0 <= t < m_1.
+    Let M be the largest entry of a class (d; m) with d >= 0.
+
+    1. While d < M, the quadratic map keeps that true and strictly lowers
+       d.  It applies only when d < m_1 + m_2 + m_3 on the sorted class,
+       so k = d - m_1 - m_2 - m_3 < 0 and d' = d + k < d.  Its new first
+       entry is m_1 + k, and d' - (m_1 + k) = d - m_1 < 0, so d' is still
+       below the largest entry.
+    2. Clamping negative entries to 0 keeps the largest entry, which is
+       M > d >= 0.
+    3. The reduction of (t; w), 0 <= t < m_1, starts with d < M, so it
+       ends with d < 0, or with 0 <= d < M for the M of the class it ends
+       at; by 2 the same holds for the reduction after the clamp.  So
+       ``_expected_dim`` returns 0, or evaluates P on a class with
+       0 <= d < M.  There M is a positive entry, so M(M + 1) <= s, the
+       sum of x(x + 1) over the positive entries, and
+       (d + 1)(d + 2) <= M(M + 1) <= s gives P <= 0 and e = 0.
     """
     w, s = z.positive, z.condition_sum
     if len(w) > EXACT_POINT_LIMIT and w[0] == w[-1]:
         return _uniform_alpha_tau(len(w), w[0])
     top = sum(w[:3])
     if len(w) > EXACT_POINT_LIMIT:
-        alpha = next(t for t in count() if _e(z, t) > 0)
+        alpha = next(t for t in count(w[0]) if _e(z, t) > 0)
     else:
         alpha = _least_true(lambda t: _e(z, t) > 0, w[0] if w else 0,
                             max(top, _least_above(s)))

@@ -74,7 +74,9 @@ class FatPointSpec:
     At general points the characters depend only on the multiset of
     positive multiplicities.  Its normal form, ``positive``, with its
     prefix ``sums`` and ``condition_sum``, is computed here on first read
-    and nowhere else.
+    and nowhere else.  The spec of one query also carries that query's
+    memo of unloading lowering sequences, ``lowerings``; it takes no part
+    in equality or hashing.
     """
 
     mults: tuple[int, ...]
@@ -103,6 +105,12 @@ class FatPointSpec:
     def condition_sum(self) -> int:
         """sum m_i (m_i + 1), twice the number of conditions the scheme imposes."""
         return sum(m * (m + 1) for m in self.positive)
+
+    @cached_property
+    def lowerings(self) -> dict:
+        """Lowering sequences of ``positive`` by r, kept by the fixed-r
+        unloading methods (``alpha_bounds._lowerings``) for this spec's life."""
+        return {}
 
     def divisor_class(self, t: int) -> DivisorClass:
         """The class t*E0 - sum(m_i * E_i) of degree-t curves through the scheme."""

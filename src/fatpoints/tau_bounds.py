@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
-from .alpha_bounds import _ceil_div, _check_rd, _Lowerings, _Runs, _tri_root, _u_rho
+from .alpha_bounds import _ceil_div, _check_rd, _lowerings, _Runs, _tri_root, _u_rho
 from .hilbert import _least_above
 from .lattice import as_spec
 from .report import TAU_UPPER, CHAR_ZERO, BoundReport, PreconditionError, fmt_rational
@@ -189,10 +189,9 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
     deg d >= sums[k] + g - 1, i.e. t is at least the k-th term.
     """
     z = as_spec(z)
-    w = z.positive
-    _check_rd(r, len(w), d)
+    _check_rd(r, len(z.positive), d)
     g = (d - 1) * (d - 2) // 2
-    seq = _Lowerings(w, r)
+    seq = _lowerings(z, r)
     tops, sums = seq.tops, seq.sums
     t, k, kd = 0, 0, 0
     while tops[k] > 0:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fatpoints import alpha_bounds as ab
 from fatpoints.hilbert import find_alpha
 from fatpoints.lattice import FatPointSpec
+from fatpoints.report import PreconditionError
 
 Z90 = (90, 80, 70, 60, 50, 40, 40, 40, 30, 20, 10)
 
@@ -16,7 +17,10 @@ Z90 = (90, 80, 70, 60, 50, 40, 40, 40, 30, 20, 10)
 def test_nef_test_bound_examples():
     # Unit weights on the first three points, a conic through them.
     assert ab.nef_test_bound((5, 4, 3), (1, 1, 1, 1), 3, 2).value == 6
-    assert ab.nef_test_bound((0, 0, 0), (1, 1), 1, 1).value == 0
+    # Zeros are no points, so the all-zero scheme takes no weights.
+    with pytest.raises(PreconditionError, match="longer than n"):
+        ab.nef_test_bound((0, 0, 0), (1, 1), 1, 1)
+    assert ab.nef_test_bound((5, 0, 4, 0, 3), (1, 1, 1, 1), 3, 2).value == 6
     rep = ab.nef_test_bound([3] * 22, [19] + [16] * 22, 19, 4)
     assert rep.value == 14
 

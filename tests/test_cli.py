@@ -436,6 +436,16 @@ def test_requested_r_counts_positive_multiplicities_only(capsys):
     assert messages == {"error: need 1 <= r <= n, got r=3, n=1\n"}
 
 
+def test_weights_count_positive_multiplicities_only(capsys):
+    # The weight vector is measured against the positive multiplicities,
+    # so zero padding gives the same error as the scheme without it.
+    for mults in ("3", "3,0,0"):
+        code, out, err = run(capsys, "bounds", "--mults", mults, "--weights", "1,1,1",
+                             "--r", "1", "--d", "1")
+        assert code == 3 and out == "", mults
+        assert err == "error: weight vector longer than n+1 = 2\n", (mults, err)
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_beta_of_nine_uniform_points_is_past_the_cubic(capsys, m):
     # I_{3m} of nine general m-fold points is m times their one cubic,

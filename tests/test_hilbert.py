@@ -328,6 +328,29 @@ def test_beta_rejects_a_degree_decompose_disowns(monkeypatch):
         beta_expected((2, 2))
 
 
+def test_mixed_alpha_scan_from_the_top_multiplicity_matches_the_scan_from_0():
+    # Past nine mixed multiplicities the alpha scan starts at m_1, since
+    # e(t) = 0 below it (proof in hilbert._alpha_tau).
+    # Every third vector has one entry far above the rest, where alpha
+    # can be m_1 itself.
+    rng = random.Random(15)
+    mixed = at_top = 0
+    for i in range(600):
+        n = rng.randint(10, 40)
+        if i % 3:
+            mults = [rng.randint(0, 30) for _ in range(n)]
+        else:
+            mults = [rng.randint(20, 30)] + [rng.randint(0, 2) for _ in range(n - 1)]
+            rng.shuffle(mults)
+        z = FatPointSpec(mults)
+        alpha = _alpha_tau_scan(mults)[0]
+        assert find_alpha(mults) == alpha, mults
+        if len(z.positive) > 9 and z.positive[0] != z.positive[-1]:
+            mixed += 1
+            at_top += alpha == z.positive[0]
+    assert mixed > 500 and at_top > 50, (mixed, at_top)
+
+
 def test_alpha_bisection_evaluates_e_logarithmically(monkeypatch):
     calls = []
     monkeypatch.setattr(hb, "_e", lambda z, t: calls.append(t) or _e(z, t))

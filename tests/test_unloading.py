@@ -16,10 +16,11 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints import alpha_bounds as ab
+from fatpoints import cli
 from fatpoints import tau_bounds as tb
 from fatpoints.lattice import FatPointSpec
 from fatpoints.report import PreconditionError
@@ -120,10 +121,41 @@ def test_state_matches_sort_and_clamp(mults, steps):
         ref = form
         for r in steps:
             r = min(r, len(form))
+            before = sum(ref[:r])
             ref = _lowered(ref, r)
-            assert state.lower(r) == ref[0]
+            assert state.lower(r) == (ref[0], before - sum(ref[:r])), (form, steps)
             for k in range(len(ref) + 1):
                 assert state.top_sum(k) == sum(ref[:k]), (form, steps, k)
+
+
+@st.composite
+def _tied_runs_and_r(draw):
+    # A few runs of equal values, 1s among them, some zeros past them, and
+    # an r that splits a run, ends one, or reaches the positive count or
+    # past it.
+    values = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
+    w = [v for v, c in sorted(zip(values, counts), reverse=True) for _ in range(c)]
+    positive = len(w)
+    w += [0] * draw(st.integers(0, 2))
+    ends = [sum(counts[:i + 1]) for i in range(len(counts))]
+    r = draw(st.one_of(st.integers(1, positive), st.sampled_from(ends),
+                       st.integers(positive, positive + 3)))
+    return w, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_runs_and_r(), st.integers(1, 6))
+@example(([3, 3, 3, 2], 2), 1)  # a tie across the boundary: one stays at 3
+@example(([1, 1, 1], 2), 1)  # the lowered 1s become 0, one 1 stays
+@example(([2, 1, 0], 3), 2)  # r past the positive count
+def test_lower_returns_the_drop_of_the_top_sum(case, steps):
+    w, r = case
+    state, ref = ab._Runs(w), w
+    for _ in range(steps):
+        before = sum(ref[:r])
+        ref = _lowered(ref, r)
+        assert state.lower(r) == (ref[0], before - sum(ref[:r])), (w, r)
 
 
 @settings(max_examples=150, deadline=None)
@@ -326,7 +358,7 @@ def test_one_state_build_per_call(monkeypatch):
 
     # The search builds one state for each r where some d <= isqrt(r)
     # has a cap above the best of the smaller r, and unloading_alpha
-    # builds one more for the reported pair.
+    # reads the reported pair's state from the search.
     lowered, scans = [], []
     lowerings, unloading_alpha = ab._Lowerings, ab.unloading_alpha
 
@@ -352,5 +384,39 @@ def test_one_state_build_per_call(monkeypatch):
         rep = ab.best_unloading_search(mults)
         assert rep.value == best
         assert scans == [(rep.params[0][1], rep.params[1][1])]
-        assert lowered == capped + [scans[0][0]]
-        assert len(builds) == len(capped) + 1
+        assert lowered == capped
+        assert len(builds) == len(capped)
+
+
+def test_one_bounds_query_builds_each_fixed_r_sequence_once(monkeypatch, capsys):
+    # The fixed-r methods of one query keep their lowering sequences on
+    # its spec and share them; the search reads a kept sequence and keeps
+    # none of its own.
+    built, kept_after_search = [], []
+    build, search = ab._Lowerings.__init__, ab.best_unloading_search
+
+    def counted_build(seq, w, r):
+        built.append(r)
+        build(seq, w, r)
+
+    def watched_search(z):
+        rep = search(z)
+        kept_after_search.append((rep, set(z.lowerings)))
+        return rep
+
+    monkeypatch.setattr(ab._Lowerings, "__init__", counted_build)
+    monkeypatch.setattr(ab, "best_unloading_search", watched_search)
+    rng = random.Random(17)
+    mults = [rng.randint(1, 11) for _ in range(60)] + [0, 0]
+    assert cli.main(["bounds", "--mults", ",".join(map(str, mults)), "--json"]) == 0
+    capsys.readouterr()
+    n = sum(1 for x in mults if x)
+    (ra, _), (rb, _) = ab.best_rd_a(n), ab.best_rd_b(n)
+    assert built.count(ra) == 1 and built.count(rb) == 1, (ra, rb, built)
+    [(rep, kept)] = kept_after_search
+    # The reported pair is recomputed by unloading_alpha, which keeps the
+    # sequence of its r, handed over by the search.
+    best_r = rep.params[0][1]
+    assert built.count(best_r) == 1, (best_r, built)
+    assert kept == {ra, rb, best_r}, (kept, ra, rb, best_r)
+    assert set(built) - kept, "the search visited no r of its own"
