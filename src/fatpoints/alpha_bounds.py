@@ -72,6 +72,12 @@ def _check_rd(r: int, n: int, d: int) -> None:
         raise PreconditionError("d must be positive")
 
 
+def _check_uniform_rd(n: int, m: int, r: int, d: int) -> None:
+    # The uniform closed forms stand for the vector methods on m * (p_1 +
+    # ... + p_n), which count the positive multiplicities: none at m = 0.
+    _check_rd(r, n if m > 0 else 0, d)
+
+
 # ---------------------------------------------------------------------------
 # Nef-class tests
 
@@ -432,11 +438,9 @@ def unloading_alpha_formula(n: int, m: int, r: int, d: int) -> BoundReport:
     With u >= 0 and 0 < rho <= r defined by m n = u r + rho:
     alpha >= 1 + u d + min(d - 1, ceil(rho / d) - 1).
     """
-    _check_rd(r, n, d)
+    _check_uniform_rd(n, m, r, d)
     if 2 * r < n + d * d:
         raise PreconditionError("closed form needs 2r >= n + d^2")
-    if m == 0:
-        return BoundReport("unloading-formula", ALPHA_LOWER, 0, (("r", r), ("d", d)))
     u, rho = _u_rho(n, m, r)
     value = 1 + u * d + min(d - 1, _ceil_div(rho, d) - 1)
     return BoundReport("unloading-formula", ALPHA_LOWER, value, (("r", r), ("d", d)))
@@ -601,12 +605,9 @@ def modified_unloading_alpha_formula_a(n: int, m: int, r: int, d: int) -> BoundR
     u and rho split m n = u r + rho with 0 < rho <= r; s is the largest
     integer with (s+1)(s+2) <= 2 rho, capped at d - 1.
     """
-    _check_rd(r, n, d)
+    _check_uniform_rd(n, m, r, d)
     if not (2 * n >= 2 * r >= n + d * d):
         raise PreconditionError("closed form (a) needs 2n >= 2r >= n + d^2")
-    if m == 0:
-        return BoundReport("modified-unloading-formula-a", ALPHA_LOWER, 0,
-                           (("r", r), ("d", d)), (CHAR_ZERO,))
     u, rho = _u_rho(n, m, r)
     s = min(_tri_root(rho), d - 1)
     return BoundReport("modified-unloading-formula-a", ALPHA_LOWER, 1 + s + u * d,
@@ -619,12 +620,9 @@ def modified_unloading_alpha_formula_b(n: int, m: int, r: int, d: int) -> BoundR
     alpha >= 1 + min(floor((m r + g - 1) / d), s + u d) with
     g = (d-1)(d-2)/2 and u, rho, s as in form (a).
     """
-    _check_rd(r, n, d)
+    _check_uniform_rd(n, m, r, d)
     if not (d * (d + 1) // 2 <= r <= min(n, d * d)):
         raise PreconditionError("closed form (b) needs d(d+1)/2 <= r <= min(n, d^2)")
-    if m == 0:
-        return BoundReport("modified-unloading-formula-b", ALPHA_LOWER, 0,
-                           (("r", r), ("d", d)), (CHAR_ZERO,))
     g = (d - 1) * (d - 2) // 2
     u, rho = _u_rho(n, m, r)
     s = min(_tri_root(rho), d - 1)

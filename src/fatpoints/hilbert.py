@@ -31,6 +31,16 @@ conjectural, and the searches step forward from m_1 and from max(0,
 alpha - 1), except on uniform input, where they are closed forms in P
 alone; e(t) = 0 below m_1 on any input (proof in ``_alpha_tau``).
 
+*Known values and shared e in tables.*  The same two facts give a table
+on at most 9 positive multiplicities its values outside [alpha, tau):
+e(t) = 0 for t < alpha (negative t included) and e(t) = P(t) for t >=
+tau.  Only the degrees in between are reduced, and ``_e`` keeps each
+value on the query's spec (``FatPointSpec.expected_dims``), so a degree
+the alpha or tau bisection already evaluated is not reduced again: e is
+reduced at most once per degree per query.  Past 9 e is conjectural,
+neither fact is proven, and a table evaluates every degree, still
+through the same per-spec values.
+
 *Beta from the terminal class.*  decompose() reads membership and the
 fixed part off the terminal class (d; m) of the reduction alone, and
 the raw and the recorded reductions reach the same sorted terminal
@@ -53,6 +63,7 @@ from math import isqrt
 
 from .lattice import (DivisorClass, FatPointSpec, as_spec, decompose,
                       reduce_fundamental_raw)
+from .report import PreconditionError
 
 EXACT_POINT_LIMIT = 9
 
@@ -100,13 +111,30 @@ def _expected_dim(d: int, m) -> int:
 
 
 def _e(z: FatPointSpec, t: int) -> int:
-    # e(F_t(Z)).  Once t is at least the sum of the three largest
-    # multiplicities the sorted class is already terminal with
-    # nonnegative entries, so e is just max(0, P(t)).
+    # e(F_t(Z)), reduced at most once per degree for the life of the spec:
+    # the value is kept in z.expected_dims.  Once t is at least the sum of
+    # the three largest multiplicities the sorted class is already
+    # terminal with nonnegative entries, so e is just max(0, P(t)).
     w = z.positive
     if t >= sum(w[:3]):
         return max(0, (t * t + 3 * t + 2 - z.condition_sum) // 2)
-    return _expected_dim(t, w)
+    dims = z.expected_dims
+    e = dims.get(t)
+    if e is None:
+        e = dims[t] = _expected_dim(t, w)
+    return e
+
+
+def _e_window(z: FatPointSpec, alpha: int, tau: int, lo: int, hi: int) -> list[int]:
+    # e(F_t(Z)) for t in [lo, hi], given z's alpha and tau.  On at most 9
+    # positive multiplicities e is 0 below alpha and P from tau on (module
+    # docstring), so only the degrees in [alpha, tau) go through _e.  Past
+    # 9 e is conjectural and every degree does.
+    if len(z.positive) > EXACT_POINT_LIMIT:
+        return [_e(z, t) for t in range(lo, hi + 1)]
+    s = z.condition_sum
+    return [0 if t < alpha else _e(z, t) if t < tau else (t * t + 3 * t + 2 - s) // 2
+            for t in range(lo, hi + 1)]
 
 
 def _least_true(holds, lo: int, hi: int) -> int:
@@ -236,7 +264,7 @@ def hilbert_table(z, lo: int | None = None, hi: int | None = None) -> HilbertTab
         hi = tau + 1
     if lo > hi:
         raise ValueError(f"empty degree window [{lo}, {hi}]")
-    rows = tuple((t, _e(z, t)) for t in range(lo, hi + 1))
+    rows = tuple(zip(range(lo, hi + 1), _e_window(z, alpha, tau, lo, hi)))
     return HilbertTable(alpha, tau, rows, exactness_flag(len(z.positive)))
 
 
@@ -262,7 +290,7 @@ def beta_expected(z) -> int:
     """
     z = as_spec(z)
     if not z.positive:
-        raise ValueError("beta is undefined for the empty subscheme")
+        raise PreconditionError("beta is undefined for the empty subscheme")
     t = max(find_alpha(z), _least_above(z.condition_sum + 2))
     while t < sum(z.positive[:3]):
         d, m = reduce_fundamental_raw(t, z.mults)

@@ -75,8 +75,8 @@ class FatPointSpec:
     positive multiplicities.  Its normal form, ``positive``, with its
     prefix ``sums`` and ``condition_sum``, is computed here on first read
     and nowhere else.  The spec of one query also carries that query's
-    memo of unloading lowering sequences, ``lowerings``; it takes no part
-    in equality or hashing.
+    memos, ``lowerings`` and ``expected_dims``; they take no part in
+    equality or hashing.
     """
 
     mults: tuple[int, ...]
@@ -110,6 +110,11 @@ class FatPointSpec:
     def lowerings(self) -> dict:
         """Lowering sequences of ``positive`` by r, kept by the fixed-r
         unloading methods (``alpha_bounds._lowerings``) for this spec's life."""
+        return {}
+
+    @cached_property
+    def expected_dims(self) -> dict:
+        """e(F_t) by degree t, kept by ``hilbert._e`` for this spec's life."""
         return {}
 
     def divisor_class(self, t: int) -> DivisorClass:

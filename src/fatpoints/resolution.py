@@ -30,6 +30,19 @@ F.Q5 - 2 + 1), each bound at least 1 when the line test fires, and
 subtracting k lines at once matches k passes of the loop.
 F - (k-1)L still meets L negatively, so e is kept across the run.
 
+The table reduces no degree twice.  Its Hilbert values are 0 below
+alpha and P from tau on, and only the degrees in [alpha, tau) are
+reduced, once each per query and shared with the alpha and tau searches
+(``hilbert._e_window``).  ker_mu_dim(F_t) gets e(t) and e(t+1) from those
+values: e(t) > 0 from alpha on, so the entry emptiness test reduces
+nothing, and while no curve has been subtracted (the degree is still t)
+the maximal-rank term 3 e(t) - e(t+1) reduces nothing either.  Inside
+the kernel only three things are reduced: a class reached by subtracting
+a curve that is no fixed component, the two correction terms, and the
+degree-up term after a subtraction.  The six curve tests read prefix
+sums of the sorted multiplicities (``_EXC_STEPS``) instead of six 8-term
+dot products.
+
 Also here: the classical per-degree generator bounds that the exact
 algorithm sharpens, and the predicted resolution shape for quasi-uniform
 schemes on 9 or more points (conjectural; callers must label it so).
@@ -38,11 +51,12 @@ schemes on 9 or more points (conjectural; callers must label it so).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import accumulate
 
-from .hilbert import (_alpha_tau, _e, _expected_dim, _least_above, expected_dim,
+from .hilbert import (_alpha_tau, _e_window, _expected_dim, _least_above, expected_dim,
                       find_alpha, find_tau, hilbert_polynomial)
 from .lattice import DivisorClass, as_spec
+from .report import PreconditionError
 
 MAX_POINTS = 8
 
@@ -60,15 +74,26 @@ _EXC_TESTS: tuple[tuple[DivisorClass, int], ...] = (
 )
 
 
+# The same tests as ker_mu_dim runs them: (C.degree, C.mults, threshold,
+# x, i, j) per representative C, in order.  On a sorted class (d; m),
+# F.C = C.degree * d - x * m_1 - S_i - S_j, where S_k is the sum of the k
+# largest entries (S_0 = 0).  This is Abel summation of C's nonincreasing
+# multiplicities c: F.C = C.degree * d - sum over k of (c_k - c_{k+1}) S_k,
+# with c_9 = 0.
+_EXC_STEPS: tuple[tuple, ...] = tuple(
+    (c.degree, c.mults, lam) + sums for (c, lam), sums in zip(
+        _EXC_TESTS, ((1, 8, 8), (0, 6, 8), (0, 3, 8), (1, 7, 0), (0, 5, 0), (0, 2, 0))))
+
+
 def _as8(mults) -> tuple[int, ...]:
     m = tuple(mults)
     if sum(1 for x in m if x != 0) > MAX_POINTS:
-        raise ValueError("resolution algorithm supports at most 8 points")
+        raise PreconditionError("resolution algorithm supports at most 8 points")
     m = tuple(x for x in m if x != 0)
     return m + (0,) * (MAX_POINTS - len(m))
 
 
-def ker_mu_dim(f: DivisorClass) -> int:
+def ker_mu_dim(f: DivisorClass, e: int | None = None, e_next: int | None = None) -> int:
     """Kernel dimension of the multiplication map out of the system of f.
 
     Case analysis for 8 general points: clamp and sort; an empty system
@@ -77,26 +102,37 @@ def ker_mu_dim(f: DivisorClass) -> int:
     then either the two-term correction (class orthogonal to the line
     through the first two points), the special ray (kernel r+1), or
     maximal rank.
+
+    e and e_next, when given, are the expected dimensions of f and of f
+    one degree up, which the caller may already know; they stand in for
+    the entry emptiness test and, when no curve was subtracted, for the
+    maximal-rank term 3 e - e_next.
     """
     d = f.degree
     m = list(_as8(f.mults))
-    here = None  # e of (d, m), kept across fixed components
+    here = e  # e of (d, m), kept across fixed components
     while True:
-        m = sorted((x if x > 0 else 0 for x in m), reverse=True)
+        # Sort, then clamp: the negative entries sit at the end, and 0s there
+        # keep the order.
+        m = sorted(m, reverse=True)
+        if m[-1] < 0:
+            m = [x if x > 0 else 0 for x in m]
         if here is None:
             here = _expected_dim(d, m)
-            if here == 0:
-                return 0
+        if here == 0:
+            return 0
+        sums = list(accumulate(m, initial=0))
         meets = []
-        for c, lam in _EXC_TESTS:
-            meets.append(d * c.degree - sum(map(mul, m, c.mults)))
-            if meets[-1] < lam:
+        for deg, c, lam, x, i, j in _EXC_STEPS:
+            meet = deg * d - x * m[0] - sums[i] - sums[j]
+            meets.append(meet)
+            if meet < lam:
                 break
         else:
             break
-        if meets[-1] >= 0:
+        if meet >= 0:
             here = None  # c is no fixed component, so e may change
-        if c.degree == 1:
+        if deg == 1:
             # A run of k = min(-F.L, m2 - m3 + 1, F.Q6 - 2, F.Q5 - 1) lines,
             # as the module docstring proves.
             q6, q5, *_, line = meets
@@ -105,8 +141,8 @@ def ker_mu_dim(f: DivisorClass) -> int:
             m[0] -= k
             m[1] -= k
         else:
-            d -= c.degree
-            m = [a - b for a, b in zip(m, c.mults)]
+            d -= deg
+            m = [a - b for a, b in zip(m, c)]
     if d - m[0] - m[1] == 0:
         left = _expected_dim(d - 1, [m[0] - 1] + m[1:])
         if m[0] == m[1]:  # the two classes are one up to order
@@ -115,7 +151,11 @@ def ker_mu_dim(f: DivisorClass) -> int:
     r = m[7]
     if d == 8 * r + 3 and m == [3 * r + 1] * 7 + [r]:
         return r + 1
-    return max(0, 3 * here - _expected_dim(d + 1, m))
+    # Every subtraction lowers the degree, so d == f.degree means (d, m)
+    # is f itself, sorted, and e_next is its e one degree up.
+    if e_next is None or d != f.degree:
+        e_next = _expected_dim(d + 1, m)
+    return max(0, 3 * here - e_next)
 
 
 @dataclass(frozen=True)
@@ -142,9 +182,11 @@ def betti_table(z) -> BettiTable:
     mults = _as8(z.mults)
     alpha, tau = _alpha_tau(z)
     degrees = list(range(alpha - 2, tau + 3))
-    h = [_e(z, t) for t in degrees]
-    # nu at degree t reads the kernel at t - 1, so the top degree's is unused.
-    ker = [0 if t < alpha else ker_mu_dim(DivisorClass(t, mults)) for t in degrees[:-1]]
+    h = _e_window(z, alpha, tau, alpha - 2, tau + 2)
+    # nu at degree t reads the kernel at t - 1, so the top degree's is
+    # unused; the kernel at t reads the known e at t and t + 1.
+    ker = [0 if t < alpha else ker_mu_dim(DivisorClass(t, mults), h[i], h[i + 1])
+           for i, t in enumerate(degrees[:-1])]
     nu = []
     for i, t in enumerate(degrees):
         if i < 2:
@@ -207,11 +249,11 @@ def quasi_uniform_resolution(z) -> QuasiUniformResolution:
     z = as_spec(z)
     m = z.mults
     if len(m) < 9:
-        raise ValueError("quasi-uniform requires at least 9 points")
+        raise PreconditionError("quasi-uniform requires at least 9 points")
     if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
-        raise ValueError("quasi-uniform requires nonincreasing multiplicities")
+        raise PreconditionError("quasi-uniform requires nonincreasing multiplicities")
     if m[0] != m[8]:
-        raise ValueError("quasi-uniform requires the first nine multiplicities equal")
+        raise PreconditionError("quasi-uniform requires the first nine multiplicities equal")
     if all(x == 0 for x in m):
         return QuasiUniformResolution(0, 1, 0, 0, 0)
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
-from .alpha_bounds import _ceil_div, _check_rd, _lowerings, _Runs, _tri_root, _u_rho
+from .alpha_bounds import (_ceil_div, _check_rd, _check_uniform_rd, _lowerings, _Runs,
+                           _tri_root, _u_rho)
 from .hilbert import _least_above
 from .lattice import as_spec
 from .report import TAU_UPPER, CHAR_ZERO, BoundReport, PreconditionError, fmt_rational
@@ -205,12 +206,9 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
 
 def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:
     """Closed form when 2r >= n + d^2: max(ceil((m r + g - 1)/d), (u+1) d - 2)."""
-    _check_rd(r, n, d)
+    _check_uniform_rd(n, m, r, d)
     if 2 * r < n + d * d:
         raise PreconditionError("closed form (a) needs 2r >= n + d^2")
-    if m == 0:
-        return BoundReport("modified-unloading-formula-a", TAU_UPPER, 0,
-                           (("r", r), ("d", d)), (CHAR_ZERO,))
     g = (d - 1) * (d - 2) // 2
     u, _ = _u_rho(n, m, r)
     value = max(_ceil_div(m * r + g - 1, d), (u + 1) * d - 2)
@@ -220,12 +218,9 @@ def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundRep
 
 def modified_unloading_tau_formula_b(n: int, m: int, r: int, d: int) -> BoundReport:
     """Closed form when r <= d^2: max(ceil((rho + g - 1)/d) + u d, (u+1) d - 2)."""
-    _check_rd(r, n, d)
+    _check_uniform_rd(n, m, r, d)
     if r > d * d:
         raise PreconditionError("closed form (b) needs r <= d^2")
-    if m == 0:
-        return BoundReport("modified-unloading-formula-b", TAU_UPPER, 0,
-                           (("r", r), ("d", d)), (CHAR_ZERO,))
     g = (d - 1) * (d - 2) // 2
     u, rho = _u_rho(n, m, r)
     value = max(_ceil_div(rho + g - 1, d) + u * d, (u + 1) * d - 2)

@@ -10,6 +10,8 @@ import json
 import random
 import time
 
+import pytest
+
 from fatpoints import alpha_bounds as ab
 from fatpoints import cli
 from fatpoints import tau_bounds as tb
@@ -19,6 +21,7 @@ from fatpoints.lattice import (DivisorClass, apply_inverse, cremona_quad,
                                decompose, intersection, is_exceptional,
                                reduce_fundamental)
 from fatpoints.oracle import PointConfig, oracle_table
+from fatpoints.report import PreconditionError
 from fatpoints.resolution import (betti_table, classical_nu_bounds,
                                   ker_mu_dim, quasi_uniform_resolution)
 
@@ -364,6 +367,10 @@ def test_property_dominance_laws():
         if d * d != n:
             d += 1
         for m in range(0, 5):
+            if m == 0:  # no point for the curve to pass: the closed form rejects it
+                with pytest.raises(PreconditionError):
+                    tb.modified_unloading_tau_formula_b(n, m, n, d)
+                continue
             assert tb.modified_unloading_tau_formula_b(n, m, n, d).value \
                 <= tb.sqrt_specialization_tau(n, m).value
             cases += 1

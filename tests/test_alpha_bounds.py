@@ -139,7 +139,8 @@ def test_unloading_examples():
 
 def test_unloading_formula_examples():
     assert ab.unloading_alpha_formula(22, 3, 19, 4).value == 15
-    assert ab.unloading_alpha_formula(22, 0, 19, 4).value == 0
+    with pytest.raises(PreconditionError):
+        ab.unloading_alpha_formula(22, 0, 19, 4)  # no point at m = 0
     with pytest.raises(ValueError):
         ab.unloading_alpha_formula(22, 3, 14, 3)  # 2r < n + d^2
 
@@ -150,13 +151,25 @@ def test_unloading_formula_rejects_nonpositive_d():
             ab.unloading_alpha_formula(10, 2, 8, d)
 
 
+def _both_reject(*calls):
+    # Every call raises PreconditionError.
+    for call in calls:
+        with pytest.raises(PreconditionError):
+            call()
+
+
 def test_unloading_formula_matches_algorithm():
-    # m >= 1: on m = 0 the algorithm has no point for the curve to pass.
+    # At m = 0 the algorithm has no point for the curve to pass, and both
+    # sides reject the scheme.
     for n in range(4, 26):
-        for m in range(1, 5):
+        for m in range(0, 5):
             for d in range(1, 5):
                 for r in range(1, n + 1):
                     if 2 * r >= n + d * d:
+                        if m == 0:
+                            _both_reject(lambda: ab.unloading_alpha_formula(n, m, r, d),
+                                         lambda: ab.unloading_alpha([m] * n, r, d))
+                            continue
                         got = ab.unloading_alpha_formula(n, m, r, d).value
                         want = ab.unloading_alpha([m] * n, r, d).value
                         assert got == want, (n, m, r, d)
@@ -191,7 +204,8 @@ def test_modified_formula_examples():
     assert ab.modified_unloading_alpha_formula_a(1000, 13, 981, 31).value == 424
     assert ab.modified_unloading_alpha_formula_a(9000, 13, 8918, 94).value == 1267
     assert ab.modified_unloading_alpha_formula_b(20, 5, 16, 4).value == 21
-    assert ab.modified_unloading_alpha_formula_b(20, 0, 16, 4).value == 0
+    with pytest.raises(PreconditionError):
+        ab.modified_unloading_alpha_formula_b(20, 0, 16, 4)  # no point at m = 0
     with pytest.raises(ValueError):
         ab.modified_unloading_alpha_formula_a(22, 3, 14, 3)
     with pytest.raises(ValueError):
@@ -211,12 +225,17 @@ def test_modified_formula_b_rejects_nonpositive_d():
 
 
 def test_modified_formulas_match_algorithm():
-    # m >= 1, as in test_unloading_formula_matches_algorithm.
+    # Both sides reject m = 0, as in test_unloading_formula_matches_algorithm.
     for n in range(4, 24):
-        for m in range(1, 5):
+        for m in range(0, 5):
             for d in range(1, 5):
                 for r in range(1, n + 1):
                     z = [m] * n
+                    if m == 0:
+                        _both_reject(lambda: ab.modified_unloading_alpha_formula_a(n, m, r, d),
+                                     lambda: ab.modified_unloading_alpha_formula_b(n, m, r, d),
+                                     lambda: ab.modified_unloading_alpha(z, r, d))
+                        continue
                     if 2 * n >= 2 * r >= n + d * d:
                         got = ab.modified_unloading_alpha_formula_a(n, m, r, d).value
                         assert got == ab.modified_unloading_alpha(z, r, d).value, \

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fatpoints
-from fatpoints import cli, hilbert
+from fatpoints import cli, hilbert, lattice, resolution
 from fatpoints import tau_bounds as tb
 from fatpoints.cli import canonical_json, main
 from fatpoints.lattice import FatPointSpec
@@ -290,6 +290,40 @@ def test_one_bounds_query_searches_alpha_once(capsys, monkeypatch):
         code, _, err = run(capsys, "bounds", *args, "--json")
         assert code == 0, (args, err)
         assert len(calls) == 1, args
+
+
+def test_res_and_hilb_reduce_each_degree_at_most_once(capsys, monkeypatch):
+    # Work pins, counted in every namespace that holds the reduction.  res
+    # reads e = 0 below alpha and e = P from tau on, shares e per degree
+    # with the alpha and tau searches and hands ker_mu_dim the e it knows;
+    # reducing every window degree took 187 and 18.
+    reductions, kernels = [], []
+    raw, ker = lattice.reduce_fundamental_raw, resolution.ker_mu_dim
+    counted = lambda d, m: reductions.append(d) or raw(d, m)
+    monkeypatch.setattr(lattice, "reduce_fundamental_raw", counted)
+    monkeypatch.setattr(hilbert, "reduce_fundamental_raw", counted)
+    monkeypatch.setattr(resolution, "ker_mu_dim",
+                        lambda f, *known: kernels.append(f.degree) or ker(f, *known))
+    for argv, want in [(("res", "--mults", "37,28,13", "--json"), 118),
+                       (("hilb", "--mults", "9,8,7,7,7", "--json"), 11)]:
+        reductions.clear()
+        kernels.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(reductions) == want, (argv, len(reductions))
+        if argv[0] == "res":
+            # One kernel per degree in [alpha, tau + 1].
+            doc = json.loads(out)
+            assert kernels == list(range(doc["alpha"], doc["tau"] + 2)), kernels
+
+
+def test_resolution_and_beta_preconditions_exit_3(capsys):
+    for argv, message in [(("res", "--mults", "1,1,1,1,1,1,1,1,1"),
+                           "resolution algorithm supports at most 8 points"),
+                          (("beta", "--mults", "0,0"),
+                           "beta is undefined for the empty subscheme")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n"), argv
 
 
 def test_only_a_precondition_error_drops_a_default_method(capsys, monkeypatch):

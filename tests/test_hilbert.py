@@ -14,6 +14,7 @@ from fatpoints.hilbert import (beta_expected, expected_dim, find_alpha,
                                _uniform_alpha_tau)
 from fatpoints.lattice import (DivisorClass, FatPointSpec, canonical_class,
                                decompose, intersection, reduce_fundamental_raw)
+from fatpoints.report import PreconditionError
 
 specs = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=9)
 
@@ -229,6 +230,80 @@ def test_hilbert_table_window_and_errors():
         hilbert_table((2, 2), 5, 1)
 
 
+def _hilbert_windows(alpha, tau):
+    # The default window, one reaching from below alpha - 2 (at negative
+    # degrees for small alpha) to past tau + 2, and windows that lie only
+    # below alpha, only in [alpha, tau) and only from tau on.
+    return [(None, None), (min(alpha - 4, -2), tau + 4), (alpha - 5, alpha - 1),
+            (alpha, max(alpha, tau - 1)), (tau, tau + 3)]
+
+
+def _assert_windows_match_every_degree(mults):
+    z = FatPointSpec(mults)
+    alpha, tau = find_alpha(mults), find_tau(mults)
+    for lo, hi in _hilbert_windows(alpha, tau):
+        # One spec serves every window, so later windows read the e kept
+        # by earlier ones.
+        table = hilbert_table(z, lo, hi)
+        lo = alpha - 1 if lo is None else lo
+        hi = tau + 1 if hi is None else hi
+        assert (table.alpha, table.tau) == (alpha, tau), mults
+        assert table.rows == tuple((t, expected_dim(DivisorClass(t, mults)))
+                                   for t in range(lo, hi + 1)), (mults, lo, hi)
+
+
+def test_hilbert_table_windows_match_every_degree_up_to_nine_points():
+    # Every nonincreasing tuple of 1 to 9 entries in 1..5: the table reads
+    # known values below alpha and from tau on, and shares e per degree.
+    for k in range(1, 10):
+        for mults in itertools.combinations_with_replacement(range(5, 0, -1), k):
+            _assert_windows_match_every_degree(mults)
+
+
+def test_hilbert_table_windows_match_every_degree_past_nine_points():
+    # 10 to 14 mixed multiplicities take the path that evaluates every degree.
+    rng = random.Random(18)
+    for _ in range(150):
+        mults = [rng.randint(1, 8) for _ in range(rng.randint(10, 14))]
+        mults[0] = mults[1] + 1  # mixed
+        _assert_windows_match_every_degree(mults)
+
+
+def test_hilbert_table_reduces_only_between_alpha_and_tau(monkeypatch):
+    # On at most 9 positive multiplicities only the degrees in [alpha, tau)
+    # go through _e; past 9 every window degree does.
+    seen = []
+    monkeypatch.setattr(hb, "_e", lambda z, t: seen.append(t) or _e(z, t))
+    for mults, every in [((9, 8, 7, 7, 7, 0), False), ((3,) * 9, False),
+                         ((4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 1), True)]:
+        z = FatPointSpec(mults)
+        seen.clear()
+        alpha, tau = hb._alpha_tau(z)
+        searched = list(seen)
+        seen.clear()
+        table = hilbert_table(z, alpha - 3, tau + 3)
+        window = [t for t, _ in table.rows]
+        want = window if every else [t for t in window if alpha <= t < tau]
+        # The table's own alpha and tau search comes first.
+        assert seen == searched + want, (mults, alpha, tau, seen)
+
+
+def test_e_is_reduced_once_per_degree_per_spec(monkeypatch):
+    # The alpha and tau searches and the table share one e per degree.
+    reduced = []
+    monkeypatch.setattr(hb, "_expected_dim",
+                        lambda d, m: reduced.append(d) or _expected_dim(d, m))
+    rng = random.Random(5)
+    for _ in range(200):
+        mults = [rng.randint(0, 12) for _ in range(rng.randint(1, 12))]
+        z = FatPointSpec(mults)
+        reduced.clear()
+        hilbert_table(z, -3, 40)
+        hb._alpha_tau(z)
+        assert len(reduced) == len(set(reduced)), (mults, reduced)
+        assert set(reduced) == set(z.expected_dims), mults
+
+
 def test_beta_examples():
     assert beta_expected((1,)) == 1
     # Cubics through two double points all contain the connecting line, so
@@ -237,7 +312,7 @@ def test_beta_examples():
     # For five triple points the paper's lower-bound table forces the
     # one-dimensional base locus to persist through degree 7.
     assert beta_expected([3] * 5) == 8
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^beta is undefined for the empty subscheme$"):
         beta_expected([0, 0])
 
 

@@ -9,7 +9,8 @@ from fatpoints.hilbert import (_expected_dim, beta_expected, expected_dim, find_
 from fatpoints.lattice import (DivisorClass, intersection, is_exceptional,
                                reduce_fundamental_raw)
 from fatpoints.oracle import PointConfig, actual_nu
-from fatpoints.resolution import (_EXC_TESTS, betti_table, classical_nu_bounds,
+from fatpoints.report import PreconditionError
+from fatpoints.resolution import (_EXC_STEPS, _EXC_TESTS, betti_table, classical_nu_bounds,
                                   ker_mu_dim, quasi_uniform_resolution)
 
 
@@ -31,8 +32,26 @@ def test_ker_mu_examples():
 
 
 def test_ker_mu_rejects_nine_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError,
+                       match="^resolution algorithm supports at most 8 points$"):
         ker_mu_dim(DivisorClass(5, (1,) * 9))
+    with pytest.raises(PreconditionError, match="at most 8 points"):
+        betti_table((1,) * 9 + (0,))
+
+
+def test_prefix_sum_tests_are_the_intersections():
+    # Each step carries its representative's degree, multiplicities and
+    # threshold, and its prefix-sum form is F.C on sorted classes.
+    assert [(deg, c, lam) for deg, c, lam, *_ in _EXC_STEPS] == \
+        [(c.degree, c.mults, lam) for c, lam in _EXC_TESTS]
+    rng = random.Random(8)
+    for _ in range(2000):
+        m = sorted((rng.randint(0, 30) for _ in range(8)), reverse=True)
+        d = rng.randint(0, 100)
+        sums = [sum(m[:k]) for k in range(9)]
+        for (deg, c, _, x, i, j), (rep, _) in zip(_EXC_STEPS, _EXC_TESTS):
+            assert deg * d - x * m[0] - sums[i] - sums[j] == \
+                intersection(DivisorClass(d, m), rep), (d, m, rep)
 
 
 def test_ker_mu_padding_and_permutation_invariance():
@@ -153,6 +172,18 @@ def test_raw_path_matches_class_reference_up_to_forty():
         assert ker_mu_dim(f) == _ker_mu_dim_ref(f), f
 
 
+def test_known_dimensions_give_the_same_kernel_exhaustively():
+    # betti_table hands ker_mu_dim the e it knows at t and t + 1; on the
+    # grid of test_raw_path_matches_class_reference_exhaustively that
+    # changes no kernel dimension.
+    for mults in itertools.combinations_with_replacement(range(6, -1, -1), 8):
+        alpha, tau = find_alpha(mults), find_tau(mults)
+        for t in range(alpha, tau + 2):
+            f = DivisorClass(t, mults)
+            e, e_next = expected_dim(f), expected_dim(DivisorClass(t + 1, mults))
+            assert ker_mu_dim(f, e, e_next) == ker_mu_dim(f), (t, mults)
+
+
 def test_line_meets_only_the_quintic_and_sextic():
     # The one-step line run rests on these intersections with the line
     # through the first two points, which comes last.
@@ -238,11 +269,13 @@ def test_quasi_uniform_examples():
 
 
 def test_quasi_uniform_rejections():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^quasi-uniform requires at least 9 points$"):
         quasi_uniform_resolution([2] * 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError,
+                       match="^quasi-uniform requires the first nine multiplicities equal$"):
         quasi_uniform_resolution([3] * 8 + [2, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError,
+                       match="^quasi-uniform requires nonincreasing multiplicities$"):
         quasi_uniform_resolution([2, 3] + [2] * 8)
 
 

@@ -157,7 +157,8 @@ def test_modified_unloading_tau_examples():
 def test_modified_tau_formula_values():
     # u = 6, rho = 4, g = 3: max(ceil(6/4) + 24, 26) = 26.
     assert tb.modified_unloading_tau_formula_b(20, 5, 16, 4).value == 26
-    assert tb.modified_unloading_tau_formula_b(20, 0, 16, 4).value == 0
+    with pytest.raises(PreconditionError):
+        tb.modified_unloading_tau_formula_b(20, 0, 16, 4)  # no point at m = 0
     with pytest.raises(ValueError):
         tb.modified_unloading_tau_formula_b(20, 5, 20, 4)
     with pytest.raises(ValueError):
@@ -177,12 +178,20 @@ def test_modified_tau_formula_b_rejects_nonpositive_d():
 
 
 def test_modified_tau_formulas_match_algorithm():
-    # m >= 1: on m = 0 the algorithm has no point for the curve to pass.
+    # At m = 0 the algorithm has no point for the curve to pass, and both
+    # sides reject the scheme.
     for n in range(4, 24):
-        for m in range(1, 5):
+        for m in range(0, 5):
             for d in range(1, 5):
                 for r in range(1, n + 1):
                     z = [m] * n
+                    if m == 0:
+                        for call in (lambda: tb.modified_unloading_tau_formula_a(n, m, r, d),
+                                     lambda: tb.modified_unloading_tau_formula_b(n, m, r, d),
+                                     lambda: tb.modified_unloading_tau(z, r, d)):
+                            with pytest.raises(PreconditionError):
+                                call()
+                        continue
                     if 2 * r >= n + d * d:
                         got = tb.modified_unloading_tau_formula_a(n, m, r, d).value
                         assert got == tb.modified_unloading_tau(z, r, d).value, \
@@ -202,6 +211,10 @@ def test_formula_b_dominates_sqrt_specialization():
         if d * d != n:
             d += 1
         for m in range(0, 6):
+            if m == 0:  # no point for the curve to pass: the closed form rejects it
+                with pytest.raises(PreconditionError):
+                    tb.modified_unloading_tau_formula_b(n, m, n, d)
+                continue
             got = tb.modified_unloading_tau_formula_b(n, m, n, d).value
             assert got <= tb.sqrt_specialization_tau(n, m).value, (n, m)
 
