@@ -9,6 +9,14 @@ by default and a canonical JSON document with `--json` (integers and
 p/q strings only, fixed key order, byte-stable under parse/re-serialize).
 
 Exit codes: 0 success, 2 usage error, 3 precondition violation.
+
+`main` reads the canonical spelling directly: the command, then exact
+option names such as `--mults 3,2,2` and `--json`, each at most once,
+every value a separate token that does not start with "-".  Every other
+spelling (an abbreviation like `--mult`, the `--mults=3,2,2` form, a
+value starting with "-", a repeated option), `--help` and every usage
+error go through argparse, with unchanged results and text.  Both
+paths read one grammar: the actions of the one argparse parser.
 """
 
 from __future__ import annotations
@@ -61,17 +69,19 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"malformed weight list: {text!r}")
 
 
-# argparse reads "-3:-1" as an option, so a negative number at the start
-# of an N:M or LO:HI value needs the = form.
+# argparse reads "-3:-1" or "-1,2" as an option, so a negative number at
+# the start of an N:M, LO:HI or comma-separated value needs the = form.
+_MULTS_HELP = "comma-separated multiplicities m1,m2,...; write a negative m1 as --mults=m1,m2,..."
 _UNIFORM_HELP = ("N general points of equal multiplicity M; "
                  "write a negative N as --uniform=N:M")
 _WINDOW_HELP = "degree window; write a negative LO as --window=LO:HI"
+_WEIGHTS_HELP = ("full nef weight vector a0,a1,...,an (rationals allowed); "
+                 "write a negative a0 as --weights=a0,a1,...")
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--mults", type=_parse_mults,
-                   help="comma-separated multiplicities m1,m2,...")
+    g.add_argument("--mults", type=_parse_mults, help=_MULTS_HELP)
     g.add_argument("--uniform", type=_parse_uniform, metavar="N:M", help=_UNIFORM_HELP)
     p.add_argument("--json", action="store_true", help="structured output")
 
@@ -493,8 +503,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, help="curve passes through the first r points")
     p.add_argument("--d", type=int, help="degree of the unloading curve")
     p.add_argument("--j", type=int, help="tail width for the prefix-spread family")
-    p.add_argument("--weights", type=_parse_weights,
-                   help="full nef weight vector a0,a1,...,an (rationals allowed)")
+    p.add_argument("--weights", type=_parse_weights, help=_WEIGHTS_HELP)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("oracle", help="finite-field interpolation oracle")
@@ -509,11 +518,86 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _grammar() -> dict:
+    # Per command: the namespace parse_args starts from (the top-level
+    # defaults, the command's name, then the subparser's action and
+    # set_defaults values, in argparse's order), the exact option strings
+    # of its actions that store one value or a constant (not -h, which
+    # also takes no value), its mutually exclusive groups and its required
+    # actions, all read from _parser()'s own actions.
+    top = _parser()
+    commands = next(a for a in top._actions if a.nargs == argparse.PARSER)
+    grammar = {}
+    for name, sub in commands.choices.items():
+        defaults = {**_defaults(top), commands.dest: name, **_defaults(sub)}
+        options = {string: action for action in sub._actions
+                   if isinstance(action, argparse._StoreConstAction)
+                   or isinstance(action, argparse._StoreAction) and action.nargs is None
+                   for string in action.option_strings}
+        groups = [(g.required, g._group_actions) for g in sub._mutually_exclusive_groups]
+        required = [action for action in sub._actions if action.required]
+        grammar[name] = defaults, options, groups, required
+    return grammar
+
+
+def _defaults(parser: argparse.ArgumentParser) -> dict:
+    values = {a.dest: a.default for a in parser._actions
+              if a.dest != argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+    for dest, value in parser._defaults.items():
+        values.setdefault(dest, value)
+    return values
+
+
+def _recognize(argv) -> argparse.Namespace | None:
+    """The Namespace parse_args would return for a canonical argv, else None.
+
+    Canonical: a command, then exact option strings, each at most once;
+    a flag stands alone and any other option takes the next token, which
+    must not start with "-" and must convert by the option's type (an
+    option without a type declines, by the TypeError).  The
+    mutually exclusive and required checks are argparse's: a group member
+    counts as given when its value is not its default object.  Every
+    other argv, and every one argparse would reject, gets None.
+    """
+    command = _grammar().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    defaults, options, groups, required = command
+    values, i = {}, 1
+    while i < len(argv):
+        action = options.get(argv[i])
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            values[action.dest] = action.type(argv[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        i += 2
+    for group_required, members in groups:
+        given = sum(a.dest in values and values[a.dest] is not a.default for a in members)
+        if given > 1 or group_required and not given:
+            return None
+    if any(action.dest not in values for action in required):
+        return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _recognize(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
     except ValueError as exc:

@@ -53,8 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .hilbert import (_alpha_tau, _e_window, _expected_dim, _least_above, expected_dim,
-                      find_alpha, find_tau, hilbert_polynomial)
+from .hilbert import (_alpha_tau, _e, _e_window, _expected_dim, _least_above, find_alpha,
+                      find_tau, hilbert_polynomial)
 from .lattice import DivisorClass, as_spec
 from .report import PreconditionError
 
@@ -304,9 +304,8 @@ def classical_nu_bounds(z, alpha: int | None = None, beta: int | None = None,
         raise ValueError(f"inconsistent characters: alpha={alpha}, beta={beta}, tau={tau}")
 
     def h(t: int) -> int:
-        if t < alpha:
-            return 0
-        return expected_dim(z.divisor_class(t))
+        # Each degree is reduced at most once per spec (hilbert._e).
+        return 0 if t < alpha else _e(z, t)
 
     def eps(t: int) -> int:
         if t < alpha:

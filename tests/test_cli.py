@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fatpoints
@@ -488,6 +491,24 @@ def test_beta_of_nine_uniform_points_is_past_the_cubic(capsys, m):
     assert code == 0 and json.loads(out)["value"] == 3 * m + 1
 
 
+def test_negative_leading_lists_need_the_equals_form(capsys):
+    # The same trap for --mults and --weights: "-1,2" is no negative number
+    # to argparse, so after a space it is read as an option.
+    for spaced, joined, option, message in [
+            (("tau", "--mults", "-1,2"), ("tau", "--mults=-1,2"), "--mults",
+             "fat-point multiplicities must be nonnegative"),
+            (("bounds", "--mults", "3,2", "--weights", "-1,1,1", "--r", "1", "--d", "1"),
+             ("bounds", "--mults", "3,2", "--weights=-1,1,1", "--r", "1", "--d", "1"),
+             "--weights", "weights must be nonnegative")]:
+        code, out, err = run(capsys, *spaced)
+        assert (code, out) == (2, ""), spaced
+        assert err.splitlines()[-1] == \
+            f"fatpoints {spaced[0]}: error: argument {option}: expected one argument"
+        assert run(capsys, *joined) == (3, "", f"error: {message}\n"), joined
+    code, out, _ = run(capsys, "bounds", "--help")
+    assert code == 0 and "--mults=m1,m2,..." in out and "--weights=a0,a1,..." in out
+
+
 def test_negative_window_lo_needs_the_equals_form(capsys):
     # argparse reads "-3:-1" after a space as an option, not as the value.
     for command in ("hilb", "oracle"):
@@ -603,11 +624,92 @@ def test_one_parser_answers_every_call_as_a_fresh_one_would(capsys, monkeypatch)
 
 
 def test_importing_cli_builds_no_parser():
+    # Neither the parser nor the grammar the canonical path reads from it.
     src = Path(cli.__file__).resolve().parents[1]
-    probe = "import fatpoints.cli as c; i = c._parser.cache_info(); print(i.misses, i.currsize)"
+    probe = ("import fatpoints.cli as c; "
+             "print(*(f.cache_info().misses + f.cache_info().currsize"
+             " for f in (c._parser, c._grammar)))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert done.stdout.split() == ["0", "0"]
+
+
+def _parsed(argv):
+    # vars() of what the cached parser returns for argv, None on a usage
+    # error, after the grammar is rebuilt from that same parser (a test may
+    # have cleared the parser's cache, and func defaults compare by identity).
+    cli._grammar.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_COMMANDS = ["alpha", "tau", "beta", "psi", "hilb", "res", "decomp", "bounds", "oracle"]
+# Each option that takes a value, with values its type accepts.
+_GOOD = {"--mults": ["3,2", "3,2,2"], "--uniform": ["4:2", "5:3"], "--window": ["0:4", "5:3"],
+         "--t": ["7", "0"], "--r": ["2"], "--d": ["1"], "--j": ["0"], "--weights": ["1/2,1", "7"],
+         "--seed": ["7", "0"], "--prime": ["7"]}
+_VALUES = ["3,2", "", "1,,2", "-1", "-1,2", "-3:-1", "5:3", "7", "x", "1/2", "1/0"]
+_OTHER = ["--json", "--nu", "--mul", "--uni", "--js", "--w", "--mults=3,2", "--uniform=4:2",
+          "--window=-3:-1", "--t=5", "--json=1", "-h", "--help", "--", "-", "junk", "-x",
+          "---mults"]
+_TOKENS = st.sampled_from(_COMMANDS + list(_GOOD) + _VALUES + _OTHER).map(lambda t: [t])
+_PAIRS = st.sampled_from(list(_GOOD)).flatmap(
+    lambda option: (st.sampled_from(_GOOD[option]) | st.sampled_from(_VALUES)).map(
+        lambda value: [option, value]))
+_FLAGS = st.sampled_from([["--json"], ["--nu"]])
+# Most argvs name no input; one is put in at a drawn place, so that about
+# one in seven draws is canonical.
+_INPUT = st.sampled_from([["--mults", "3,2"], ["--uniform", "4:2"], []])
+
+
+@settings(max_examples=600, deadline=None)
+@example("alpha", ["--mults", "3,2"], 1, [["--json"], ["-h"]])
+@example("oracle", ["--mults", "3,2"], 0, [["--window", "0:4"], ["--t", "7"]])
+@example("hilb", ["--uniform", "5:3"], 1, [["--mults", "3,2"]])
+@given(st.sampled_from(_COMMANDS + [None]), _INPUT, st.integers(0, 4),
+       st.lists(st.one_of(_PAIRS, _FLAGS, _TOKENS), max_size=4))
+def test_the_canonical_path_agrees_with_argparse_or_declines(command, inputs, at, parts):
+    # The canonical path never accepts an argv that argparse rejects, and
+    # what it accepts it parses exactly as argparse does.
+    parts.insert(at, inputs)
+    argv = ([command] if command else []) + sum(parts, [])
+    want = _parsed(argv)
+    got = cli._recognize(argv)
+    if got is not None:
+        assert want is not None, argv
+        assert vars(got) == want, argv
+
+
+def test_every_recorded_query_takes_the_canonical_path():
+    # The traffic claim: all 2,613 queries of the four pools are canonical.
+    argvs = [query["argv"] for pool in POOLS
+             for stratum in json.loads((REFERENCE / f"{pool}.json").read_text())["strata"]
+             for case in stratum for query in case]
+    assert len(argvs) == 2613
+    for argv in argvs:
+        want = _parsed(argv)
+        got = cli._recognize(argv)
+        assert got is not None and vars(got) == want, argv
+
+
+def test_a_canonical_query_runs_no_argparse_parse(capsys, monkeypatch):
+    # Work pin: argparse parsed alpha --mults 3,2,2 --json twice, once per
+    # parser level; the = form still goes through it.
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda *a, **k: calls.append(a) or parse(*a, **k))
+    outputs = []
+    for argv, parsed in [(("alpha", "--mults", "3,2,2", "--json"), False),
+                         (("alpha", "--mults=3,2,2", "--json"), True)]:
+        calls.clear()
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and bool(calls) == parsed, (argv, len(calls))
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_catalogue_pool_twice_in_one_process(capsys):

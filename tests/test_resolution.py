@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from fatpoints import resolution
+from fatpoints import hilbert, lattice, resolution
 from fatpoints.hilbert import (_expected_dim, beta_expected, expected_dim, find_alpha,
                                find_tau)
-from fatpoints.lattice import (DivisorClass, intersection, is_exceptional,
+from fatpoints.lattice import (DivisorClass, as_spec, intersection, is_exceptional,
                                reduce_fundamental_raw)
 from fatpoints.oracle import PointConfig, actual_nu
 from fatpoints.report import PreconditionError
@@ -300,6 +300,53 @@ def test_classical_bounds_inconsistent_inputs():
         classical_nu_bounds((2, 2), alpha=2, beta=1, tau=3)
     with pytest.raises(ValueError):
         classical_nu_bounds((2, 2), alpha=2, beta=5, tau=3)
+
+
+def _classical_nu_bounds_reference(z):
+    # classical_nu_bounds before it read hilbert._e: every h(t) a fresh
+    # expected_dim, up to seven per degree.
+    z = as_spec(z)
+    alpha, beta, tau = find_alpha(z), beta_expected(z), find_tau(z)
+
+    def h(t):
+        return 0 if t < alpha else expected_dim(z.divisor_class(t))
+
+    def eps(t):
+        return 0 if t < alpha else 1 if t < beta else 2 if t <= tau else 0
+
+    out = []
+    for t in range(alpha, tau + 2):
+        upper = h(t) - 2 * h(t - 1) + h(t - 2) - eps(t - 1)
+        d3 = h(t) - 3 * h(t - 1) + 3 * h(t - 2) - h(t - 3)
+        out.append((t, max(d3, 1 if t == beta else 0, 0), upper))
+    return tuple(out), alpha + 1, alpha + beta - tau
+
+
+def test_classical_bounds_match_the_reference():
+    # Every nonempty nonincreasing tuple of up to 8 entries in 0..6, then
+    # seeded schemes past 9 points, where e is conjectural at every degree.
+    rng = random.Random(19)
+    schemes = [m for n in range(1, 9)
+               for m in itertools.combinations_with_replacement(range(6, -1, -1), n) if m[0]]
+    schemes += [tuple(rng.randint(1, 9) for _ in range(rng.randint(10, 14))) for _ in range(60)]
+    for m in schemes:
+        nb = classical_nu_bounds(m)
+        assert (nb.per_degree, nb.total_simple, nb.total_refined) == \
+            _classical_nu_bounds_reference(m), m
+
+
+def test_classical_bounds_reduce_each_degree_at_most_once(monkeypatch):
+    # Work pin, counted in both namespaces that hold the reduction: the
+    # alpha, beta and tau searches and the differences share e per degree
+    # on the spec; a fresh expected_dim per h(t) took 392 and 58.
+    reductions = []
+    counted = lambda d, m: reductions.append(d) or reduce_fundamental_raw(d, m)
+    monkeypatch.setattr(lattice, "reduce_fundamental_raw", counted)
+    monkeypatch.setattr(hilbert, "reduce_fundamental_raw", counted)
+    for m, want in [((37, 28, 13), 74), ((9, 8, 7, 7, 7), 14)]:
+        reductions.clear()
+        classical_nu_bounds(m)
+        assert len(reductions) == want, (m, len(reductions))
 
 
 def test_bounds_bracket_true_nu_small_grid():
