@@ -432,20 +432,6 @@ def _u_rho(n: int, m: int, r: int) -> tuple[int, int]:
     return u, m * n - u * r
 
 
-def unloading_alpha_formula(n: int, m: int, r: int, d: int) -> BoundReport:
-    """Closed form of the uniform unloading bound when 2r >= n + d^2.
-
-    With u >= 0 and 0 < rho <= r defined by m n = u r + rho:
-    alpha >= 1 + u d + min(d - 1, ceil(rho / d) - 1).
-    """
-    _check_uniform_rd(n, m, r, d)
-    if 2 * r < n + d * d:
-        raise PreconditionError("closed form needs 2r >= n + d^2")
-    u, rho = _u_rho(n, m, r)
-    value = 1 + u * d + min(d - 1, _ceil_div(rho, d) - 1)
-    return BoundReport("unloading-formula", ALPHA_LOWER, value, (("r", r), ("d", d)))
-
-
 def best_unloading_search(z) -> BoundReport:
     """Maximum of the unloading bound over 1 <= r <= n, d^2 <= r.
 

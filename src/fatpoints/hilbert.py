@@ -57,7 +57,6 @@ qualifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from math import isqrt
 
@@ -66,13 +65,6 @@ from .lattice import (DivisorClass, FatPointSpec, as_spec, decompose,
 from .report import PreconditionError
 
 EXACT_POINT_LIMIT = 9
-
-# alpha(Z) = ceil(c_n * m) for Z = m * (p_1 + ... + p_n), n <= 9.
-UNIFORM_ALPHA_SLOPES = {
-    1: Fraction(1), 2: Fraction(1), 3: Fraction(3, 2), 4: Fraction(2),
-    5: Fraction(2), 6: Fraction(12, 5), 7: Fraction(21, 8),
-    8: Fraction(48, 17), 9: Fraction(3),
-}
 
 
 def exactness_flag(n: int) -> str:
@@ -185,7 +177,7 @@ def _alpha_tau(z: FatPointSpec, with_tau: bool = True) -> tuple[int, int | None]
        (d + 1)(d + 2) <= M(M + 1) <= s gives P <= 0 and e = 0.
     """
     w, s = z.positive, z.condition_sum
-    if len(w) > EXACT_POINT_LIMIT and w[0] == w[-1]:
+    if len(w) > EXACT_POINT_LIMIT and z.is_uniform():
         return _uniform_alpha_tau(len(w), w[0])
     top = sum(w[:3])
     if len(w) > EXACT_POINT_LIMIT:
@@ -218,16 +210,6 @@ def _least_above(s: int) -> int:
     return -1 if s < 0 else (isqrt(4 * s + 1) - 1) // 2
 
 
-def uniform_alpha_closed_form(n: int, m: int) -> int:
-    """ceil(c_n * m) for n <= 9 general points of equal multiplicity m."""
-    if n not in UNIFORM_ALPHA_SLOPES:
-        raise ValueError(f"closed form only covers 1 <= n <= 9, got n={n}")
-    if m < 0:
-        raise ValueError("multiplicity must be nonnegative")
-    c = UNIFORM_ALPHA_SLOPES[n] * m
-    return -((-c.numerator) // c.denominator)
-
-
 def find_tau(z) -> int:
     """Least degree t >= 0 with e(F_t(Z)) = P_Z(t).
 
@@ -246,12 +228,6 @@ class HilbertTable:
     tau: int
     rows: tuple[tuple[int, int], ...]
     exactness: str
-
-    def value(self, t: int) -> int:
-        for deg, v in self.rows:
-            if deg == t:
-                return v
-        raise KeyError(f"degree {t} outside table window")
 
 
 def hilbert_table(z, lo: int | None = None, hi: int | None = None) -> HilbertTable:

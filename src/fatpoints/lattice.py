@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Move = tuple
 _QUAD: Move = ("quad",)
@@ -56,9 +56,6 @@ class DivisorClass:
         a, b = self.padded(n), other.padded(n)
         return DivisorClass(a.degree + b.degree,
                             tuple(x + y for x, y in zip(a.mults, b.mults)))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-1) * other
 
     def __rmul__(self, k: int) -> "DivisorClass":
         return DivisorClass(k * self.degree, tuple(k * m for m in self.mults))
@@ -122,11 +119,9 @@ class FatPointSpec:
         return DivisorClass(t, self.mults)
 
     def is_uniform(self) -> bool:
-        """True when all multiplicities are equal (and there is at least one)."""
-        return len(self.mults) > 0 and len(set(self.mults)) == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.mults)
+        """True when all positive multiplicities are equal (and there is at least one)."""
+        w = self.positive
+        return len(w) > 0 and w[0] == w[-1]
 
 
 def as_spec(z) -> FatPointSpec:
@@ -181,12 +176,6 @@ class WeylWord:
     moves: tuple[Move, ...] = field(default_factory=tuple)
 
 
-def _apply_perm(f: DivisorClass, perm: tuple[int, ...]) -> DivisorClass:
-    if len(perm) != len(f.mults):
-        raise ValueError(f"permutation length {len(perm)} != multiplicity length {len(f.mults)}")
-    return DivisorClass(f.degree, tuple(f.mults[p] for p in perm))
-
-
 def _apply_perm_inverse(f: DivisorClass, perm: tuple[int, ...]) -> DivisorClass:
     if len(perm) != len(f.mults):
         raise ValueError(f"permutation length {len(perm)} != multiplicity length {len(f.mults)}")
@@ -196,28 +185,26 @@ def _apply_perm_inverse(f: DivisorClass, perm: tuple[int, ...]) -> DivisorClass:
     return DivisorClass(f.degree, tuple(out))
 
 
-def cremona_quad(f: DivisorClass) -> DivisorClass:
-    """Quadratic Cremona transform centered at the first three points.
-
-    (d; m1,m2,m3,...) goes to (2d-m1-m2-m3; d-m2-m3, d-m1-m3, d-m1-m2, ...).
-    Involution; preserves the intersection form.  Inputs shorter than
-    three multiplicities are zero-padded and the result keeps the padded
-    length.
-    """
-    f = f.padded(3)
-    d = f.degree
-    m1, m2, m3 = f.mults[0], f.mults[1], f.mults[2]
-    return DivisorClass(2 * d - m1 - m2 - m3,
-                        (d - m2 - m3, d - m1 - m3, d - m1 - m2) + f.mults[3:])
-
-
 def _quad_raw(d: int, m: list[int]) -> int:
-    # In-place quadratic transform on a multiplicity list; returns the new degree.
+    # In-place quadratic transform on a multiplicity list; returns the new
+    # degree: (d; m1,m2,m3,...) goes to (2d-m1-m2-m3; d-m2-m3, d-m1-m3, d-m1-m2, ...).
     m1, m2, m3 = m[0], m[1], m[2]
     m[0] = d - m2 - m3
     m[1] = d - m1 - m3
     m[2] = d - m1 - m2
     return 2 * d - m1 - m2 - m3
+
+
+def cremona_quad(f: DivisorClass) -> DivisorClass:
+    """Quadratic Cremona transform centered at the first three points.
+
+    The map of ``_quad_raw``, on a copy.  Involution; preserves the
+    intersection form.  Inputs shorter than three multiplicities are
+    zero-padded and the result keeps the padded length.
+    """
+    f = f.padded(3)
+    m = list(f.mults)
+    return DivisorClass(_quad_raw(f.degree, m), m)
 
 
 def reduce_fundamental_raw(degree: int, mults: Sequence[int]) -> tuple[int, list[int]]:
@@ -243,33 +230,21 @@ def reduce_fundamental(f: DivisorClass) -> tuple[DivisorClass, WeylWord]:
     """Reduce f to the fundamental domain, recording every move.
 
     The terminal class either has negative degree (not effective) or has
-    nonincreasing multiplicities with degree >= m1+m2+m3.
+    nonincreasing multiplicities with degree >= m1+m2+m3.  The steps run
+    on a (degree, list) pair; the class is built once, at the end.
     """
     f = f.padded(3)
+    d, m = f.degree, list(f.mults)
     moves: list[Move] = []
-    cur = f
-    perm = _desc_perm(cur.mults)
-    if not _is_identity(perm):
-        moves.append(("perm", perm))
-        cur = _apply_perm(cur, perm)
-    while cur.degree < cur.mults[0] + cur.mults[1] + cur.mults[2] and cur.degree >= 0:
-        moves.append(_QUAD)
-        cur = cremona_quad(cur)
-        perm = _desc_perm(cur.mults)
+    while True:
+        perm = _desc_perm(m)
         if not _is_identity(perm):
             moves.append(("perm", perm))
-            cur = _apply_perm(cur, perm)
-    return cur, WeylWord(tuple(moves))
-
-
-def apply_word(word: WeylWord, f: DivisorClass) -> DivisorClass:
-    """Apply the moves of a word in order."""
-    for move in word.moves:
-        if move[0] == "perm":
-            f = _apply_perm(f, move[1])
-        else:
-            f = cremona_quad(f)
-    return f
+            m = [m[p] for p in perm]
+        if d < 0 or d >= m[0] + m[1] + m[2]:
+            return DivisorClass(d, m), WeylWord(tuple(moves))
+        moves.append(_QUAD)
+        d = _quad_raw(d, m)
 
 
 def apply_inverse(word: WeylWord, f: DivisorClass) -> DivisorClass:
@@ -314,10 +289,9 @@ def _check_decomposition(original: DivisorClass, dec: Decomposition) -> None:
     rebuilt = dec.reconstruct()
     if rebuilt != original:
         raise RuntimeError(f"decomposition of {original} does not reconstruct: got {rebuilt}")
-    k = canonical_class(len(original.mults))
     parts = [v for v, _ in dec.fixed_part]
     for v in parts:
-        if intersection(v, v) != -1 or intersection(v, k) != -1:
+        if not is_exceptional(v):
             raise RuntimeError(f"fixed component {v} of {original} is not exceptional")
         if intersection(dec.moving_part, v) != 0:
             raise RuntimeError(f"moving part of {original} meets fixed component {v}")
@@ -353,7 +327,7 @@ def decompose(f: DivisorClass) -> Decomposition:
         if mi < 0:
             point_class = DivisorClass(0, tuple(-1 if j == i else 0 for j in range(size)))
             fixed.append((apply_inverse(word, point_class), -mi))
-    moving = apply_inverse(word, DivisorClass(deg, tuple(x if x > 0 else 0 for x in m)))
+    moving = apply_inverse(word, clamp_nonneg(DivisorClass(deg, m)))
     dec = Decomposition(True, moving, tuple(fixed))
     _check_decomposition(f.padded(size), dec)
     return dec

@@ -53,8 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .hilbert import (_alpha_tau, _e, _e_window, _expected_dim, _least_above, find_alpha,
-                      find_tau, hilbert_polynomial)
+from .hilbert import (_alpha_tau, _e, _e_window, _expected_dim, _least_above,
+                      hilbert_polynomial)
 from .lattice import DivisorClass, as_spec
 from .report import PreconditionError
 
@@ -166,15 +166,6 @@ class BettiTable:
     tau: int
     rows: tuple[tuple[int, int, int, int], ...]
 
-    def row(self, t: int) -> tuple[int, int, int, int]:
-        for r in self.rows:
-            if r[0] == t:
-                return r
-        raise KeyError(f"degree {t} outside table window")
-
-    def nu(self, t: int) -> int:
-        return self.row(t)[2]
-
 
 def betti_table(z) -> BettiTable:
     """Hilbert values and Betti numbers for t from alpha-2 to tau+2 (n <= 8)."""
@@ -276,12 +267,6 @@ class NuBounds:
     total_simple: int      # alpha + 1
     total_refined: int     # alpha + beta - tau
 
-    def at(self, t: int) -> tuple[int, int]:
-        for deg, lo, hi in self.per_degree:
-            if deg == t:
-                return lo, hi
-        raise KeyError(f"degree {t} outside bound window")
-
 
 def classical_nu_bounds(z, alpha: int | None = None, beta: int | None = None,
                         tau: int | None = None) -> NuBounds:
@@ -294,12 +279,12 @@ def classical_nu_bounds(z, alpha: int | None = None, beta: int | None = None,
     """
     from .hilbert import beta_expected
     z = as_spec(z)
-    if alpha is None:
-        alpha = find_alpha(z)
+    if alpha is None or tau is None:
+        found_alpha, found_tau = _alpha_tau(z)
+        alpha = found_alpha if alpha is None else alpha
+        tau = found_tau if tau is None else tau
     if beta is None:
         beta = beta_expected(z)
-    if tau is None:
-        tau = find_tau(z)
     if not (alpha <= beta <= tau + 1):
         raise ValueError(f"inconsistent characters: alpha={alpha}, beta={beta}, tau={tau}")
 

