@@ -17,6 +17,10 @@ spelling (an abbreviation like `--mult`, the `--mults=3,2,2` form, a
 value starting with "-", a repeated option), `--help` and every usage
 error go through argparse, with unchanged results and text.  Both
 paths read one grammar: the actions of the one argparse parser.
+
+Only the `oracle` command imports the oracle module, and with it numpy;
+every other command runs on the standard library alone, so a process
+that answers one of them starts without numpy's import cost.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ from . import tau_bounds as tb
 from .hilbert import (EXACT_POINT_LIMIT, _alpha_tau, beta_expected, exactness_flag,
                       find_alpha, find_tau, hilbert_table)
 from .lattice import DivisorClass, FatPointSpec, decompose
-from .oracle import DEFAULT_PRIME, PointConfig, oracle_table
 from .report import ALPHA_LOWER, SHGH_CONDITIONAL, BoundReport, PreconditionError
 from .resolution import betti_table
+
+# oracle.DEFAULT_PRIME, written out so that only `oracle` imports the
+# oracle module and numpy.
+DEFAULT_PRIME = 31991
 
 
 def _parse_mults(text: str) -> tuple[int, ...]:
@@ -305,6 +312,7 @@ def _cmd_decomp(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import PointConfig, oracle_table
     z = _spec_of(args)
     cfg = PointConfig.random(z.n, seed=args.seed, prime=args.prime)
     if args.window is not None:

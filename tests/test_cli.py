@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fatpoints
-from fatpoints import cli, hilbert, lattice, resolution
+from fatpoints import cli, hilbert, lattice, oracle, resolution
 from fatpoints import tau_bounds as tb
 from fatpoints.cli import canonical_json, main
 from fatpoints.lattice import FatPointSpec
@@ -631,6 +631,39 @@ def test_importing_cli_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert done.stdout.split() == ["0", "0"]
+
+
+# One call per command but oracle; "--mults=2,2" goes through argparse.
+_NON_ORACLE = [("alpha", "--mults", "3,2,2", "--json"), ("tau", "--uniform", "10:2"),
+               ("beta", "--mults", "2,2", "--json"), ("psi", "--mults", "5,4,3,3"),
+               ("hilb", "--mults=2,2"), ("res", "--mults", "3,3,3,3,3", "--json"),
+               ("decomp", "--mults", "3,3,2", "--t", "5"),
+               ("bounds", "--mults", "9,8,7,7,7", "--json")]
+_ORACLE = ("oracle", "--mults", "3,3,2", "--window", "0:8", "--nu", "--json")
+
+
+def test_only_oracle_imports_numpy(capsys):
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import contextlib, io, json, sys; import fatpoints.cli as c\n"
+             "loaded = lambda: ['numpy' in sys.modules, 'fatpoints.oracle' in sys.modules]\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [c.main(list(a)) for a in {_NON_ORACLE!r}]\n"
+             "before, out = loaded(), io.StringIO()\n"
+             "with contextlib.redirect_stdout(out):\n"
+             f"    code = c.main({list(_ORACLE)!r})\n"
+             "print(json.dumps([codes, before, code, loaded(), out.getvalue()]))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    codes, before, code, after, out = json.loads(done.stdout)
+    assert codes == [0] * len(_NON_ORACLE) and before == [False, False]
+    assert code == main(list(_ORACLE)) == 0 and after == [True, True]
+    assert out == capsys.readouterr().out
+
+
+def test_prime_default_is_the_oracles():
+    commands = next(a for a in cli._parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert commands.choices["oracle"].get_default("prime") == oracle.DEFAULT_PRIME
 
 
 def _parsed(argv):
