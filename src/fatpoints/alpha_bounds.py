@@ -36,20 +36,30 @@ largest entries.  Those with a fixed r take their bound in one walk over
 its lowering sequence, which depends only on the multiplicities and r.
 The sequence is kept on the ``FatPointSpec`` by r, so plain and modified
 unloading and the modified unloading tau bound of one query share it,
-and each step is lowered once per query.  The unloading parameter search
-bounds every (r, d) by an O(1) cap (the lowering sequence of r empties
-after a number of steps known in closed form) and lowers nothing for the
-pairs whose cap cannot beat the running best: at 9000 points of
-multiplicity 13 it walks about 5,000 of the 565,000 pairs and builds a
-lowering sequence for about 2,900 of the 9,000 values of r.  It reads
-the kept sequence of an r when there is one, and keeps only the one of
-the r it reports, which ``unloading_alpha`` would keep anyway.
+and each step is lowered once per query.
+
+Both parameter searches start their running best one below the value of
+a seed pair and skip every pair whose proven cap cannot beat it, which
+still reports the first maximal pair (proof in either search).  The
+unloading search seeds from the family (a) and (b) pairs and bounds
+every (r, d) by an O(1) cap (the lowering sequence of r empties after a
+number of steps known in closed form): at 9000 points of multiplicity 13
+it walks 4,908 of the 564,799 pairs, builds a lowering sequence for
+2,788 of the 9,000 values of r and lowers 27,962 steps, against 87,729
+from a best of 0.  It reads the kept sequence of an r when there is
+one, and keeps only the one of the r it reports, which
+``unloading_alpha`` would keep anyway.  The family-(d) search seeds one
+pair per d near r = d sqrt(n), j = d^2, and sweeps r with one next r
+per d, moved past the r that a per-d interval and a cap over all j rule
+out: there it computes 143 family-(d) values, 94 of them seeds, where a
+scan of every r computes 9,168 and tests about 565,000 pairs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from heapq import heappop, heapreplace
 from math import gcd, isqrt
 from operator import neg
 from typing import Sequence
@@ -185,51 +195,146 @@ def _prefix_spread_bound(w: Sequence[int], sums: Sequence[int], r: int, d: int, 
     return _ceil_div(num, d * qj)
 
 
+def _spread_cap(w: Sequence[int], sums: Sequence[int], r: int, d: int) -> int:
+    """A cap on the family-(d) bound of (r, d), d^2 < r, over 1 <= j <= d^2.
+
+    It is ceil((F(1) + S(d^2)) / d), F(j) the weighted sum of the first r
+    entries under the weights of j and S(j) that of the entries from r
+    on.  Proof.  Write q = r - d^2 and A_j(k) for the sum of the first k
+    weights of j, entries 0-indexed.  The first r weights are d^2 - j
+    ones and q + j of j/(q+j), so A_j(k) = min(k, d^2 - (r-k) j/(q+j))
+    for k <= r.  From r on come m_cut weights j/(q+j) and a fractional
+    slot, q in all, so A_j(k) = min(d^2 + (k-r) j/(q+j), r) for k >= r.
+    Since j/(q+j) rises in j, A_j(k) falls in j for k <= r and rises in
+    j for k >= r.  Abel summation, with w nonincreasing and w[n] = 0,
+    gives
+
+        F(j) = d^2 w[r-1] + sum_{0<k<r} A_j(k) (w[k-1] - w[k]),
+        S(j) = sum_{r<k<=n} (A_j(k) - d^2) (w[k-1] - w[k]),
+
+    with every w[k-1] - w[k] >= 0 and A_j(r) = d^2 for all j: F falls
+    in j and S rises in j, so every j has F(j) + S(j) <= F(1) + S(d^2).
+    """
+    n, dd = len(w), d * d
+    q = r - dd
+    m_cut = q * r // dd
+    stop = m_cut + r
+    # S(d^2) = tail / r: weight d^2/r on entries r..stop-1, then the slot.
+    tail = (sums[min(stop, n)] - sums[r]) * dd
+    if stop < n:
+        tail += w[stop] * (q * r - dd * m_cut)
+    # F(1) = (sums[d^2 - 1] q + sums[r]) / (q + 1): d^2 - 1 ones, then
+    # weight 1/(q+1) on entries d^2 - 1..r-1.
+    head = sums[dd - 1] * q + sums[r]
+    return _ceil_div(head * r + tail * (q + 1), d * (q + 1) * r)
+
+
+def _reach_interval(w: Sequence[int], sums: Sequence[int], d: int, best: int) -> tuple[int, int]:
+    """The r > d^2 whose family-(d) reach bound with w[r] <= w[d^2] beats best.
+
+    Returned as (lo, hi), empty when lo > hi; d^2 < n.  With
+    k = best d - P[d^2] and W = w[d^2], the reach bound of
+    ``best_variant_d_search`` beats best only if
+    min((r - d^2) r, (n - r) d^2) W > k r.  For k < 0 that admits every r
+    up to n.  Otherwise it needs (r - d^2) W > k, so
+    r >= d^2 + floor(k / W) + 1, and (n - r) d^2 W > k r, so
+    r <= ceil(n d^2 W / (k + d^2 W)) - 1.
+    """
+    n, dd = len(w), d * d
+    k = best * d - sums[dd]
+    if k < 0:
+        return dd + 1, n
+    top = dd * w[dd]
+    return dd + k // w[dd] + 1, min(n, (n * top - 1) // (k + top))
+
+
 def best_variant_d_search(z) -> BoundReport:
     """Maximum of the family-(d) bound over all r, d and j.
 
-    Scans r over the positive multiplicities, d up to the first value
-    with d^2 >= r, and 1 <= j <= d^2; ties keep the first (smallest)
-    parameters.  For that last d the value is the family-(c) one, the
-    same for every j, so only j = 1 can be recorded.
+    The domain is r over the positive multiplicities, d up to the first
+    value with d^2 >= r, and 1 <= j <= d^2, scanned r first, then d, then
+    j; ties keep the first (smallest) parameters.  For that last d the
+    value is the family-(c) one, ceil(P[r] / d), the same for every j,
+    so only j = 1 can be recorded.  P is ``sums``, w the entries,
+    0-indexed.
 
-    A pair (r, d) with d^2 < r is skipped when no j can beat the current
-    best.  With q = r - d^2 and w nonincreasing, the family-(d) weights
+    Seeded strict scan.  Let s be the value of any pair in the domain.
+    Starting the running best at s - 1 instead of 0, with the strict
+    comparison value > best, still reports the first maximal pair in
+    scan order: s is at most the maximum M, every pair before the first
+    M-pair is below M, so that pair is recorded, and nothing after it
+    beats M.  A pair whose proven cap is at most the running best cannot
+    be recorded, so it is skipped.  The seeds are (r_d, d, d^2) with
+    r_d = min(n, max(d^2 + 1, isqrt(d^2 n))) for every d^2 < n: on
+    uniform input the optimum sits near r = d sqrt(n), j = d^2.
+
+    Caps.  With q = r - d^2 and w nonincreasing, the family-(d) weights
     of any j satisfy:
 
     * the first r weights lie in [0, 1] and sum to d^2, so they
       contribute at most m_1 + ... + m_{d^2} = P[d^2];
-    * every weight past r sits on an entry at most w[r] (0-indexed, or
-      no entry when r = n), is at most j/(q+j) <= d^2/(q+d^2) = d^2/r,
-      and all of them sum to at most q over n - r slots, so together
-      they weigh at most min(q, (n-r) d^2 / r) and contribute at most
-      that times w[r].
+    * every weight past r sits on an entry at most w[r] (or no entry
+      when r = n), is at most j/(q+j) <= d^2/(q+d^2) = d^2/r, and all of
+      them sum to at most q over n - r slots, so together they weigh at
+      most min(q, (n-r) d^2 / r) and contribute at most that times w[r].
 
-    Hence every j gives at most
-    ceil((P[d^2] r + min(q r, (n-r) d^2) w[r]) / (r d)), and when that
-    is <= best the strict comparison can record none of them.
+    Hence every j gives at most the reach bound
+    ceil((P[d^2] r + min(q r, (n-r) d^2) w[r]) / (r d)).  With
+    w[r] <= w[d^2] it beats best only for the r of ``_reach_interval``,
+    and ``_spread_cap`` bounds the pairs inside it more tightly.  A
+    family-(c) pair beats best iff P[r] > best d, and P rises, so in the
+    block of one d, (d-1)^2 < r <= d^2, only the r from
+    ``bisect_right(sums, best * d)`` on can win.
+
+    Sweep.  A heap holds one next r for each d with d^2 < n and one for
+    family (c), keyed (r, d); a family-(c) key has d^2 >= r, so each r's
+    family-(c) pair comes after its family-(d) pairs, and popping the
+    least key walks the scan order.  A popped key is moved on to the
+    next r its cap admits under the current best, so the state is
+    O(sqrt n) and no list of all pairs is built.
     """
     z = as_spec(z)
     w, sums = z.positive, z.sums
     n = len(w)
     if n == 0:
         raise PreconditionError("the empty subscheme has no bound parameters")
-    best, best_r, best_d, best_j = 0, 0, 0, 0
-    for r in range(1, n + 1):
-        w_r = w[r] if r < n else 0
-        d = 1
-        while d * d < r:
-            dd = d * d
-            reach = sums[dd] * r + min((r - dd) * r, (n - r) * dd) * w_r
-            if _ceil_div(reach, r * d) > best:
-                for j in range(1, dd + 1):
+    top_d = isqrt(n - 1)  # the d with d^2 < n
+    best = 0
+    for d in range(1, top_d + 1):
+        dd = d * d
+        r = min(n, max(dd + 1, isqrt(dd * n)))
+        best = max(best, _prefix_spread_bound(w, sums, r, d, dd) - 1)
+    best_r, best_d, best_j = 0, 0, 0
+    heap = [(1, 1)] + [(d * d + 1, d) for d in range(1, top_d + 1)]  # sorted: a heap
+    while heap:
+        r, d = heap[0]
+        if d * d >= r:
+            # Family (c): record this r if it wins, then find the next
+            # one, block by block.
+            if sums[r] > best * d:
+                best, best_r, best_d, best_j = _ceil_div(sums[r], d), r, d, 1
+            r += 1
+            while r <= n:
+                d = isqrt(r - 1) + 1
+                end = min(d * d, n) + 1
+                r = bisect_right(sums, best * d, r, end)
+                if r < end:
+                    break
+            last = n
+        else:
+            # Family (d) at this d: run the j of r only if the interval
+            # and the cap admit it, then move on to the next admitted r.
+            lo, last = _reach_interval(w, sums, d, best)
+            if lo <= r <= last and _spread_cap(w, sums, r, d) > best:
+                for j in range(1, d * d + 1):
                     value = _prefix_spread_bound(w, sums, r, d, j)
                     if value > best:
                         best, best_r, best_d, best_j = value, r, d, j
-            d += 1
-        value = _prefix_spread_bound(w, sums, r, d, 1)
-        if value > best:
-            best, best_r, best_d, best_j = value, r, d, 1
+            r = max(r + 1, lo)
+        if r <= last:
+            heapreplace(heap, (r, d))
+        else:
+            heappop(heap)
     return BoundReport("nef-d", ALPHA_LOWER, best,
                        (("r", best_r), ("d", best_d), ("j", best_j)))
 
@@ -273,20 +378,22 @@ def best_rd_b(n: int) -> tuple[int, int]:
 class _Runs:
     # A list sorted nonincreasing and nonnegative, as runs of equal
     # positive values.  top_sum(r) is the sum of the r largest entries;
-    # lower(r) lowers them by one, clamps at 0 and returns the new largest
-    # (0 once all are zero) with the drop of top_sum(r), in O(runs) and
-    # with no re-sort.
+    # lower(r, e) lowers them by one, clamps at 0 and returns the new
+    # largest (0 once all are zero) with the drop of top_sum(r + e), e 0
+    # or 1, in O(runs) and with no re-sort.
     #
     # The drop.  If at most r entries are positive, every one of them is
-    # lowered and the r largest are all of them, so top_sum(r) drops by
-    # their number.  Otherwise let the boundary run, of value v, hold the
-    # r-th largest entry or, when the first r end a run, the next one:
-    # `inside` of its entries lie in the first r and `outside` past them.
-    # The runs above it drop by one and stay at least v, so the new r
-    # largest are those r - inside entries, then the outside entries
-    # still at v, then the lowered ones at v - 1; every later entry is at
-    # most v - 1.  That takes min(inside, outside) entries at v in place
-    # of ones at v - 1, so top_sum(r) drops by r - min(inside, outside).
+    # lowered and the r + e largest include all of them, so top_sum(r + e)
+    # drops by their number.  Otherwise let the boundary run, of value v,
+    # hold the r-th largest entry or, when the first r end a run, the next
+    # one: `inside` of its entries lie in the first r and `outside` >= 1
+    # past them.  The runs above it drop by one and stay at least v, so
+    # the new r + e largest are those r - inside entries, then the outside
+    # entries still at v, then the lowered ones at v - 1, of which at most
+    # inside are needed since outside >= e; every later entry is at most
+    # v - 1.  That takes min(inside + e, outside) entries at v in place of
+    # ones at v - 1, so top_sum(r + e) drops by
+    # r + e - min(inside + e, outside).
     __slots__ = ("vals", "cnts")
 
     def __init__(self, w: Sequence[int]):
@@ -309,9 +416,9 @@ class _Runs:
             r -= c
         return s
 
-    def lower(self, r: int) -> tuple[int, int]:
+    def lower(self, r: int, e: int = 0) -> tuple[int, int]:
         vals, cnts = self.vals, self.cnts
-        drop = r
+        drop = r + e
         # Whole runs 0..j-1 drop by one, which keeps them above run j.
         j = 0
         while j < len(vals) and r >= cnts[j]:
@@ -320,7 +427,7 @@ class _Runs:
             j += 1
         if j < len(vals):
             # Run j is the boundary run, r of its entries inside.
-            drop -= min(r, cnts[j] - r)
+            drop -= min(r + e, cnts[j] - r)
             if r:
                 # r entries of run j drop below the rest of it.
                 cnts[j] -= r
@@ -334,7 +441,7 @@ class _Runs:
                 cnts[j - 1] += cnts.pop(j)
         else:
             # Only the positive entries were lowered, r short of the ask.
-            drop -= r
+            drop -= r + e
             if vals and not vals[-1]:
                 del vals[-1], cnts[-1]
         return (vals[0] if vals else 0), drop
@@ -435,9 +542,25 @@ def _u_rho(n: int, m: int, r: int) -> tuple[int, int]:
 def best_unloading_search(z) -> BoundReport:
     """Maximum of the unloading bound over 1 <= r <= n, d^2 <= r.
 
-    Ties keep the first (smallest) parameters.  Every pair is bounded
-    by a cap computed in O(1), and a pair whose cap is at most the
-    running best cannot win the strict comparison, so it is skipped.
+    The pairs are scanned r first, then d, and ties keep the first
+    (smallest) parameters.  Every pair is bounded by a cap computed in
+    O(1), and a pair whose cap is at most the running best cannot win
+    the strict comparison, so it is skipped.
+
+    Seeded strict scan.  Let s be the value of any pair in the domain.
+    Starting the running best at s - 1 instead of 0, with the strict
+    comparison value > best, still reports the first maximal pair in
+    scan order: s is at most the maximum M, every pair before the first
+    M-pair is below M, so that pair is recorded, and nothing after it
+    beats M.  A cap at most the running best still proves that a pair
+    cannot be recorded.  The seeds are the pairs of weight families (a)
+    and (b), ``best_rd_a(n)`` and ``best_rd_b(n)``, when d^2 <= r; the
+    (b) pair at d = ceil(sqrt(n)) lies outside the domain.  On the 42
+    bounds-uniform benchmark queries the best seed equals the maximum
+    37 times and is 1 below it 5 times.  A seed reads the sequence that
+    a fixed-r method kept on the spec (in a ``bounds`` query,
+    ``modified_unloading_alpha`` keeps both), else builds one that is
+    not kept; the scan reuses it.
 
     Lemma.  Let w be sorted nonincreasing with sum T.  Lowering its r
     largest entries by one (clamped at 0) empties it after exactly
@@ -475,16 +598,19 @@ def best_unloading_search(z) -> BoundReport:
     if n == 0:
         raise PreconditionError("the empty subscheme has no bound parameters")
     w0 = w[0]
-    kept = z.lowerings
-    best, best_r, best_d, best_seq = 0, 0, 0, None
+    kept, seeds = z.lowerings, {}
+    best = 0
+    for r, d in (best_rd_a(n), best_rd_b(n)):
+        if d * d <= r:
+            seq = seeds[r] = seeds.get(r) or kept.get(r) or _Lowerings(w, r)
+            best = max(best, _unloading_min(seq, d) - 1)
+    best_r, best_d, best_seq = 0, 0, None
     for r in range(1, n + 1):
         low = best // max(w0, _ceil_div(sums[-1], r))
         top = isqrt(r) if w0 > best else min(isqrt(r), (sums[r] - 1) // best)
         if low >= top:
             continue
-        seq = kept.get(r)
-        if seq is None:
-            seq = _Lowerings(w, r)
+        seq = seeds.get(r) or kept.get(r) or _Lowerings(w, r)
         for d in range(low + 1, top + 1):
             value = _unloading_min(seq, d, best)
             if value > best:

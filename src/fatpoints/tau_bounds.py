@@ -167,9 +167,12 @@ def roe_tau(z) -> BoundReport:
     top = w[0]
     rest = _Runs(w[1:])
     for i in range(1, len(w) - 1):
-        while top < rest.top_sum(i + 1) - 1:
+        # Each sweep lowers the i largest entries and sums the i + 1
+        # largest, so the sum follows the drops that lower(i, 1) returns.
+        s = rest.top_sum(i + 1)
+        while top < s - 1:
             top += 1
-            rest.lower(i)
+            s -= rest.lower(i, 1)[1]
     second = rest.top_sum(1) if len(w) > 1 else 0
     return BoundReport("roe-unloading", TAU_UPPER, max(top + second - 1, 0))
 

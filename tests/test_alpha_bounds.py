@@ -10,7 +10,7 @@ from fatpoints import alpha_bounds as ab
 from fatpoints.hilbert import find_alpha
 from fatpoints.lattice import FatPointSpec
 from fatpoints.report import PreconditionError
-from references import unloading_alpha_formula
+from references import unloading_alpha_formula, unloading_search_loop, variant_d_search_loop
 
 Z90 = (90, 80, 70, 60, 50, 40, 40, 40, 30, 20, 10)
 
@@ -473,3 +473,83 @@ def test_tied_parameters_keep_the_first():
         assert list(d_values.values()).count(max(d_values.values())) > 1, z
         assert list(u_values.values()).count(max(u_values.values())) > 1, z
         _assert_searches_match(z)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests at pool scale: the seeded, interval-pruned searches
+# against the unseeded loops they replace, at sizes where the seeds and
+# intervals cut most pairs.
+
+
+def _assert_searches_match_the_loops(z):
+    rep = ab.best_variant_d_search(z)
+    assert (rep.value, rep.params) == variant_d_search_loop(z), ("nef-d", z)
+    rep = ab.best_unloading_search(z)
+    assert (rep.value, rep.params) == unloading_search_loop(z), ("unloading", z)
+
+
+def test_searches_match_the_loops_on_every_uniform_scheme_to_300_points():
+    for n in range(1, 301):
+        for m in range(1, 16):
+            _assert_searches_match_the_loops([m] * n)
+
+
+def test_searches_match_the_loops_on_seeded_mixed_vectors():
+    rng = random.Random(22)
+    for i in range(300):
+        z = [rng.randint(1, 11) for _ in range(rng.randint(10, 150))]
+        if i % 3 == 0:
+            z += [0] * rng.randint(1, 4)
+        _assert_searches_match_the_loops(z)
+    for length in range(9, 15):
+        for step in (3, 4, 6, 8, 10):
+            _assert_searches_match_the_loops([step * (length - i) for i in range(length)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=2, max_size=60), st.data())
+def test_spread_cap_bounds_every_j(z, data):
+    spec = FatPointSpec(z)
+    w, sums = spec.positive, spec.sums
+    if len(w) < 2:
+        return
+    d = data.draw(st.integers(1, math.isqrt(len(w) - 1)))
+    r = data.draw(st.integers(d * d + 1, len(w)))
+    cap = ab._spread_cap(w, sums, r, d)
+    assert cap >= max(_naive_prefix_spread(w, r, d, j) for j in range(1, d * d + 1)), (w, r, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=2, max_size=60), st.data())
+def test_reach_interval_holds_every_r_whose_reach_beats_best(z, data):
+    spec = FatPointSpec(z)
+    w, sums = spec.positive, spec.sums
+    n = len(w)
+    if n < 2:
+        return
+    d = data.draw(st.integers(1, math.isqrt(n - 1)))
+    best = data.draw(st.integers(0, -(-sums[-1] // d)))
+    lo, hi = ab._reach_interval(w, sums, d, best)
+    dd = d * d
+    for r in range(dd + 1, n + 1):
+        w_r = w[r] if r < n else 0
+        reach = sums[dd] * r + min((r - dd) * r, (n - r) * dd) * w_r
+        if -(-reach // (r * d)) > best:
+            assert lo <= r <= hi, (w, d, best, r)
+
+
+def test_family_d_search_work_at_9000_points(monkeypatch):
+    # One value per seed, d = 1..94 with d^2 < 9000, then the j = 1..49
+    # of the one pair, (664, 7), that the caps leave to the j loop.
+    calls = []
+    spread = ab._prefix_spread_bound
+
+    def counted(*args):
+        calls.append(args[2:])
+        return spread(*args)
+
+    monkeypatch.setattr(ab, "_prefix_spread_bound", counted)
+    rep = ab.best_variant_d_search([13] * 9000)
+    assert (rep.value, rep.params) == (1234, (("r", 664), ("d", 7), ("j", 49)))
+    assert len(calls) == 94 + 49
+    assert calls[94:] == [(664, 7, j) for j in range(1, 50)]

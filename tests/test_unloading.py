@@ -24,6 +24,7 @@ from fatpoints import cli
 from fatpoints import tau_bounds as tb
 from fatpoints.lattice import FatPointSpec
 from fatpoints.report import PreconditionError
+from references import roe_tau_per_step
 
 
 def _lowered(v, r):
@@ -158,6 +159,20 @@ def test_lower_returns_the_drop_of_the_top_sum(case, steps):
         assert state.lower(r) == (ref[0], before - sum(ref[:r])), (w, r)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_tied_runs_and_r(), st.integers(1, 6))
+@example(([3, 3, 3, 2], 2), 1)  # inside 2, outside 1: top_sum(3) drops by 3 - 1
+@example(([3, 3, 2, 2], 2), 1)  # the first r end a run
+@example(([2, 1, 0], 3), 2)  # r past the positive count
+def test_lower_returns_the_drop_of_the_next_top_sum(case, steps):
+    w, r = case
+    state, ref = ab._Runs(w), w
+    for _ in range(steps):
+        before = sum(ref[:r + 1])
+        ref = _lowered(ref, r)
+        assert state.lower(r, 1) == (ref[0], before - sum(ref[:r + 1])), (w, r)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_vectors, st.lists(st.integers(0, 40), max_size=8))
 def test_lowering_sequence_matches_repeated_lowering(z, reads):
@@ -255,6 +270,24 @@ def test_roe_alpha_matches_reference(z):
 def test_roe_tau_matches_reference(z):
     if len(z) >= 2:
         assert tb.roe_tau(z).value == _roe_tau_ref(z), z
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vectors)
+def test_roe_tau_matches_the_per_step_sum(z):
+    if len(z) >= 2:
+        assert tb.roe_tau(z).value == roe_tau_per_step(z), z
+
+
+def test_roe_tau_matches_the_per_step_sum_on_pool_sized_vectors():
+    rng = random.Random(40)
+    cases = [[m] * n for n, m in [(50, 7), (120, 3), (97, 13), (200, 15)]]
+    cases += [[rng.randint(1, 11) for _ in range(rng.randint(10, 100))] for _ in range(60)]
+    cases += [[step * (length - i) for i in range(length)]
+              for length, step in ((9, 10), (9, 6), (10, 8), (10, 4), (11, 6), (12, 6),
+                                   (12, 3), (14, 4))]
+    for z in cases:
+        assert tb.roe_tau(z).value == roe_tau_per_step(z), z
 
 
 def test_roe_matches_reference_on_large_uniform():
@@ -356,9 +389,11 @@ def test_one_state_build_per_call(monkeypatch):
         assert procedure(z, 12, 3).value > 9  # the walks read many steps
         assert len(builds) == 1, procedure.__name__
 
-    # The search builds one state for each r where some d <= isqrt(r)
-    # has a cap above the best of the smaller r, and unloading_alpha
-    # reads the reported pair's state from the search.
+    # The search builds one state for each seed r, the r of the family
+    # (a) and (b) pairs with d^2 <= r, then one for each other r where
+    # some d <= isqrt(r) has a cap above the running best, which starts
+    # one below the best seed value; unloading_alpha reads the reported
+    # pair's state from the search.
     lowered, scans = [], []
     lowerings, unloading_alpha = ab._Lowerings, ab.unloading_alpha
 
@@ -371,9 +406,12 @@ def test_one_state_build_per_call(monkeypatch):
                         lambda *args: scans.append(args[1:]) or unloading_alpha(*args))
     for mults in (z, [7] * 40 + [0]):
         w = FatPointSpec(mults).positive
-        best, capped = 0, []
+        seeds = [(r, d) for r, d in (ab.best_rd_a(len(w)), ab.best_rd_b(len(w)))
+                 if d * d <= r]
+        best = max(unloading_alpha(w, r, d).value for r, d in seeds) - 1
+        capped = list(dict.fromkeys(r for r, _ in seeds))
         for r in range(1, len(w) + 1):
-            if any(_cap(w, r, d) > best for d in range(1, isqrt(r) + 1)):
+            if r not in capped and any(_cap(w, r, d) > best for d in range(1, isqrt(r) + 1)):
                 capped.append(r)
             best = max([best] + [unloading_alpha(w, r, d).value
                                  for d in range(1, isqrt(r) + 1)])
