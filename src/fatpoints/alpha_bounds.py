@@ -58,7 +58,6 @@ scan of every r computes 9,168 and tests about 565,000 pairs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from heapq import heappop, heapreplace
 from math import gcd, isqrt
 from operator import neg
@@ -100,6 +99,7 @@ def nef_test_bound(z, weights: Sequence, r: int, d: int) -> BoundReport:
     padding changes nothing; rational entries are cleared to integers by
     the common denominator before checking the admissibility inequalities.
     """
+    from fractions import Fraction
     z = as_spec(z)
     n = len(z.positive)
     a = [Fraction(w) for w in weights]

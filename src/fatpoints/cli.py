@@ -18,9 +18,22 @@ value starting with "-", a repeated option), `--help` and every usage
 error go through argparse, with unchanged results and text.  Both
 paths read one grammar: the actions of the one argparse parser.
 
-Only the `oracle` command imports the oracle module, and with it numpy;
-every other command runs on the standard library alone, so a process
-that answers one of them starts without numpy's import cost.
+Imports: `import fatpoints.cli` loads `fatpoints`, `cli`, `lattice`,
+`hilbert` and `report`, the modules every command runs, and no more.
+Each command loads what else it runs when it runs:
+
+    alpha, tau, beta, hilb, decomp   nothing more
+    psi                              alpha_bounds
+    res                              resolution
+    bounds                           alpha_bounds, tau_bounds, fractions
+    oracle                           oracle, numpy
+
+So a process that answers one query pays only for its own command.  A
+deferred import binds the module (`ab.semigroup_alpha_bound`) or reads
+the name inside the handler, so a function patched on its own module is
+the one the next call runs.  The handlers of the cheap commands import
+nothing at call time: a function-level import costs about a microsecond,
+and one of their queries takes some 60.
 """
 
 from __future__ import annotations
@@ -29,17 +42,13 @@ import argparse
 import functools
 import math
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
-from . import alpha_bounds as ab
-from . import tau_bounds as tb
 from .hilbert import (EXACT_POINT_LIMIT, _alpha_tau, beta_expected, exactness_flag,
                       find_alpha, find_tau, hilbert_table)
 from .lattice import DivisorClass, FatPointSpec, decompose
 from .report import ALPHA_LOWER, SHGH_CONDITIONAL, BoundReport, PreconditionError
-from .resolution import betti_table
 
 # oracle.DEFAULT_PRIME, written out so that only `oracle` imports the
 # oracle module and numpy.
@@ -69,7 +78,8 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
 
 
-def _parse_weights(text: str) -> tuple[Fraction, ...]:
+def _parse_weights(text: str) -> tuple:
+    from fractions import Fraction
     try:
         return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
@@ -218,6 +228,7 @@ def _cmd_single(args, kind: str) -> int:
     elif kind == "beta":
         value, method = beta_expected(z), "expected-beta"
     else:
+        from . import alpha_bounds as ab
         rep = ab.semigroup_alpha_bound(z)
         value, method = rep.value, rep.method
     exact = len(z.positive) <= EXACT_POINT_LIMIT
@@ -257,6 +268,7 @@ def _cmd_hilb(args) -> int:
 
 
 def _cmd_res(args) -> int:
+    from .resolution import betti_table
     z = _spec_of(args)
     table = betti_table(z)
     if args.json:
@@ -374,6 +386,7 @@ def _default_methods(z: FatPointSpec, alpha: int, requested_tau: list) -> tuple[
     calls a method would accept but should not get, and the parameter
     choices that need a positive multiplicity.
     """
+    from . import alpha_bounds as ab, tau_bounds as tb
     n = len(z.positive)
     by_value = attrgetter("value")
     alphas = [lambda: ab.semigroup_alpha_bound(z, alpha), lambda: ab.roe_alpha(z)]
@@ -407,6 +420,7 @@ def _default_methods(z: FatPointSpec, alpha: int, requested_tau: list) -> tuple[
                  lambda: tb.modified_unloading_tau_formula_b(n, m, df * df, df)]
         if n > 9:
             # Both are stated for n > 9 but accept any n >= 1.
+            from fractions import Fraction
             alphas.append(lambda: ab.nagata_reference(n, m))
             taus.append(lambda: tb.ran_tau(n, m, max(Fraction(n * da, ra), Fraction(rb, db))))
     return alphas, taus
@@ -417,6 +431,7 @@ def _requested_reports(z: FatPointSpec, args) -> tuple[list, list]:
     # exactly those parameters, alongside the default sweep.  They run
     # outside _run_methods, so a failed precondition exits 3 rather than
     # dropping the method that was asked for.
+    from . import alpha_bounds as ab, tau_bounds as tb
     alpha_reports, tau_reports = [], []
     if args.weights is not None:
         if args.r is None or args.d is None:

@@ -56,13 +56,12 @@ qualifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import isqrt
 
 from .lattice import (DivisorClass, FatPointSpec, as_spec, decompose,
                       reduce_fundamental_raw)
-from .report import PreconditionError
+from .report import PreconditionError, _Record
 
 EXACT_POINT_LIMIT = 9
 
@@ -220,8 +219,7 @@ def find_tau(z) -> int:
     return _alpha_tau(as_spec(z))[1]
 
 
-@dataclass(frozen=True)
-class HilbertTable:
+class HilbertTable(_Record):
     """Expected ideal dimensions per degree over a window around [alpha, tau]."""
 
     alpha: int

@@ -25,17 +25,17 @@ orthogonal exceptional classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
+
+from .report import _Record
 
 Move = tuple
 _QUAD: Move = ("quad",)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Record):
     """A lattice element d*E0 - sum(m_i * E_i); ``mults`` may be signed."""
 
     degree: int
@@ -64,8 +64,7 @@ class DivisorClass:
         return f"({self.degree}; {','.join(str(m) for m in self.mults)})"
 
 
-@dataclass(frozen=True)
-class FatPointSpec:
+class FatPointSpec(_Record):
     """Multiplicities m_1, ..., m_n of a fat-point subscheme at general points.
 
     At general points the characters depend only on the multiset of
@@ -164,8 +163,7 @@ def _is_identity(perm: tuple[int, ...]) -> bool:
     return all(p == i for i, p in enumerate(perm))
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(_Record):
     """A recorded sequence of lattice moves: slot permutations and quadratic maps.
 
     Both move kinds are invertible (the quadratic map is an involution),
@@ -173,7 +171,7 @@ class WeylWord:
     reverse order.
     """
 
-    moves: tuple[Move, ...] = field(default_factory=tuple)
+    moves: tuple[Move, ...] = ()
 
 
 def _apply_perm_inverse(f: DivisorClass, perm: tuple[int, ...]) -> DivisorClass:
@@ -261,8 +259,7 @@ def apply_inverse(word: WeylWord, f: DivisorClass) -> DivisorClass:
     return f
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """Membership and fixed-part splitting in the exceptional semigroup.
 
     When ``in_semigroup`` holds, ``original = moving_part + sum(mult * v)``

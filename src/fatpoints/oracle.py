@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
 import numpy as np
 
 from .lattice import as_spec
+from .report import _Record
 
 DEFAULT_PRIME = 31991
 
@@ -89,18 +89,18 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(_Record):
     """Seeded point coordinates in the affine chart over F_p."""
 
     prime: int
     seed: int
     points: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        _check_prime(self.prime)
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, prime: int, seed: int, points: tuple[tuple[int, int], ...]):
+        _check_prime(prime)
+        if len(set(points)) != len(points):
             raise ValueError("points must be pairwise distinct")
+        super().__init__(prime, seed, points)
 
     @classmethod
     def random(cls, n: int, seed: int = 0, prime: int = DEFAULT_PRIME) -> "PointConfig":

@@ -50,13 +50,12 @@ schemes on 9 or more points (conjectural; callers must label it so).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .hilbert import (_alpha_tau, _e, _e_window, _expected_dim, _least_above,
                       hilbert_polynomial)
 from .lattice import DivisorClass, as_spec
-from .report import PreconditionError
+from .report import PreconditionError, _Record
 
 MAX_POINTS = 8
 
@@ -158,8 +157,7 @@ def ker_mu_dim(f: DivisorClass, e: int | None = None, e_next: int | None = None)
     return max(0, 3 * here - e_next)
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_Record):
     """Rows (t, h, nu, s) of Hilbert values, generator and syzygy counts."""
 
     alpha: int
@@ -218,8 +216,7 @@ def _check_betti(table: BettiTable, z) -> None:
         raise RuntimeError("total generator count exceeds alpha + 1")
 
 
-@dataclass(frozen=True)
-class QuasiUniformResolution:
+class QuasiUniformResolution(_Record):
     """Predicted resolution 0 -> R[-a-2]^d + R[-a-1]^c -> R[-a-1]^b + R[-a]^a -> I."""
 
     alpha: int
@@ -259,8 +256,7 @@ def quasi_uniform_resolution(z) -> QuasiUniformResolution:
     return QuasiUniformResolution(alpha, a, b, c, d)
 
 
-@dataclass(frozen=True)
-class NuBounds:
+class NuBounds(_Record):
     """Per-degree generator-count bounds plus the two total bounds."""
 
     per_degree: tuple[tuple[int, int, int], ...]  # (t, lower, upper)

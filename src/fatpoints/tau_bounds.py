@@ -17,7 +17,7 @@ from math import isqrt
 
 from .alpha_bounds import (_ceil_div, _check_rd, _check_uniform_rd, _lowerings, _Runs,
                            _tri_root, _u_rho)
-from .hilbert import _least_above
+from .hilbert import _least_above, _least_true
 from .lattice import as_spec
 from .report import TAU_UPPER, CHAR_ZERO, BoundReport, PreconditionError, fmt_rational
 
@@ -63,13 +63,19 @@ def gimigliano_tau(z) -> BoundReport:
 
 
 def hirschowitz_tau(z) -> BoundReport:
-    """Least d >= m_1 with ceil((d+3)/2) * ceil((d+2)/2) > sum m_i(m_i+1)/2."""
+    """Least d >= m_1 with ceil((d+3)/2) * ceil((d+2)/2) > sum m_i(m_i+1)/2.
+
+    The product rises with d, so the least d is found by bisection on
+    [m_1, 2k + 2], with s = sum m_i(m_i+1) and k = isqrt(s) >= m_1.  The
+    test holds at d = 2k + 2, where the product is (k + 3)(k + 2), and
+    2 (k + 3)(k + 2) > (k + 1)^2 > s.
+    """
     z = as_spec(z)
     if not z.positive:
         raise PreconditionError("the empty subscheme needs no bound")
-    d = z.positive[0]
-    while _ceil_div(d + 3, 2) * _ceil_div(d + 2, 2) * 2 <= z.condition_sum:
-        d += 1
+    s = z.condition_sum
+    d = _least_true(lambda d: _ceil_div(d + 3, 2) * _ceil_div(d + 2, 2) * 2 > s,
+                    z.positive[0], 2 * isqrt(s) + 2)
     return BoundReport("hirschowitz", TAU_UPPER, d)
 
 

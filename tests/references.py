@@ -131,3 +131,12 @@ def roe_tau_per_step(z) -> int:
             rest.lower(i)
     second = rest.top_sum(1) if len(w) > 1 else 0
     return max(top + second - 1, 0)
+
+
+def hirschowitz_tau_loop(z) -> int:
+    """The Hirschowitz tau bound, stepping d up from m_1 one at a time."""
+    z = as_spec(z)
+    d = z.positive[0]
+    while _ceil_div(d + 3, 2) * _ceil_div(d + 2, 2) * 2 <= z.condition_sum:
+        d += 1
+    return d

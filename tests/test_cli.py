@@ -633,31 +633,52 @@ def test_importing_cli_builds_no_parser():
     assert done.stdout.split() == ["0", "0"]
 
 
-# One call per command but oracle; "--mults=2,2" goes through argparse.
-_NON_ORACLE = [("alpha", "--mults", "3,2,2", "--json"), ("tau", "--uniform", "10:2"),
-               ("beta", "--mults", "2,2", "--json"), ("psi", "--mults", "5,4,3,3"),
-               ("hilb", "--mults=2,2"), ("res", "--mults", "3,3,3,3,3", "--json"),
-               ("decomp", "--mults", "3,3,2", "--t", "5"),
-               ("bounds", "--mults", "9,8,7,7,7", "--json")]
-_ORACLE = ("oracle", "--mults", "3,3,2", "--window", "0:8", "--nu", "--json")
+# One call per command; "--mults=2,2" goes through argparse.
+_ONE_CALL_EACH = [("alpha", "--mults", "3,2,2", "--json"), ("tau", "--uniform", "10:2"),
+                  ("beta", "--mults", "2,2", "--json"), ("psi", "--mults", "5,4,3,3"),
+                  ("hilb", "--mults=2,2"), ("res", "--mults", "3,3,3,3,3", "--json"),
+                  ("decomp", "--mults", "3,3,2", "--t", "5"),
+                  ("bounds", "--mults", "9,8,7,7,7", "--json"),
+                  ("oracle", "--mults", "3,3,2", "--window", "0:8", "--nu", "--json")]
+# The modules every command runs, and what each command adds to them: its
+# fatpoints modules and, of _WATCHED, those that numpy itself does not load.
+_BASE_MODULES = {"fatpoints", "fatpoints.cli", "fatpoints.lattice", "fatpoints.hilbert",
+                 "fatpoints.report"}
+_WATCHED = ("dataclasses", "inspect", "fractions", "numpy")
+_ADDS = {"alpha": set(), "tau": set(), "beta": set(), "hilb": set(), "decomp": set(),
+         "psi": {"fatpoints.alpha_bounds"}, "res": {"fatpoints.resolution"},
+         "bounds": {"fatpoints.alpha_bounds", "fatpoints.tau_bounds", "fractions"},
+         "oracle": {"fatpoints.oracle", "numpy"}}
 
 
-def test_only_oracle_imports_numpy(capsys):
+def test_each_command_imports_only_its_own_modules(capsys):
+    # One fresh process per command: what `import fatpoints.cli` loaded,
+    # what the command then loaded, its exit code and its output.
     src = Path(cli.__file__).resolve().parents[1]
-    probe = ("import contextlib, io, json, sys; import fatpoints.cli as c\n"
-             "loaded = lambda: ['numpy' in sys.modules, 'fatpoints.oracle' in sys.modules]\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    codes = [c.main(list(a)) for a in {_NON_ORACLE!r}]\n"
-             "before, out = loaded(), io.StringIO()\n"
+    probe = ("import contextlib, io, json, sys\n"
+             "start = set(sys.modules)\n"
+             "import fatpoints.cli as c\n"
+             "imported, out = set(sys.modules), io.StringIO()\n"
              "with contextlib.redirect_stdout(out):\n"
-             f"    code = c.main({list(_ORACLE)!r})\n"
-             "print(json.dumps([codes, before, code, loaded(), out.getvalue()]))\n")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    codes, before, code, after, out = json.loads(done.stdout)
-    assert codes == [0] * len(_NON_ORACLE) and before == [False, False]
-    assert code == main(list(_ORACLE)) == 0 and after == [True, True]
-    assert out == capsys.readouterr().out
+             "    code = c.main(sys.argv[1:])\n"
+             "print(json.dumps([sorted(imported - start), sorted(set(sys.modules) - imported),"
+             " code, out.getvalue()]))\n")
+
+    def fresh(code, *argv):
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        return json.loads(done.stdout)
+
+    def watched(names):
+        return {m for m in names if m.startswith("fatpoints") or m in _WATCHED}
+
+    numpy_brings = watched(fresh("import json, sys, numpy; print(json.dumps(list(sys.modules)))"))
+    for argv in _ONE_CALL_EACH:
+        imported, added, code, out = fresh(probe, *argv)
+        assert watched(imported) == _BASE_MODULES, argv
+        want = _ADDS[argv[0]] | (numpy_brings if "numpy" in _ADDS[argv[0]] else set())
+        assert watched(added) == want, argv
+        assert (code, out) == (main(list(argv)), capsys.readouterr().out) and code == 0, argv
 
 
 def test_prime_default_is_the_oracles():

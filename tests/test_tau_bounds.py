@@ -12,6 +12,7 @@ from fatpoints.cli import main
 from fatpoints.hilbert import find_tau, hilbert_polynomial
 from fatpoints.oracle import PointConfig, oracle_table
 from fatpoints.report import PreconditionError
+from references import hirschowitz_tau_loop
 
 
 def test_conic_and_cubic_specializations():
@@ -112,6 +113,21 @@ def test_hirschowitz_examples():
     assert tb.hirschowitz_tau([1] * 10).value == 4
     assert tb.hirschowitz_tau([2] * 9).value == 8
     assert tb.hirschowitz_tau((1,)).value == 1
+
+
+def test_hirschowitz_bisection_matches_the_loop():
+    # Every uniform n 1..300 x m 1..20, then seeded mixed vectors, some
+    # with one entry far above the rest.
+    for n in range(1, 301):
+        for m in range(1, 21):
+            assert tb.hirschowitz_tau((m,) * n).value == hirschowitz_tau_loop((m,) * n), (n, m)
+    rng = random.Random(23)
+    for _ in range(400):
+        w = [rng.randint(0, rng.choice((3, 12, 60))) for _ in range(rng.randint(1, 80))]
+        if rng.random() < 0.2:
+            w.append(rng.randint(50, 2000))
+        if any(w):
+            assert tb.hirschowitz_tau(w).value == hirschowitz_tau_loop(w), w
 
 
 def test_catalisano_examples():
