@@ -36,7 +36,11 @@ largest entries.  Those with a fixed r take their bound in one walk over
 its lowering sequence, which depends only on the multiplicities and r.
 The sequence is kept on the ``FatPointSpec`` by r, so plain and modified
 unloading and the modified unloading tau bound of one query share it,
-and each step is lowered once per query.
+and each step is lowered once per query.  On balanced multiplicities
+(entries differing by at most 1, so every uniform scheme) each step has
+a closed form and needs no state, and the plain unloading walk visits
+only the steps that a linear lower bound admits (proofs in
+``_Lowerings`` and ``_balanced_min``).
 
 Both parameter searches start their running best one below the value of
 a seed pair and skip every pair whose proven cap cannot beat it, which
@@ -45,14 +49,16 @@ unloading search seeds from the family (a) and (b) pairs and bounds
 every (r, d) by an O(1) cap (the lowering sequence of r empties after a
 number of steps known in closed form): at 9000 points of multiplicity 13
 it walks 4,908 of the 564,799 pairs, builds a lowering sequence for
-2,788 of the 9,000 values of r and lowers 27,962 steps, against 87,729
-from a best of 0.  It reads the kept sequence of an r when there is
-one, and keeps only the one of the r it reports, which
-``unloading_alpha`` would keep anyway.  The family-(d) search seeds one
-pair per d near r = d sqrt(n), j = d^2, and sweeps r with one next r
-per d, moved past the r that a per-d interval and a cap over all j rule
-out: there it computes 143 family-(d) values, 94 of them seeds, where a
-scan of every r computes 9,168 and tests about 565,000 pairs.
+2,788 of the 9,000 values of r and evaluates 6,083 steps in closed form,
+where a walk of the runs lowers 27,962 steps (87,729 from a best of 0).
+It reads the kept sequence of an r when there is one, and keeps only
+the one of the r it reports, which ``unloading_alpha`` would keep
+anyway.  The family-(d) search seeds one pair per d near r = d sqrt(n),
+j = d^2, and sweeps r with one next r per d, moved past the r that a
+per-d interval and a cap over all j rule out, and stops the j loop of a
+pair at a cap over the remaining j: there it computes 143 family-(d)
+values, 94 of them seeds, where a scan of every r computes 9,168 and
+tests about 565,000 pairs.
 """
 
 from __future__ import annotations
@@ -195,10 +201,10 @@ def _prefix_spread_bound(w: Sequence[int], sums: Sequence[int], r: int, d: int, 
     return _ceil_div(num, d * qj)
 
 
-def _spread_cap(w: Sequence[int], sums: Sequence[int], r: int, d: int) -> int:
-    """A cap on the family-(d) bound of (r, d), d^2 < r, over 1 <= j <= d^2.
+def _spread_cap(w: Sequence[int], sums: Sequence[int], r: int, d: int, j: int) -> int:
+    """A cap on the family-(d) bound of (r, d), d^2 < r, over j <= j' <= d^2.
 
-    It is ceil((F(1) + S(d^2)) / d), F(j) the weighted sum of the first r
+    It is ceil((F(j) + S(d^2)) / d), F(j) the weighted sum of the first r
     entries under the weights of j and S(j) that of the entries from r
     on.  Proof.  Write q = r - d^2 and A_j(k) for the sum of the first k
     weights of j, entries 0-indexed.  The first r weights are d^2 - j
@@ -213,7 +219,8 @@ def _spread_cap(w: Sequence[int], sums: Sequence[int], r: int, d: int) -> int:
         S(j) = sum_{r<k<=n} (A_j(k) - d^2) (w[k-1] - w[k]),
 
     with every w[k-1] - w[k] >= 0 and A_j(r) = d^2 for all j: F falls
-    in j and S rises in j, so every j has F(j) + S(j) <= F(1) + S(d^2).
+    in j and S rises in j, so every j' >= j has
+    F(j') + S(j') <= F(j) + S(d^2).
     """
     n, dd = len(w), d * d
     q = r - dd
@@ -223,10 +230,10 @@ def _spread_cap(w: Sequence[int], sums: Sequence[int], r: int, d: int) -> int:
     tail = (sums[min(stop, n)] - sums[r]) * dd
     if stop < n:
         tail += w[stop] * (q * r - dd * m_cut)
-    # F(1) = (sums[d^2 - 1] q + sums[r]) / (q + 1): d^2 - 1 ones, then
-    # weight 1/(q+1) on entries d^2 - 1..r-1.
-    head = sums[dd - 1] * q + sums[r]
-    return _ceil_div(head * r + tail * (q + 1), d * (q + 1) * r)
+    # F(j) = head / (q + j): d^2 - j ones, then weight j/(q+j) on entries
+    # d^2 - j..r-1.
+    head = sums[dd - j] * q + sums[r] * j
+    return _ceil_div(head * r + tail * (q + j), d * (q + j) * r)
 
 
 def _reach_interval(w: Sequence[int], sums: Sequence[int], d: int, best: int) -> tuple[int, int]:
@@ -280,8 +287,11 @@ def best_variant_d_search(z) -> BoundReport:
 
     Hence every j gives at most the reach bound
     ceil((P[d^2] r + min(q r, (n-r) d^2) w[r]) / (r d)).  With
-    w[r] <= w[d^2] it beats best only for the r of ``_reach_interval``,
-    and ``_spread_cap`` bounds the pairs inside it more tightly.  A
+    w[r] <= w[d^2] it beats best only for the r of ``_reach_interval``.
+    Inside it, ``_spread_cap`` bounds every j' >= j more tightly, so the
+    j loop of a pair stops at the first j whose cap is at most best, at
+    j = 1 if the pair cannot win at all; the comparison stays strict, so
+    the first maximal j is still kept.  A
     family-(c) pair beats best iff P[r] > best d, and P rises, so in the
     block of one d, (d-1)^2 < r <= d^2, only the r from
     ``bisect_right(sums, best * d)`` on can win.
@@ -325,8 +335,10 @@ def best_variant_d_search(z) -> BoundReport:
             # Family (d) at this d: run the j of r only if the interval
             # and the cap admit it, then move on to the next admitted r.
             lo, last = _reach_interval(w, sums, d, best)
-            if lo <= r <= last and _spread_cap(w, sums, r, d) > best:
+            if lo <= r <= last:
                 for j in range(1, d * d + 1):
+                    if _spread_cap(w, sums, r, d, j) <= best:
+                        break
                     value = _prefix_spread_bound(w, sums, r, d, j)
                     if value > best:
                         best, best_r, best_d, best_j = value, r, d, j
@@ -448,33 +460,64 @@ class _Runs:
 
 
 class _Lowerings:
-    """The lowering sequence of w (sorted nonincreasing) for one r.
+    """The lowering sequence of w (sorted nonincreasing) for one r <= len(w).
 
     at(k) is (tops[k], sums[k]): the largest entry and the sum of the r
     largest after the r largest were lowered by one (clamped at 0) k
-    times.  Each step is one ``_Runs.lower`` pass, and sums[k + 1] is
+    times.  The lists grow only through at(), so every reader of the
+    sequence computes each step once; the hot walks index them directly
+    and call at() when they reach the end.  ``_lowerings`` keeps one
+    sequence per r on the spec for its fixed-r readers.
+
+    Mixed w: each step is one ``_Runs.lower`` pass, and sums[k + 1] is
     sums[k] less the drop that pass returns: r - min(inside, outside),
     the entries of the boundary run inside and outside the first r, when
     more than r entries are positive, else the number of positive entries
-    (proof at ``_Runs``).  So only sums[0] is summed.  The lists grow only through
-    at(), so every reader of the sequence lowers each step once; the hot
-    walks index them directly and call at() when they reach the end.
-    ``_lowerings`` keeps one sequence per r on the spec for its fixed-r
-    readers.
+    (proof at ``_Runs``).  So only sums[0] is summed.
+
+    Balanced w (entries differ by at most 1, so every uniform vector):
+    ``total`` is the sum of w, and each step is closed-form arithmetic
+    with no state.  With n = len(w) and T_k = max(0, total - k r),
+
+        tops[k] = ceil(T_k / n),  sums[k] = r floor(T_k / n) + min(r, T_k mod n).
+
+    Proof.  A balanced w of sum T has T mod n entries q + 1 and the rest
+    q, q = floor(T / n), sorted, which gives both formulas at T.  Lowering
+    its r largest: if r <= T mod n, r entries go from q + 1 to q;
+    otherwise every q + 1 entry goes to q and r - (T mod n) entries of
+    value q go to q - 1, clamped at 0 when q = 0.  Either way the result
+    is balanced, with sum T - r, or 0 when q = 0 and r > T mod n = T.
+    For mixed w ``total`` is None.
     """
 
-    __slots__ = ("tops", "sums", "_state", "_r")
+    __slots__ = ("tops", "sums", "total", "_n", "_state", "_r")
 
     def __init__(self, w: Sequence[int], r: int):
-        self._state, self._r = _Runs(w), r
-        self.tops, self.sums = [w[0] if w else 0], [self._state.top_sum(r)]
+        n = self._n = len(w)
+        self._r = r
+        if n and w[0] - w[-1] <= 1:
+            # n entries of w[-1], and 1 more on each leading entry when
+            # w[0] = w[-1] + 1.
+            top = bisect_right(w, -w[0], key=neg) if w[0] > w[-1] else 0
+            self.total, self._state = n * w[-1] + top, None
+            self.tops, self.sums = [], []
+            self.at(0)
+        else:
+            self.total, self._state = None, _Runs(w)
+            self.tops, self.sums = [w[0] if w else 0], [self._state.top_sum(r)]
 
     def at(self, k: int) -> tuple[int, int]:
         tops, sums, state, r = self.tops, self.sums, self._state, self._r
         while len(tops) <= k:
-            top, drop = state.lower(r)
-            tops.append(top)
-            sums.append(sums[-1] - drop)
+            if state is None:
+                t = self.total - len(tops) * r
+                q, s = divmod(t, self._n) if t > 0 else (0, 0)
+                tops.append(q + (s > 0))
+                sums.append(r * q + min(r, s))
+            else:
+                top, drop = state.lower(r)
+                tops.append(top)
+                sums.append(sums[-1] - drop)
         return tops[k], sums[k]
 
 
@@ -490,8 +533,11 @@ def _lowerings(z: FatPointSpec, r: int) -> _Lowerings:
 
 def _unloading_min(seq: _Lowerings, d: int, best: int = -1) -> int:
     # min over k of k d + max(tops[k], ceil(sums[k] / d)), walked until
-    # k d reaches the running minimum; returns early, with a value at
+    # k d reaches the running minimum (a balanced sequence walks the
+    # window of _balanced_min instead); returns early, with a value at
     # most best, once the running minimum is at most best.
+    if seq.total is not None:
+        return _balanced_min(seq, d, best)
     tops, sums = seq.tops, seq.sums
     low = max(tops[0], -(-sums[0] // d))
     k, kd = 1, d
@@ -504,6 +550,46 @@ def _unloading_min(seq: _Lowerings, d: int, best: int = -1) -> int:
         if term + kd < low:
             low = term + kd
         k, kd = k + 1, kd + d
+    return low
+
+
+def _balanced_min(seq: _Lowerings, d: int, best: int) -> int:
+    """``_unloading_min`` of a balanced sequence, over the k that can win.
+
+    With n entries, total T and T_k = max(0, T - k r), the closed form of
+    ``_Lowerings`` gives every step without lowering, and the minimum
+    over k of V(k) = k d + max(tops[k], ceil(sums[k] / d)) is seeded
+    with V(0) and V(E) = E d, E = ceil(T / r) the first step at which
+    everything is 0 (r <= n).  Every later k has V(k) = k d >= E d.
+
+    Window.  For 0 < k < E, T_k = T - k r > 0 and the r largest of n
+    entries summing to T_k sum to at least r T_k / n, so
+    V(k) >= L(k) = k d + r T_k / (n d), and
+
+        n d L(k) = r T + k (n d^2 - r^2)
+
+    is linear in k.  A k with L(k) at least the running minimum cannot
+    lower it.  So the walk starts at the end of 1..E-1 where L is
+    smaller, k = 1 when n d^2 >= r^2 and k = E - 1 otherwise, and stops
+    at the first k with L(k) at least the running minimum: L only rises
+    along the walk and the minimum only falls.  It also stops, with a
+    value at most best, once the minimum is at most best.
+    """
+    n, total, r = seq._n, seq.total, seq._r
+    low = max(seq.tops[0], -(-seq.sums[0] // d))
+    e = -(-total // r)
+    if e * d < low:
+        low = e * d
+    base, slope, scale = r * total, n * d * d - r * r, n * d
+    for k in range(1, e) if slope >= 0 else range(e - 1, 0, -1):
+        if low <= best or base + k * slope >= scale * low:
+            break
+        q, s = divmod(total - k * r, n)
+        term, top = -(-(r * q + min(r, s)) // d), q + (s > 0)
+        if term < top:
+            term = top
+        if term + k * d < low:
+            low = term + k * d
     return low
 
 
@@ -525,7 +611,8 @@ def unloading_alpha(z, r: int, d: int) -> BoundReport:
     U_k < t: then L_j <= t for every j <= k, so the walk stops at k or
     earlier without ruling t out.  The least such t is
     min_k max(L_k, U_k + 1).  Every term is at least k d, so the walk
-    ends once k d reaches the running minimum.
+    ends once k d reaches the running minimum; on balanced multiplicities
+    it visits only the steps of the window proven in ``_balanced_min``.
     """
     z = as_spec(z)
     _check_rd(r, len(z.positive), d)
@@ -758,11 +845,18 @@ def semigroup_alpha_bound(z, alpha: int | None = None) -> BoundReport:
     Scans downward from the expected least nonzero degree, whose class is
     always a member, and returns one past the first failure.  A caller
     that already has that degree (``find_alpha(z)``) passes it as alpha.
+
+    The scan starts at min(alpha, T - 1), T = m_1 + m_2 + m_3 the sum of
+    the three largest multiplicities, which returns the same degree.
+    Proof.  For t >= T the sorted class (t; m) is already in the
+    fundamental domain, so the reduction stops at once with degree
+    t >= T >= m_1 >= 0: a member.  So every t in [T, alpha] passes and
+    the first failure below alpha lies below T.
     """
     z = as_spec(z)
     if not z.positive:
         raise PreconditionError("the empty subscheme is everywhere effective")
-    t = find_alpha(z) if alpha is None else alpha
+    t = min(find_alpha(z) if alpha is None else alpha, sum(z.positive[:3]) - 1)
     while t >= 0 and _in_semigroup(t, z.mults):
         t -= 1
     return BoundReport("semigroup-membership", ALPHA_LOWER, t + 1)

@@ -7,9 +7,9 @@ another way: they check the package, and no command reaches them.
 from fractions import Fraction
 from math import isqrt
 
-from fatpoints.alpha_bounds import (_ceil_div, _check_uniform_rd, _Lowerings, _prefix_spread_bound,
-                                    _Runs, _u_rho, _unloading_min, unloading_alpha)
-from fatpoints.lattice import DivisorClass, WeylWord, as_spec, cremona_quad
+from fatpoints.alpha_bounds import _ceil_div, _check_uniform_rd, _prefix_spread_bound, _Runs, _u_rho
+from fatpoints.hilbert import find_alpha
+from fatpoints.lattice import DivisorClass, WeylWord, as_spec, cremona_quad, reduce_fundamental_raw
 from fatpoints.report import ALPHA_LOWER, BoundReport, PreconditionError
 
 # alpha(Z) = ceil(c_n * m) for Z = m * (p_1 + ... + p_n), n <= 9.
@@ -92,13 +92,43 @@ def variant_d_search_loop(z) -> tuple:
     return best, (("r", best_r), ("d", best_d), ("j", best_j))
 
 
+class RunsLowerings:
+    """The lowering sequence of w for r, every step one ``_Runs.lower``
+    pass on any input: at(k) is (tops[k], sums[k]), the largest entry and
+    the sum of the r largest after k lowerings."""
+
+    def __init__(self, w, r):
+        self.state, self.r = _Runs(w), r
+        self.tops, self.sums = [w[0] if w else 0], [self.state.top_sum(r)]
+
+    def at(self, k):
+        while len(self.tops) <= k:
+            top, drop = self.state.lower(self.r)
+            self.tops.append(top)
+            self.sums.append(self.sums[-1] - drop)
+        return self.tops[k], self.sums[k]
+
+
+def unloading_walk(seq, d, best=-1):
+    """min over k of k d + max(tops[k], ceil(sums[k] / d)) on a
+    ``RunsLowerings``, walked until k d reaches the running minimum, or
+    until the minimum is at most best."""
+    low = max(seq.tops[0], _ceil_div(seq.sums[0], d))
+    k = 1
+    while k * d < low and low > best:
+        top, s = seq.at(k)
+        low = min(low, k * d + max(top, _ceil_div(s, d)))
+        k += 1
+    return low
+
+
 def unloading_search_loop(z) -> tuple:
     """The unloading search as one loop over every r, from a best of 0.
 
     Keeps the first maximal (r, d) over 1 <= r <= n, d^2 <= r.  The d of
     one r are cut to those whose cap min(max(w[0], ceil(P[r] / d)), d E_r),
-    E_r = max(w[0], ceil(P[n] / r)), beats the running best.  Returns
-    (value, params).
+    E_r = max(w[0], ceil(P[n] / r)), beats the running best.  Every pair
+    walks a ``RunsLowerings``.  Returns (value, params).
     """
     z = as_spec(z)
     w, sums = z.positive, z.sums
@@ -110,13 +140,25 @@ def unloading_search_loop(z) -> tuple:
         top = isqrt(r) if w0 > best else min(isqrt(r), (sums[r] - 1) // best)
         if low >= top:
             continue
-        seq = _Lowerings(w, r)
+        seq = RunsLowerings(w, r)
         for d in range(low + 1, top + 1):
-            value = _unloading_min(seq, d, best)
+            value = unloading_walk(seq, d, best)
             if value > best:
                 best, best_r, best_d = value, r, d
-    best = unloading_alpha(z, best_r, best_d).value
     return best, (("r", best_r), ("d", best_d))
+
+
+def semigroup_scan_from_alpha(z) -> int:
+    """The semigroup-membership bound scanned down from find_alpha(z):
+    one past the first degree whose class does not reduce to a member."""
+    z = as_spec(z)
+    t = find_alpha(z)
+    while t >= 0:
+        d, m = reduce_fundamental_raw(t, z.mults)
+        if d < 0 or d < m[0]:
+            break
+        t -= 1
+    return t + 1
 
 
 def roe_tau_per_step(z) -> int:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpoints import alpha_bounds as ab
+from fatpoints import cli
 from fatpoints.hilbert import find_alpha
 from fatpoints.lattice import FatPointSpec
 from fatpoints.report import PreconditionError
-from references import unloading_alpha_formula, unloading_search_loop, variant_d_search_loop
+from references import (semigroup_scan_from_alpha, unloading_alpha_formula, unloading_search_loop,
+                        variant_d_search_loop)
 
 Z90 = (90, 80, 70, 60, 50, 40, 40, 40, 30, 20, 10)
 
@@ -253,6 +256,37 @@ def test_semigroup_bound_examples():
     assert ab.semigroup_alpha_bound((1,)).value == 1
     with pytest.raises(ValueError):
         ab.semigroup_alpha_bound((0, 0))
+
+
+def test_semigroup_scan_below_the_top_three_sum_matches_the_scan_from_alpha():
+    # The scan starts at min(alpha, m1 + m2 + m3 - 1); the reference
+    # scans every degree down from alpha.  Its cost grows like m n^1.5,
+    # so past 40 points the uniform grid takes a seeded sample of n.
+    rng = random.Random(24)
+    for n in list(range(1, 41)) + rng.sample(range(41, 2001), 16):
+        for m in range(1, 21):
+            z = [m] * n
+            assert ab.semigroup_alpha_bound(z).value == semigroup_scan_from_alpha(z), (n, m)
+    for _ in range(200):
+        z = [rng.randint(0, rng.choice((3, 11, 40))) for _ in range(rng.randint(1, 60))]
+        if any(z):
+            assert ab.semigroup_alpha_bound(z).value == semigroup_scan_from_alpha(z), z
+    for z in ([0] * 5, [0]):
+        with pytest.raises(PreconditionError):
+            ab.semigroup_alpha_bound(z)
+
+
+def test_semigroup_bound_makes_one_reduction_at_30000_points(monkeypatch, capsys):
+    # alpha is far above m1 + m2 + m3 = 39, and 38 is the first
+    # non-member: one reduction, where the scan from alpha made 2,299.
+    calls = []
+    raw = ab.reduce_fundamental_raw
+    monkeypatch.setattr(ab, "reduce_fundamental_raw",
+                        lambda t, m: calls.append(t) or raw(t, m))
+    assert cli.main(["bounds", "--uniform", "30000:13", "--json"]) == 0
+    found = {d["method"]: d["value"] for d in json.loads(capsys.readouterr().out)}
+    assert found["semigroup-membership"] == 39
+    assert calls == [38]
 
 
 def test_best_unloading_search():
@@ -515,8 +549,9 @@ def test_spread_cap_bounds_every_j(z, data):
         return
     d = data.draw(st.integers(1, math.isqrt(len(w) - 1)))
     r = data.draw(st.integers(d * d + 1, len(w)))
-    cap = ab._spread_cap(w, sums, r, d)
-    assert cap >= max(_naive_prefix_spread(w, r, d, j) for j in range(1, d * d + 1)), (w, r, d)
+    j = data.draw(st.integers(1, d * d))
+    cap = ab._spread_cap(w, sums, r, d, j)
+    assert cap >= max(_naive_prefix_spread(w, r, d, k) for k in range(j, d * d + 1)), (w, r, d, j)
 
 
 @settings(max_examples=200, deadline=None)
@@ -553,3 +588,18 @@ def test_family_d_search_work_at_9000_points(monkeypatch):
     assert (rep.value, rep.params) == (1234, (("r", 664), ("d", 7), ("j", 49)))
     assert len(calls) == 94 + 49
     assert calls[94:] == [(664, 7, j) for j in range(1, 50)]
+
+
+def test_family_d_evaluations_on_a_mixed_vector(monkeypatch):
+    # The tail cap stops each pair's j loop at the first j whose cap is
+    # at most the best: 4,479 evaluations here, where the loop over every
+    # j of an admitted pair made 15,536.
+    rng = random.Random(0)
+    z = [rng.randint(1, 11) for _ in range(200)]
+    calls = []
+    spread = ab._prefix_spread_bound
+    monkeypatch.setattr(ab, "_prefix_spread_bound",
+                        lambda *args: calls.append(args[2:]) or spread(*args))
+    rep = ab.best_variant_d_search(z)
+    assert (rep.value, rep.params) == variant_d_search_loop(z)
+    assert len(calls) == 4479

@@ -24,7 +24,7 @@ from fatpoints import cli
 from fatpoints import tau_bounds as tb
 from fatpoints.lattice import FatPointSpec
 from fatpoints.report import PreconditionError
-from references import roe_tau_per_step
+from references import RunsLowerings, roe_tau_per_step, unloading_alpha_formula
 
 
 def _lowered(v, r):
@@ -423,7 +423,8 @@ def test_one_state_build_per_call(monkeypatch):
         assert rep.value == best
         assert scans == [(rep.params[0][1], rep.params[1][1])]
         assert lowered == capped
-        assert len(builds) == len(capped)
+        # A uniform vector's sequences are closed forms with no state.
+        assert len(builds) == (0 if len(set(w)) == 1 else len(capped))
 
 
 def test_one_bounds_query_builds_each_fixed_r_sequence_once(monkeypatch, capsys):
@@ -458,3 +459,79 @@ def test_one_bounds_query_builds_each_fixed_r_sequence_once(monkeypatch, capsys)
     assert built.count(best_r) == 1, (best_r, built)
     assert kept == {ra, rb, best_r}, (kept, ra, rb, best_r)
     assert set(built) - kept, "the search visited no r of its own"
+
+
+def _balanced(rng, n, m):
+    # A sorted vector of n entries m and m - 1, with zeros when m = 1.
+    top = rng.randint(0, n)
+    return [m] * top + [m - 1] * (n - top)
+
+
+def test_balanced_closed_form_matches_the_runs_at_every_step():
+    rng = random.Random(2024)
+    for i in range(400):
+        n, m = rng.randint(1, 2000), rng.randint(0, 20)
+        w = [m] * n if i % 2 else _balanced(rng, n, max(m, 1))
+        r = rng.randint(1, n)
+        seq, ref = ab._Lowerings(w, r), RunsLowerings(w, r)
+        assert seq.total == sum(w), (n, m, r)
+        steps = max(w[0], -(-sum(w) // r))
+        for k in range(steps + 2):
+            assert seq.at(k) == ref.at(k), (n, m, r, k)
+
+
+def _full_min(seq, d):
+    # The closed form of unloading_alpha over every step up to the one
+    # that empties the sequence.
+    k = 0
+    while seq.at(k)[0] > 0:
+        k += 1
+    return min(j * d + max(seq.tops[j], -(-seq.sums[j] // d)) for j in range(k + 1))
+
+
+def test_windowed_min_matches_the_full_walk_on_uniform_vectors():
+    # Every r and d^2 <= r of every uniform (n, m) with n <= 40; past that
+    # a seeded sample of (n, r), since the full walk over the runs costs
+    # about m n^1.5 steps per (n, m).  Each pair is also checked with a
+    # best just below and at its value, where the walk may stop early.
+    rng = random.Random(300)
+    grid = [(n, range(1, n + 1)) for n in range(1, 41)]
+    grid += [(n, rng.sample(range(1, n + 1), 25)) for n in rng.sample(range(41, 301), 4)]
+    for n, rs in grid:
+        for m in range(16):
+            w = [m] * n
+            for r in rs:
+                seq, ref = ab._Lowerings(w, r), RunsLowerings(w, r)
+                for d in range(1, isqrt(r) + 1):
+                    value = _full_min(ref, d)
+                    assert ab._unloading_min(seq, d) == value, (n, m, r, d)
+                    assert ab._unloading_min(seq, d, value - 1) == value, (n, m, r, d)
+                    assert ab._unloading_min(seq, d, value) <= value, (n, m, r, d)
+                    if m and 2 * r >= n + d * d:
+                        assert unloading_alpha_formula(n, m, r, d).value == value, (n, m, r, d)
+
+
+def test_windowed_min_matches_the_full_walk_on_balanced_vectors():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 200)
+        w = _balanced(rng, n, rng.randint(1, 12))
+        r = rng.randint(1, n)
+        seq, ref = ab._Lowerings(w, r), RunsLowerings(w, r)
+        for d in range(1, isqrt(r) + 1):
+            assert ab._unloading_min(seq, d) == _full_min(ref, d), (w, r, d)
+
+
+def test_uniform_unloading_lowers_no_runs(monkeypatch):
+    lowered = []
+    lower = ab._Runs.lower
+    monkeypatch.setattr(ab._Runs, "lower", lambda *args: lowered.append(args[1:]) or lower(*args))
+    for mults in ([13] * 2000, [7] * 40 + [0], [1] * 9, [3] * 30 + [2] * 12):
+        rep = ab.best_unloading_search(mults)
+        r, d = (v for _, v in rep.params)
+        assert ab.unloading_alpha(mults, r, d).value == rep.value
+        assert ab.unloading_alpha(mults, r // 2 + 1, 1).value > 0
+    assert lowered == []
+    # A mixed vector still lowers its runs.
+    ab.unloading_alpha([5, 4, 4, 1], 2, 1)
+    assert lowered
