@@ -38,9 +38,12 @@ The sequence is kept on the ``FatPointSpec`` by r, so plain and modified
 unloading and the modified unloading tau bound of one query share it,
 and each step is lowered once per query.  On balanced multiplicities
 (entries differing by at most 1, so every uniform scheme) each step has
-a closed form and needs no state, and the plain unloading walk visits
-only the steps that a linear lower bound admits (proofs in
-``_Lowerings`` and ``_balanced_min``).
+a closed form and needs no state, and the plain and modified unloading
+walks visit only the steps that a linear bound on their terms admits
+(proofs in ``_Lowerings``, ``_balanced_min``, ``_balanced_modified_min``
+and ``tau_bounds._balanced_modified_max``).  Iterated unloading over a
+balanced rest takes each stage in closed form and visits only the
+stages that sweep (proof in ``_roe_balanced``).
 
 Both parameter searches start their running best one below the value of
 a seed pair and skip every pair whose proven cap cannot beat it, which
@@ -459,6 +462,17 @@ class _Runs:
         return (vals[0] if vals else 0), drop
 
 
+def _balanced_total(w: Sequence[int], lo: int = 0) -> int | None:
+    # The sum of w[lo:] (w sorted nonincreasing) when it is not empty and
+    # its entries differ by at most 1, else None: len(w) - lo entries of
+    # w[-1], and 1 more on each leading entry when w[lo] = w[-1] + 1,
+    # counted by bisection.
+    if lo >= len(w) or w[lo] - w[-1] > 1:
+        return None
+    extra = bisect_right(w, -w[lo], lo, key=neg) - lo if w[lo] > w[-1] else 0
+    return (len(w) - lo) * w[-1] + extra
+
+
 class _Lowerings:
     """The lowering sequence of w (sorted nonincreasing) for one r <= len(w).
 
@@ -466,8 +480,10 @@ class _Lowerings:
     largest after the r largest were lowered by one (clamped at 0) k
     times.  The lists grow only through at(), so every reader of the
     sequence computes each step once; the hot walks index them directly
-    and call at() when they reach the end.  ``_lowerings`` keeps one
-    sequence per r on the spec for its fixed-r readers.
+    and call at() when they reach the end.  A balanced sequence's walks
+    take their windowed steps from the closed form below instead, so its
+    lists keep only step 0.  ``_lowerings`` keeps one sequence per r on
+    the spec for its fixed-r readers.
 
     Mixed w: each step is one ``_Runs.lower`` pass, and sums[k + 1] is
     sums[k] less the drop that pass returns: r - min(inside, outside),
@@ -490,28 +506,25 @@ class _Lowerings:
     For mixed w ``total`` is None.
     """
 
-    __slots__ = ("tops", "sums", "total", "_n", "_state", "_r")
+    __slots__ = ("tops", "sums", "total", "n", "r", "_state")
 
     def __init__(self, w: Sequence[int], r: int):
-        n = self._n = len(w)
-        self._r = r
-        if n and w[0] - w[-1] <= 1:
-            # n entries of w[-1], and 1 more on each leading entry when
-            # w[0] = w[-1] + 1.
-            top = bisect_right(w, -w[0], key=neg) if w[0] > w[-1] else 0
-            self.total, self._state = n * w[-1] + top, None
+        self.n, self.r = len(w), r
+        self.total = _balanced_total(w)
+        if self.total is not None:
+            self._state = None
             self.tops, self.sums = [], []
             self.at(0)
         else:
-            self.total, self._state = None, _Runs(w)
+            self._state = _Runs(w)
             self.tops, self.sums = [w[0] if w else 0], [self._state.top_sum(r)]
 
     def at(self, k: int) -> tuple[int, int]:
-        tops, sums, state, r = self.tops, self.sums, self._state, self._r
+        tops, sums, state, r = self.tops, self.sums, self._state, self.r
         while len(tops) <= k:
             if state is None:
                 t = self.total - len(tops) * r
-                q, s = divmod(t, self._n) if t > 0 else (0, 0)
+                q, s = divmod(t, self.n) if t > 0 else (0, 0)
                 tops.append(q + (s > 0))
                 sums.append(r * q + min(r, s))
             else:
@@ -575,7 +588,7 @@ def _balanced_min(seq: _Lowerings, d: int, best: int) -> int:
     along the walk and the minimum only falls.  It also stops, with a
     value at most best, once the minimum is at most best.
     """
-    n, total, r = seq._n, seq.total, seq._r
+    n, total, r = seq.n, seq.total, seq.r
     low = max(seq.tops[0], -(-seq.sums[0] // d))
     e = -(-total // r)
     if e * d < low:
@@ -719,19 +732,81 @@ def roe_alpha(z) -> BoundReport:
     it negatively, i.e. raises the top multiplicity by one and lowers the
     next i-1; no curve of degree below the final top multiplicity passes
     through the scheme.  The top entry stays on top, so it is kept apart
-    from the state of the rest.
+    from the state of the rest.  When the rest is balanced the stages
+    are taken in closed form (``_roe_balanced``).
     """
     w = as_spec(z).positive or (0,)
     top = w[0]
-    rest = _Runs(w[1:])
-    for i in range(2, len(w)):
-        # Each sweep lowers the same i entries it sums, so the sum follows
-        # the drops that lower returns.
-        s = rest.top_sum(i)
-        while top < s:
-            top += 1
-            s -= rest.lower(i)[1]
+    total = _balanced_total(w, 1)
+    if total is not None:
+        top = _roe_balanced(top, len(w) - 1, total, 0)[0]
+    else:
+        rest = _Runs(w[1:])
+        for i in range(2, len(w)):
+            # Each sweep lowers the same i entries it sums, so the sum
+            # follows the drops that lower returns.
+            s = rest.top_sum(i)
+            while top < s:
+                top += 1
+                s -= rest.lower(i)[1]
     return BoundReport("roe-unloading", ALPHA_LOWER, top)
+
+
+def _roe_balanced(top: int, n: int, total: int, e: int) -> tuple[int, int]:
+    """The stages of iterated unloading over a balanced rest.
+
+    The rest holds n entries summing to T = total that differ by at most
+    1; the top entry is apart from it and may be any value.  Stage i,
+    for i = 2 - e, ..., n - e in turn, sweeps while top + e < S(i + e),
+    S(W) the sum of the W largest entries of the rest (e = 0 for
+    ``roe_alpha``, e = 1 for ``tau_bounds.roe_tau``), and a sweep raises
+    top by 1 and lowers the i largest entries by 1, clamped at 0.
+    Returns the final top and T.
+
+    Proof.  By the proof in ``_Lowerings`` a balanced rest stays balanced
+    under a sweep, with sum max(0, T - i), so with (q, s) = divmod(T, n)
+    the rest is s entries q + 1 and n - s entries q, and
+    S(W) = W q + min(W, s).  S(W) does not fall as W rises, and does not
+    rise as T falls.
+
+    Skip.  A stage with b = top + e >= S(i + e) does not sweep and changes
+    nothing.  S(W) > b holds for every W from W* = b // (q + 1) + 1 when
+    s (q + 1) > b (the entries q + 1 alone exceed b), else from
+    W* = (b - s) // q + 1 when q > 0; when q = 0 it holds for no W, since
+    then S(W) <= s <= b, and T falls only in a sweep, so no later stage
+    sweeps: the loop stops, as it does once T = 0.  So the next stage
+    that sweeps is max(i, W* - e), found with no stage in between.
+
+    Count.  A stage that sweeps stops after the least c >= 1 with
+    b + c >= S_c, S_c the sum of its W = i + e largest entries once the
+    sum of the rest is T_c = max(0, T - c i); the condition only turns
+    true as c rises.  The W largest of n entries sum to at least
+    W T_c / n, so that c has n (b + c) >= W (T - c i), that is
+    c >= (W T - b n) / (n + W i) (when T_c = 0, c >= T / i exceeds that
+    bound as well).  So the count starts at the ceiling of that bound,
+    at least 1, and steps up to the first c that stops.
+    """
+    i, last = 2 - e, n - e
+    while i <= last and total:
+        q, s = divmod(total, n)
+        b = top + e
+        if s * (q + 1) > b:
+            i = max(i, b // (q + 1) + 1 - e)
+        elif q:
+            i = max(i, (b - s) // q + 1 - e)
+        else:
+            break
+        if i > last:
+            break
+        width = i + e
+        c = max(1, _ceil_div(width * total - b * n, n + width * i))
+        while True:
+            q, s = divmod(max(0, total - c * i), n)
+            if b + c >= width * q + min(width, s):
+                break
+            c += 1
+        top, total, i = top + c, max(0, total - c * i), i + 1
+    return top, total
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +818,10 @@ def _tri_root(s: int) -> int:
     return (isqrt(8 * s + 1) - 3) // 2
 
 
-def _modified_x(seq: _Lowerings, k: int, d: int, g: int) -> int:
-    # x_k of modified_unloading_alpha: the least x >= tops[k] outside
-    # I_k = [d - 2, U_k] and J_k = [0, min(d - 1, S_k)].
-    top, s = seq.at(k)
+def _modified_x(top: int, s: int, d: int, g: int) -> int:
+    # x_k of modified_unloading_alpha from top = tops[k] and s = sums[k]:
+    # the least x >= top outside I_k = [d - 2, U_k] and
+    # J_k = [0, min(d - 1, S_k)].
     u = (s + g - 1) // d
     j = min(d - 1, _tri_root(s))
     x = top
@@ -781,21 +856,78 @@ def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
     j <= k, since x_k lies outside I_k and J_k, and a lowering drops the
     top entry by at most 1 with d >= 1, so
     t - j d >= tops[k] + (k - j) d >= tops[j].  Every term is at least
-    k d, so the walk ends once k d reaches the running minimum.
+    k d, so the walk ends once k d reaches the running minimum; on
+    balanced multiplicities it visits only the steps of the window
+    proven in ``_balanced_modified_min``.
     """
     z = as_spec(z)
     _check_rd(r, len(z.positive), d)
     g = (d - 1) * (d - 2) // 2
     seq = _lowerings(z, r)
-    low = _modified_x(seq, 0, d, g)
-    k, kd = 1, d
-    while kd < low:
-        term = kd + _modified_x(seq, k, d, g)
-        if term < low:
-            low = term
-        k, kd = k + 1, kd + d
+    if seq.total is not None:
+        low = _balanced_modified_min(seq, d, g)
+    else:
+        low = _modified_x(seq.tops[0], seq.sums[0], d, g)
+        k, kd = 1, d
+        while kd < low:
+            term = kd + _modified_x(*seq.at(k), d, g)
+            if term < low:
+                low = term
+            k, kd = k + 1, kd + d
     return BoundReport("modified-unloading", ALPHA_LOWER, low,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
+
+
+def _balanced_modified_min(seq: _Lowerings, d: int, g: int) -> int:
+    """``modified_unloading_alpha`` of a balanced sequence, over a window.
+
+    With n entries, total T and T_k = max(0, T - k r), the closed form of
+    ``_Lowerings`` gives every step without lowering.  The minimum over k
+    of V(k) = k d + x_k is seeded with V(0) and V(E) = E d,
+    E = ceil(T / r) the first step at which everything is 0: there
+    tops = sums = 0 and S_E = -1, so J_E is empty, and
+    U_E = floor((g - 1) / d) is below d - 2 for d >= 3 and is -1 for
+    d <= 2, so 0 lies outside I_E and x_E = 0.  Every later k has
+    V(k) = k d.
+
+    Window.  For 0 < k < E, T_k = T - k r > 0.  If tops[k] >= d - 2, then
+    x_k >= d - 2 lies outside I_k = [d - 2, U_k], so x_k > U_k, that is
+    x_k > (sums[k] + g - 1) / d, and the r largest of n entries summing
+    to T_k sum to at least r T_k / n, so V(k) > L(k) with
+
+        n d L(k) = r T + n (g - 1) + k (n d^2 - r^2),
+
+    linear in k.  V(k) is an integer, so a k with L(k) >= low - 1 cannot
+    lower the running minimum low.  tops[k] = ceil(T_k / n) >= d - 2
+    exactly when k < K = ceil((T - n (d - 3)) / r), so for the k below
+    min(K, E) the walk starts at the end where L is smaller, k = 1 when
+    n d^2 >= r^2 and the last such k otherwise, and stops at the first k
+    with L(k) >= low - 1: L only rises along the walk and the minimum only
+    falls.  For d <= 2 (and d = 3) K >= E, so that is every k.  The k from
+    K to E - 1 have V(k) >= k d and are walked upward until k d >= low.
+    """
+    n, total, r = seq.n, seq.total, seq.r
+    low = _modified_x(seq.tops[0], seq.sums[0], d, g)
+    e = _ceil_div(total, r)
+    if e * d < low:
+        low = e * d
+    split = min(e, max(1, _ceil_div(total - n * (d - 3), r)))
+    base, slope, scale = r * total + n * (g - 1), n * d * d - r * r, n * d
+    for k in range(1, split) if slope >= 0 else range(split - 1, 0, -1):
+        if base + k * slope >= scale * (low - 1):
+            break
+        q, s = divmod(total - k * r, n)
+        term = k * d + _modified_x(q + (s > 0), r * q + min(r, s), d, g)
+        if term < low:
+            low = term
+    k = split
+    while k < e and k * d < low:
+        q, s = divmod(total - k * r, n)
+        term = k * d + _modified_x(q + (s > 0), r * q + min(r, s), d, g)
+        if term < low:
+            low = term
+        k += 1
+    return low
 
 
 def modified_unloading_alpha_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:

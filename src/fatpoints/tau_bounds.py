@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
-from .alpha_bounds import (_ceil_div, _check_rd, _check_uniform_rd, _lowerings, _Runs,
-                           _tri_root, _u_rho)
+from .alpha_bounds import (_balanced_total, _ceil_div, _check_rd, _check_uniform_rd,
+                           _lowerings, _roe_balanced, _Runs, _tri_root, _u_rho)
 from .hilbert import _least_above, _least_true
 from .lattice import as_spec
 from .report import TAU_UPPER, CHAR_ZERO, BoundReport, PreconditionError, fmt_rational
@@ -165,21 +165,31 @@ def roe_tau(z) -> BoundReport:
     Stage i (i = 2..n-1) subtracts E1 - ... - Ei, resorting and clamping,
     while the class meets E1 - ... - E_{i+1} in less than -1.  The top
     entry stays on top, so it is kept apart from the state of the rest.
+    When the rest is balanced the stages are taken in closed form
+    (``alpha_bounds._roe_balanced``), and m_2' is its largest entry,
+    ceil(T / (n - 1)) for its final sum T.
     """
     z = as_spec(z)
     if z.n < 2:
         raise PreconditionError("bound needs at least 2 points")
     w = z.positive or (0,)
     top = w[0]
-    rest = _Runs(w[1:])
-    for i in range(1, len(w) - 1):
-        # Each sweep lowers the i largest entries and sums the i + 1
-        # largest, so the sum follows the drops that lower(i, 1) returns.
-        s = rest.top_sum(i + 1)
-        while top < s - 1:
-            top += 1
-            s -= rest.lower(i, 1)[1]
-    second = rest.top_sum(1) if len(w) > 1 else 0
+    total = _balanced_total(w, 1)
+    if total is not None:
+        n = len(w) - 1
+        top, total = _roe_balanced(top, n, total, 1)
+        second = _ceil_div(total, n)
+    else:
+        rest = _Runs(w[1:])
+        for i in range(1, len(w) - 1):
+            # Each sweep lowers the i largest entries and sums the i + 1
+            # largest, so the sum follows the drops that lower(i, 1)
+            # returns.
+            s = rest.top_sum(i + 1)
+            while top < s - 1:
+                top += 1
+                s -= rest.lower(i, 1)[1]
+        second = rest.top_sum(1) if len(w) > 1 else 0
     return BoundReport("roe-unloading", TAU_UPPER, max(top + second - 1, 0))
 
 
@@ -197,21 +207,63 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
 
     Proof.  Degree t succeeds iff the walk takes every step k < K, and
     step k is taken iff deg = t - k d satisfies deg >= d - 2 and
-    deg d >= sums[k] + g - 1, i.e. t is at least the k-th term.
+    deg d >= sums[k] + g - 1, i.e. t is at least the k-th term.  On
+    balanced multiplicities only the steps of the window proven in
+    ``_balanced_modified_max`` are evaluated.
     """
     z = as_spec(z)
     _check_rd(r, len(z.positive), d)
     g = (d - 1) * (d - 2) // 2
     seq = _lowerings(z, r)
-    tops, sums = seq.tops, seq.sums
-    t, k, kd = 0, 0, 0
-    while tops[k] > 0:
-        t = max(t, kd + d - 2, kd + _ceil_div(sums[k] + g - 1, d))
-        k, kd = k + 1, kd + d
-        if k == len(tops):
-            seq.at(k)
+    if seq.total is not None:
+        t = _balanced_modified_max(seq, d, g)
+    else:
+        tops, sums = seq.tops, seq.sums
+        t, k, kd = 0, 0, 0
+        while tops[k] > 0:
+            t = max(t, kd + d - 2, kd + _ceil_div(sums[k] + g - 1, d))
+            k, kd = k + 1, kd + d
+            if k == len(tops):
+                seq.at(k)
     return BoundReport("modified-unloading", TAU_UPPER, t,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
+
+
+def _balanced_modified_max(seq, d: int, g: int) -> int:
+    """``modified_unloading_tau`` of a balanced sequence, over a window.
+
+    With n entries, total T > 0 and T_k = max(0, T - k r), the closed form
+    of ``alpha_bounds._Lowerings`` gives tops[k] = ceil(T_k / n), so
+    K = E = ceil(T / r), and the terms k d + d - 2 for k < E have the
+    maximum E d - 2.  That leaves the maximum over k < E of
+    G(k) = k d + ceil((sums[k] + g - 1) / d).
+
+    Window.  With (q, s) = divmod(T_k, n), sums[k] = r q + min(r, s)
+    exceeds r T_k / n by min(r, s) - r s / n, which is s (n - r) / n
+    <= r (n - r) / n when s <= r and r (n - s) / n < r (n - r) / n when
+    s > r.  With ceil(a / d) <= (a + d - 1) / d, G(k) <= H(k) where
+
+        n d H(k) = r T + r (n - r) + n (g + d - 2) + k (n d^2 - r^2),
+
+    linear in k.  G(k) is an integer, so a k with H(k) < t + 1 cannot
+    raise the running maximum t.  So the walk starts at the end of
+    0..E-1 where H is larger, k = E - 1 when n d^2 >= r^2 and k = 0
+    otherwise, and stops at the first k with H(k) < t + 1: H only falls
+    along the walk and the maximum only rises.
+    """
+    n, total, r = seq.n, seq.total, seq.r
+    e = _ceil_div(total, r)
+    t = max(0, e * d - 2)
+    base = r * total + r * (n - r) + n * (g + d - 2)
+    slope, scale = n * d * d - r * r, n * d
+    for k in range(e - 1, -1, -1) if slope >= 0 else range(e):
+        if base + k * slope < scale * (t + 1):
+            break
+        q, s = divmod(total - k * r, n)
+        term = k * d + _ceil_div(r * q + min(r, s) + g - 1, d)
+        if term > t:
+            t = term
+    return t
 
 
 def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:

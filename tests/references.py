@@ -7,7 +7,8 @@ another way: they check the package, and no command reaches them.
 from fractions import Fraction
 from math import isqrt
 
-from fatpoints.alpha_bounds import _ceil_div, _check_uniform_rd, _prefix_spread_bound, _Runs, _u_rho
+from fatpoints.alpha_bounds import (_ceil_div, _check_uniform_rd, _modified_x, _prefix_spread_bound,
+                                    _Runs, _u_rho)
 from fatpoints.hilbert import find_alpha
 from fatpoints.lattice import DivisorClass, WeylWord, as_spec, cremona_quad, reduce_fundamental_raw
 from fatpoints.report import ALPHA_LOWER, BoundReport, PreconditionError
@@ -148,6 +149,30 @@ def unloading_search_loop(z) -> tuple:
     return best, (("r", best_r), ("d", best_d))
 
 
+def modified_alpha_walk(z, r, d) -> int:
+    """The modified unloading alpha bound, min over k of k d + x_k, walked
+    over every step of a ``RunsLowerings`` until k d reaches the running
+    minimum."""
+    seq, g = RunsLowerings(as_spec(z).positive, r), (d - 1) * (d - 2) // 2
+    low, k = _modified_x(*seq.at(0), d, g), 1
+    while k * d < low:
+        low = min(low, k * d + _modified_x(*seq.at(k), d, g))
+        k += 1
+    return low
+
+
+def modified_tau_walk(z, r, d) -> int:
+    """The modified unloading tau bound, max(0, max over k < K of
+    k d + max(d - 2, ceil((sums[k] + g - 1) / d))), walked over every step
+    of a ``RunsLowerings`` until the top entry is 0."""
+    seq, g = RunsLowerings(as_spec(z).positive, r), (d - 1) * (d - 2) // 2
+    t, k = 0, 0
+    while seq.at(k)[0] > 0:
+        t = max(t, k * d + d - 2, k * d + _ceil_div(seq.sums[k] + g - 1, d))
+        k += 1
+    return t
+
+
 def semigroup_scan_from_alpha(z) -> int:
     """The semigroup-membership bound scanned down from find_alpha(z):
     one past the first degree whose class does not reduce to a member."""
@@ -159,6 +184,35 @@ def semigroup_scan_from_alpha(z) -> int:
             break
         t -= 1
     return t + 1
+
+
+def roe_alpha_runs(z) -> int:
+    """The iterated-unloading alpha bound, every stage a loop of
+    ``_Runs.lower`` sweeps on any input, the sum carried by the drops."""
+    w = as_spec(z).positive or (0,)
+    top = w[0]
+    rest = _Runs(w[1:])
+    for i in range(2, len(w)):
+        s = rest.top_sum(i)
+        while top < s:
+            top += 1
+            s -= rest.lower(i)[1]
+    return top
+
+
+def roe_tau_runs(z) -> int:
+    """The iterated-unloading tau bound, every stage a loop of
+    ``_Runs.lower`` sweeps on any input, the sum carried by the drops."""
+    w = as_spec(z).positive or (0,)
+    top = w[0]
+    rest = _Runs(w[1:])
+    for i in range(1, len(w) - 1):
+        s = rest.top_sum(i + 1)
+        while top < s - 1:
+            top += 1
+            s -= rest.lower(i, 1)[1]
+    second = rest.top_sum(1) if len(w) > 1 else 0
+    return max(top + second - 1, 0)
 
 
 def roe_tau_per_step(z) -> int:

@@ -16,9 +16,9 @@ from fatpoints import alpha_bounds as ab
 from fatpoints import cli
 from fatpoints import tau_bounds as tb
 from fatpoints.hilbert import expected_dim, find_alpha, find_tau, hilbert_table
-from fatpoints.lattice import (DivisorClass, apply_inverse, cremona_quad,
-                               decompose, intersection, is_exceptional,
-                               reduce_fundamental)
+from fatpoints.lattice import (DivisorClass, FatPointSpec, apply_inverse,
+                               cremona_quad, decompose, intersection,
+                               is_exceptional, reduce_fundamental)
 from fatpoints.oracle import PointConfig, oracle_table
 from fatpoints.report import PreconditionError
 from fatpoints.resolution import (betti_table, classical_nu_bounds,
@@ -116,7 +116,8 @@ def test_golden_bounds_suite_uniform_9000_bytes_and_unloading_runtime():
 
 def test_golden_bounds_fixed_r1_d1_bytes_and_modified_tau_runtime():
     # r = 1, d = 1 lowers one point at a time: the modified unloading
-    # tau bound reads a lowering sequence of about 5200 steps.
+    # tau bound is a maximum over about 5200 steps, of which its window
+    # evaluates only the last.
     out, _ = _bounds_json(["--uniform", "400:13", "--r", "1", "--d", "1"])
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "57847b319448a7d613be40cacab95e74c3205dbea04cb6a7b12a58c1aedbebff"
@@ -125,6 +126,21 @@ def test_golden_bounds_fixed_r1_d1_bytes_and_modified_tau_runtime():
     elapsed = time.monotonic() - start
     assert elapsed < 0.5, f"modified_unloading_tau([13]*400, 1, 1) took {elapsed:.2f}s"
     _ok(f"golden: bounds --uniform 400:13 --r 1 --d 1 (modified tau in {elapsed:.3f}s)")
+
+
+def test_golden_iterated_unloading_runtime_at_100000_points():
+    # The rest of a uniform scheme stays balanced, so the stages are
+    # closed forms and only the 504 that sweep are visited: about 2-4 ms
+    # each, where stepping all 99,998 stages over the runs took about
+    # 35-60 ms (one CPU, Python 3.11.7).
+    z = FatPointSpec([13] * 100000)
+    assert z.positive
+    for method, value in ((ab.roe_alpha, 4260), (tb.roe_tau, 4270)):
+        start = time.monotonic()
+        assert method(z).value == value
+        elapsed = time.monotonic() - start
+        assert elapsed < 0.025, f"{method.__name__}([13]*100000) took {elapsed:.3f}s"
+    _ok("golden: iterated unloading at 100000 points of multiplicity 13 (4260, 4270)")
 
 
 def test_golden_square_counts():

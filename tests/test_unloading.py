@@ -12,6 +12,7 @@ running best; the cap is checked against the bound, and the search
 against a copy of itself without the cap.
 """
 
+import json
 import random
 from math import isqrt
 
@@ -24,7 +25,8 @@ from fatpoints import cli
 from fatpoints import tau_bounds as tb
 from fatpoints.lattice import FatPointSpec
 from fatpoints.report import PreconditionError
-from references import RunsLowerings, roe_tau_per_step, unloading_alpha_formula
+from references import (RunsLowerings, modified_alpha_walk, modified_tau_walk, roe_alpha_runs,
+                        roe_tau_per_step, roe_tau_runs, unloading_alpha_formula)
 
 
 def _lowered(v, r):
@@ -535,3 +537,138 @@ def test_uniform_unloading_lowers_no_runs(monkeypatch):
     # A mixed vector still lowers its runs.
     ab.unloading_alpha([5, 4, 4, 1], 2, 1)
     assert lowered
+
+
+# The iterated unloading stages of a balanced rest and both modified
+# unloading bounds of a balanced sequence are taken in closed form; here
+# they meet the walks they replace, every stage or step one pass of the
+# runs (``tests/references.py``).
+
+
+def test_roe_alpha_matches_the_runs_on_every_uniform_scheme_to_300_points():
+    for n in range(1, 301):
+        for m in range(1, 16):
+            z = FatPointSpec([m] * n)
+            assert ab.roe_alpha(z).value == roe_alpha_runs(z), (n, m)
+
+
+def test_roe_tau_matches_the_runs_on_every_uniform_scheme_to_300_points():
+    for n in range(2, 301):
+        for m in range(1, 16):
+            z = FatPointSpec([m] * n)
+            assert tb.roe_tau(z).value == roe_tau_runs(z), (n, m)
+
+
+def _slope_zero_rds():
+    # (n, r, d) with n d^2 = r^2, where both windows' lines are flat.
+    return [(4, 2, 1), (4, 4, 2), (9, 6, 2), (9, 9, 3), (16, 4, 1), (25, 10, 2),
+            (36, 12, 2), (49, 21, 3), (100, 30, 3), (100, 100, 10)]
+
+
+def test_modified_unloading_matches_the_walks_on_a_uniform_grid():
+    rng = random.Random(77)
+    grid = [(n, m, r) for n in (1, 2, 3, 5, 8, 10, 17, 40, 64, 99, 120)
+            for m in (1, 2, 5, 13) for r in {1, 2, n // 2 + 1, n - 1, n, rng.randint(1, n)}
+            if 1 <= r <= n]
+    grid += [(n, m, r) for n, r, _ in _slope_zero_rds() for m in (1, 3, 8)]
+    for n, m, r in grid:
+        z = FatPointSpec([m] * n)
+        for d in range(1, isqrt(n) + 4):
+            assert ab.modified_unloading_alpha(z, r, d).value \
+                == modified_alpha_walk(z, r, d), (n, m, r, d)
+            assert tb.modified_unloading_tau(z, r, d).value \
+                == modified_tau_walk(z, r, d), (n, m, r, d)
+
+
+def _top_over_balanced(rng):
+    # An arbitrary top over a balanced rest (values m and m - 1), padded
+    # with zeros and shuffled.
+    n, m = rng.randint(0, 80), rng.randint(1, 14)
+    ups = rng.randint(0, n)
+    z = [rng.randint(1, 40)] + [m] * ups + [m - 1] * (n - ups) + [0] * rng.randint(0, 3)
+    rng.shuffle(z)
+    return z
+
+
+def test_roe_and_modified_unloading_match_the_runs_on_a_top_over_a_balanced_rest():
+    rng = random.Random(2025)
+    for _ in range(1500):
+        z = _top_over_balanced(rng)
+        assert ab.roe_alpha(z).value == roe_alpha_runs(z), z
+        if len(z) >= 2:
+            assert tb.roe_tau(z).value == roe_tau_runs(z), z
+        positive = sum(1 for x in z if x)
+        r, d = rng.randint(1, positive), rng.randint(1, 12)
+        assert ab.modified_unloading_alpha(z, r, d).value == modified_alpha_walk(z, r, d), z
+        assert tb.modified_unloading_tau(z, r, d).value == modified_tau_walk(z, r, d), z
+
+
+def test_balanced_closed_forms_at_the_edges(capsys):
+    # At most two positive entries: the rest is one entry or none.
+    for z in [(0,), (7,), (5, 0), (5, 3), (3, 3), (4, 5), (0, 0, 7), (1, 1), (9, 0, 2)]:
+        assert ab.roe_alpha(z).value == roe_alpha_runs(z), z
+        if len(z) >= 2:
+            assert tb.roe_tau(z).value == roe_tau_runs(z), z
+        for r in _r_ranges(z)[0]:
+            for d in range(1, 5):
+                assert ab.modified_unloading_alpha(z, r, d).value \
+                    == modified_alpha_walk(z, r, d), (z, r, d)
+                assert tb.modified_unloading_tau(z, r, d).value \
+                    == modified_tau_walk(z, r, d), (z, r, d)
+    assert cli.main(["bounds", "--mults", "5,0,0", "--json"]) == 0
+    found = {(d["direction"], d["method"]): d["value"]
+             for d in json.loads(capsys.readouterr().out)}
+    assert found["alpha-lower", "roe-unloading"] == roe_alpha_runs((5, 0, 0)) == 5
+    # The suite asks roe_tau only of two positive entries or more.
+    assert ("tau-upper", "roe-unloading") not in found
+    assert tb.roe_tau((5, 0, 0)).value == roe_tau_runs((5, 0, 0)) == 4
+    # m = 1: the rest of ten simple points empties at stage 4 of 9, and
+    # the stages after it are never visited.
+    assert ab._roe_balanced(1, 9, 9, 0) == (4, 0)
+    for n in range(2, 60):
+        assert ab.roe_alpha([1] * n).value == roe_alpha_runs([1] * n), n
+        assert tb.roe_tau([1] * n).value == roe_tau_runs([1] * n), n
+    # r = n, d <= 2 (every step has tops[k] >= d - 2), n d^2 = r^2, and
+    # minima at a step with tops[k] < d - 2, which the line does not bound.
+    cases = [(n, n, d) for n in (1, 6, 30, 121) for d in (1, 2, 3, 11)]
+    cases += [(n, r, d) for n in (7, 50) for r in (1, n // 3, n) for d in (1, 2)]
+    cases += _slope_zero_rds() + [(26, 25, 5), (27, 26, 5)]
+    for n, r, d in cases:
+        for m in (1, 2, 13):
+            z = FatPointSpec([m] * n)
+            assert ab.modified_unloading_alpha(z, r, d).value \
+                == modified_alpha_walk(z, r, d), (n, m, r, d)
+            assert tb.modified_unloading_tau(z, r, d).value \
+                == modified_tau_walk(z, r, d), (n, m, r, d)
+
+
+def test_balanced_input_lowers_no_runs_and_reads_only_the_first_step(monkeypatch):
+    # On a balanced rest the iterated unloading builds no runs; on a
+    # balanced sequence both modified unloading bounds read its first
+    # step from the lists and take the windowed steps from the closed
+    # form, so the lists never grow.
+    built = []
+
+    class Counted(ab._Runs):
+        __slots__ = ()
+
+        def __init__(self, w):
+            built.append(len(w))
+            super().__init__(w)
+
+    monkeypatch.setattr(ab, "_Runs", Counted)
+    monkeypatch.setattr(tb, "_Runs", Counted)
+    for mults in ([13] * 2000, [40] + [3] * 30 + [2] * 12, [1, 1], [9, 2]):
+        ab.roe_alpha(mults)
+        tb.roe_tau(mults + [0])
+    for mults in ([13] * 2000, [7] * 40 + [0], [3] * 30 + [2] * 12):
+        z = FatPointSpec(mults)
+        n = len(z.positive)
+        for r, d in (ab.best_rd_a(n), ab.best_rd_b(n), (1, 1), (n, 2)):
+            ab.modified_unloading_alpha(z, r, d)
+            tb.modified_unloading_tau(z, r, d)
+            assert len(z.lowerings[r].tops) == 1, (mults, r, d)
+    assert built == []
+    # A mixed rest still steps its runs.
+    ab.roe_alpha([5, 4, 4, 1])
+    assert built == [3]
