@@ -29,11 +29,12 @@ Z = m_1 p_1 + ... + m_n p_n for all t below the reported value.
 * Semigroup membership: the least t whose class lands in the semigroup
   generated by exceptional classes and the anticanonical class.
 
-Every unloading procedure runs over one multiplicity state, runs of
-equal values lowered without re-sorting, and one lowering step is one
-pass over those runs that also yields the drop of the sum of the r
-largest entries.  Those with a fixed r take their bound in one walk over
-its lowering sequence, which depends only on the multiplicities and r.
+Every unloading procedure runs over one multiplicity state, a copy of
+the spec's runs of equal values (``FatPointSpec.runs``) lowered without
+re-sorting, and one lowering step is one pass over those runs that also
+yields the drop of the sum of the r largest entries.  Those with a
+fixed r take their bound in one walk over its lowering sequence, which
+depends only on the multiplicities and r.
 The sequence is kept on the ``FatPointSpec`` by r, so plain and modified
 unloading and the modified unloading tau bound of one query share it,
 and each step is lowered once per query.  On balanced multiplicities
@@ -41,9 +42,10 @@ and each step is lowered once per query.  On balanced multiplicities
 a closed form and needs no state, and the plain and modified unloading
 walks visit only the steps that a linear bound on their terms admits
 (proofs in ``_Lowerings``, ``_balanced_min``, ``_balanced_modified_min``
-and ``tau_bounds._balanced_modified_max``).  Iterated unloading over a
-balanced rest takes each stage in closed form and visits only the
-stages that sweep (proof in ``_roe_balanced``).
+and ``tau_bounds._balanced_modified_max``).  Iterated unloading, for
+alpha and for tau, runs on one stage routine, ``_roe``; over a balanced
+rest it takes each stage in closed form and visits only the stages that
+sweep (proof in ``_roe_balanced``).
 
 Both parameter searches start their running best one below the value of
 a seed pair and skip every pair whose proven cap cannot beat it, which
@@ -69,7 +71,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from heapq import heappop, heapreplace
 from math import gcd, isqrt
-from operator import neg
 from typing import Sequence
 
 from .hilbert import find_alpha
@@ -391,11 +392,12 @@ def best_rd_b(n: int) -> tuple[int, int]:
 
 
 class _Runs:
-    # A list sorted nonincreasing and nonnegative, as runs of equal
-    # positive values.  top_sum(r) is the sum of the r largest entries;
-    # lower(r, e) lowers them by one, clamps at 0 and returns the new
-    # largest (0 once all are zero) with the drop of top_sum(r + e), e 0
-    # or 1, in O(runs) and with no re-sort.
+    # A list sorted nonincreasing and nonnegative, as a copy of the runs
+    # (values, counts) of its positive values, such as ``FatPointSpec.runs``.
+    # top_sum(r) is the sum of the r largest entries; lower(r, e) lowers
+    # them by one, clamps at 0 and returns the new largest (0 once all are
+    # zero) with the drop of top_sum(r + e), e 0 or 1, in O(runs) and with
+    # no re-sort.
     #
     # The drop.  If at most r entries are positive, every one of them is
     # lowered and the r + e largest include all of them, so top_sum(r + e)
@@ -411,16 +413,8 @@ class _Runs:
     # r + e - min(inside + e, outside).
     __slots__ = ("vals", "cnts")
 
-    def __init__(self, w: Sequence[int]):
-        # A run ends at the first smaller entry, found by bisection, so a
-        # build costs O(runs log n) rather than O(n).
-        self.vals, self.cnts = [], []
-        i = 0
-        while i < len(w) and w[i] > 0:
-            j = bisect_right(w, -w[i], i, key=neg)
-            self.vals.append(w[i])
-            self.cnts.append(j - i)
-            i = j
+    def __init__(self, values: Sequence[int], counts: Sequence[int]):
+        self.vals, self.cnts = list(values), list(counts)
 
     def top_sum(self, r: int) -> int:
         s = 0
@@ -462,19 +456,16 @@ class _Runs:
         return (vals[0] if vals else 0), drop
 
 
-def _balanced_total(w: Sequence[int], lo: int = 0) -> int | None:
-    # The sum of w[lo:] (w sorted nonincreasing) when it is not empty and
-    # its entries differ by at most 1, else None: len(w) - lo entries of
-    # w[-1], and 1 more on each leading entry when w[lo] = w[-1] + 1,
-    # counted by bisection.
-    if lo >= len(w) or w[lo] - w[-1] > 1:
-        return None
-    extra = bisect_right(w, -w[lo], lo, key=neg) - lo if w[lo] > w[-1] else 0
-    return (len(w) - lo) * w[-1] + extra
+def _balanced_total(values: Sequence[int], counts: Sequence[int]) -> int | None:
+    # The sum of the entries of runs (values, counts) when there are any
+    # and they differ by at most 1 (one run, or two 1 apart), else None.
+    if len(values) == 1 or len(values) == 2 and values[0] == values[1] + 1:
+        return sum(v * c for v, c in zip(values, counts))
+    return None
 
 
 class _Lowerings:
-    """The lowering sequence of w (sorted nonincreasing) for one r <= len(w).
+    """The lowering sequence of a spec's multiplicities w for one r <= len(w).
 
     at(k) is (tops[k], sums[k]): the largest entry and the sum of the r
     largest after the r largest were lowered by one (clamped at 0) k
@@ -485,11 +476,12 @@ class _Lowerings:
     lists keep only step 0.  ``_lowerings`` keeps one sequence per r on
     the spec for its fixed-r readers.
 
-    Mixed w: each step is one ``_Runs.lower`` pass, and sums[k + 1] is
-    sums[k] less the drop that pass returns: r - min(inside, outside),
-    the entries of the boundary run inside and outside the first r, when
-    more than r entries are positive, else the number of positive entries
-    (proof at ``_Runs``).  So only sums[0] is summed.
+    Step 0 is (w[0], sums[r]) of the spec on every input.  Mixed w: the
+    state is a ``_Runs`` of the spec's runs, each step is one
+    ``_Runs.lower`` pass, and sums[k + 1] is sums[k] less the drop that
+    pass returns: r - min(inside, outside), the entries of the boundary
+    run inside and outside the first r, when more than r entries are
+    positive, else the number of positive entries (proof at ``_Runs``).
 
     Balanced w (entries differ by at most 1, so every uniform vector):
     ``total`` is the sum of w, and each step is closed-form arithmetic
@@ -508,16 +500,12 @@ class _Lowerings:
 
     __slots__ = ("tops", "sums", "total", "n", "r", "_state")
 
-    def __init__(self, w: Sequence[int], r: int):
+    def __init__(self, z: FatPointSpec, r: int):
+        w = z.positive
         self.n, self.r = len(w), r
-        self.total = _balanced_total(w)
-        if self.total is not None:
-            self._state = None
-            self.tops, self.sums = [], []
-            self.at(0)
-        else:
-            self._state = _Runs(w)
-            self.tops, self.sums = [w[0] if w else 0], [self._state.top_sum(r)]
+        self.total = _balanced_total(*z.runs)
+        self._state = None if self.total is not None else _Runs(*z.runs)
+        self.tops, self.sums = [w[0] if w else 0], [z.sums[r]]
 
     def at(self, k: int) -> tuple[int, int]:
         tops, sums, state, r = self.tops, self.sums, self._state, self.r
@@ -540,7 +528,7 @@ def _lowerings(z: FatPointSpec, r: int) -> _Lowerings:
     # parameter search reads it.  It lives as long as z does.
     seq = z.lowerings.get(r)
     if seq is None:
-        seq = z.lowerings[r] = _Lowerings(z.positive, r)
+        seq = z.lowerings[r] = _Lowerings(z, r)
     return seq
 
 
@@ -702,7 +690,7 @@ def best_unloading_search(z) -> BoundReport:
     best = 0
     for r, d in (best_rd_a(n), best_rd_b(n)):
         if d * d <= r:
-            seq = seeds[r] = seeds.get(r) or kept.get(r) or _Lowerings(w, r)
+            seq = seeds[r] = seeds.get(r) or kept.get(r) or _Lowerings(z, r)
             best = max(best, _unloading_min(seq, d) - 1)
     best_r, best_d, best_seq = 0, 0, None
     for r in range(1, n + 1):
@@ -710,7 +698,7 @@ def best_unloading_search(z) -> BoundReport:
         top = isqrt(r) if w0 > best else min(isqrt(r), (sums[r] - 1) // best)
         if low >= top:
             continue
-        seq = seeds.get(r) or kept.get(r) or _Lowerings(w, r)
+        seq = seeds.get(r) or kept.get(r) or _Lowerings(z, r)
         for d in range(low + 1, top + 1):
             value = _unloading_min(seq, d, best)
             if value > best:
@@ -731,37 +719,48 @@ def roe_alpha(z) -> BoundReport:
     Stage i (i = 3..n) subtracts E1 - E2 - ... - Ei while the class meets
     it negatively, i.e. raises the top multiplicity by one and lowers the
     next i-1; no curve of degree below the final top multiplicity passes
-    through the scheme.  The top entry stays on top, so it is kept apart
-    from the state of the rest.  When the rest is balanced the stages
-    are taken in closed form (``_roe_balanced``).
+    through the scheme.  The stages are those of ``_roe`` with e = 0.
     """
-    w = as_spec(z).positive or (0,)
-    top = w[0]
-    total = _balanced_total(w, 1)
-    if total is not None:
-        top = _roe_balanced(top, len(w) - 1, total, 0)[0]
+    return BoundReport("roe-unloading", ALPHA_LOWER, _roe(as_spec(z), 0)[0])
+
+
+def _roe(z: FatPointSpec, e: int) -> tuple[int, int]:
+    """Iterated unloading: (final top, largest entry of the rest).
+
+    The top entry stays on top, so it is kept apart from the rest, the
+    spec's runs less one entry of the first.  Stage i = 2 - e, ..., n - e
+    of the n-entry rest sweeps while top + e < S(i + e), S(W) the sum of
+    its W largest entries (e = 0 for alpha, 1 for ``tau_bounds.roe_tau``);
+    a sweep raises top by 1 and lowers the i largest by 1, clamped at 0.
+    A balanced rest takes the stages in closed form (``_roe_balanced``);
+    else a sweep is one ``_Runs.lower`` pass, and S(i + e) follows its drops.
+    """
+    values, counts = z.runs
+    if not values:
+        return 0, 0
+    top, n = values[0], len(z.positive) - 1
+    if counts[0] == 1:
+        values, counts = values[1:], counts[1:]
     else:
-        rest = _Runs(w[1:])
-        for i in range(2, len(w)):
-            # Each sweep lowers the same i entries it sums, so the sum
-            # follows the drops that lower returns.
-            s = rest.top_sum(i)
-            while top < s:
-                top += 1
-                s -= rest.lower(i)[1]
-    return BoundReport("roe-unloading", ALPHA_LOWER, top)
+        counts = (counts[0] - 1,) + counts[1:]
+    total = _balanced_total(values, counts)
+    if total is not None:
+        top, total = _roe_balanced(top, n, total, e)
+        return top, _ceil_div(total, n)
+    rest = _Runs(values, counts)
+    for i in range(2 - e, n + 1 - e):
+        s = rest.top_sum(i + e)
+        while top + e < s:
+            top += 1
+            s -= rest.lower(i, e)[1]
+    return top, rest.top_sum(1)
 
 
 def _roe_balanced(top: int, n: int, total: int, e: int) -> tuple[int, int]:
-    """The stages of iterated unloading over a balanced rest.
+    """The stages of ``_roe`` over a balanced rest.
 
     The rest holds n entries summing to T = total that differ by at most
-    1; the top entry is apart from it and may be any value.  Stage i,
-    for i = 2 - e, ..., n - e in turn, sweeps while top + e < S(i + e),
-    S(W) the sum of the W largest entries of the rest (e = 0 for
-    ``roe_alpha``, e = 1 for ``tau_bounds.roe_tau``), and a sweep raises
-    top by 1 and lowers the i largest entries by 1, clamped at 0.
-    Returns the final top and T.
+    1; the top entry may be any value.  Returns the final top and T.
 
     Proof.  By the proof in ``_Lowerings`` a balanced rest stays balanced
     under a sweep, with sum max(0, T - i), so with (q, s) = divmod(T, n)

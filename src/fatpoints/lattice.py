@@ -25,8 +25,10 @@ orthogonal exceptional classes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate
+from operator import neg
 from typing import Sequence
 
 from .report import _Record
@@ -69,10 +71,10 @@ class FatPointSpec(_Record):
 
     At general points the characters depend only on the multiset of
     positive multiplicities.  Its normal form, ``positive``, with its
-    prefix ``sums`` and ``condition_sum``, is computed here on first read
-    and nowhere else.  The spec of one query also carries that query's
-    memos, ``lowerings`` and ``expected_dims``; they take no part in
-    equality or hashing.
+    prefix ``sums``, its ``runs`` and ``condition_sum``, is computed here
+    on first read and nowhere else.  The spec of one query also carries
+    that query's memos, ``lowerings`` and ``expected_dims``; they take no
+    part in equality or hashing.
     """
 
     mults: tuple[int, ...]
@@ -96,6 +98,20 @@ class FatPointSpec(_Record):
     def sums(self) -> tuple[int, ...]:
         """Prefix sums of ``positive``: sums[k] is the sum of its first k entries."""
         return tuple(accumulate(self.positive, initial=0))
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``positive`` as runs of equal values, (values, counts) with values
+        decreasing; each run's end is found by bisection, in O(runs log n)."""
+        w = self.positive
+        values, counts = [], []
+        i = 0
+        while i < len(w):
+            j = bisect_right(w, -w[i], i, key=neg)
+            values.append(w[i])
+            counts.append(j - i)
+            i = j
+        return tuple(values), tuple(counts)
 
     @cached_property
     def condition_sum(self) -> int:

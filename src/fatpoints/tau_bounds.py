@@ -15,10 +15,10 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
-from .alpha_bounds import (_balanced_total, _ceil_div, _check_rd, _check_uniform_rd,
-                           _lowerings, _roe_balanced, _Runs, _tri_root, _u_rho)
+from .alpha_bounds import (_ceil_div, _check_rd, _check_uniform_rd, _lowerings, _roe, _tri_root,
+                           _u_rho)
 from .hilbert import _least_above, _least_true
-from .lattice import as_spec
+from .lattice import FatPointSpec, as_spec
 from .report import TAU_UPPER, CHAR_ZERO, BoundReport, PreconditionError, fmt_rational
 
 
@@ -113,7 +113,7 @@ def catalisano_tau(z) -> BoundReport:
     if z.is_uniform():
         return BoundReport("catalisano", TAU_UPPER, _catalisano_uniform(n, w[0]))
     return BoundReport(
-        "catalisano", TAU_UPPER, _catalisano_mixed(w),
+        "catalisano", TAU_UPPER, _catalisano_mixed(z),
         validity=("special-case count read as the number of positive multiplicities",))
 
 
@@ -136,14 +136,14 @@ def _catalisano_uniform(n: int, m: int) -> int:
     return t
 
 
-def _catalisano_mixed(w: tuple[int, ...]) -> int:
+def _catalisano_mixed(z: FatPointSpec) -> int:
+    w = z.positive
     n = len(w)
     # Segments are the runs of equal multiplicities: each ends at a count
     # where the sorted values strictly drop, or at n.
-    runs = _Runs(w)
-    values = runs.vals
-    diffs = [a - b for a, b in zip(values, values[1:] + [0])]
-    fs, rs = zip(*(_split_floor(c) for c in accumulate(runs.cnts)))
+    values, counts = z.runs
+    diffs = [a - b for a, b in zip(values, values[1:] + (0,))]
+    fs, rs = zip(*(_split_floor(c) for c in accumulate(counts)))
     t = -1 if rs[-1] == 0 else 0
     d1 = t + fs[-1]
     t += sum(f * v for f, v in zip(fs, diffs))
@@ -163,33 +163,14 @@ def roe_tau(z) -> BoundReport:
     """Iterated-unloading upper bound m_1' + m_2' - 1 (clamped at 0).
 
     Stage i (i = 2..n-1) subtracts E1 - ... - Ei, resorting and clamping,
-    while the class meets E1 - ... - E_{i+1} in less than -1.  The top
-    entry stays on top, so it is kept apart from the state of the rest.
-    When the rest is balanced the stages are taken in closed form
-    (``alpha_bounds._roe_balanced``), and m_2' is its largest entry,
-    ceil(T / (n - 1)) for its final sum T.
+    while the class meets E1 - ... - E_{i+1} in less than -1: the stages
+    of ``alpha_bounds._roe`` with e = 1, and m_2' is the largest entry of
+    the rest it returns (0 for a single positive entry).
     """
     z = as_spec(z)
     if z.n < 2:
         raise PreconditionError("bound needs at least 2 points")
-    w = z.positive or (0,)
-    top = w[0]
-    total = _balanced_total(w, 1)
-    if total is not None:
-        n = len(w) - 1
-        top, total = _roe_balanced(top, n, total, 1)
-        second = _ceil_div(total, n)
-    else:
-        rest = _Runs(w[1:])
-        for i in range(1, len(w) - 1):
-            # Each sweep lowers the i largest entries and sums the i + 1
-            # largest, so the sum follows the drops that lower(i, 1)
-            # returns.
-            s = rest.top_sum(i + 1)
-            while top < s - 1:
-                top += 1
-                s -= rest.lower(i, 1)[1]
-        second = rest.top_sum(1) if len(w) > 1 else 0
+    top, second = _roe(z, 1)
     return BoundReport("roe-unloading", TAU_UPPER, max(top + second - 1, 0))
 
 

@@ -5,6 +5,7 @@ another way: they check the package, and no command reaches them.
 """
 
 from fractions import Fraction
+from itertools import groupby
 from math import isqrt
 
 from fatpoints.alpha_bounds import (_ceil_div, _check_uniform_rd, _modified_x, _prefix_spread_bound,
@@ -93,13 +94,22 @@ def variant_d_search_loop(z) -> tuple:
     return best, (("r", best_r), ("d", best_d), ("j", best_j))
 
 
+def runs_state(w):
+    """A ``_Runs`` of w (sorted nonincreasing), its positive entries
+    grouped here by ``itertools.groupby`` rather than by
+    ``FatPointSpec.runs``, so that a fault in that builder cannot hide on
+    both sides of a comparison."""
+    runs = [(v, len(list(g))) for v, g in groupby(w) if v > 0]
+    return _Runs([v for v, _ in runs], [c for _, c in runs])
+
+
 class RunsLowerings:
     """The lowering sequence of w for r, every step one ``_Runs.lower``
     pass on any input: at(k) is (tops[k], sums[k]), the largest entry and
     the sum of the r largest after k lowerings."""
 
     def __init__(self, w, r):
-        self.state, self.r = _Runs(w), r
+        self.state, self.r = runs_state(w), r
         self.tops, self.sums = [w[0] if w else 0], [self.state.top_sum(r)]
 
     def at(self, k):
@@ -191,7 +201,7 @@ def roe_alpha_runs(z) -> int:
     ``_Runs.lower`` sweeps on any input, the sum carried by the drops."""
     w = as_spec(z).positive or (0,)
     top = w[0]
-    rest = _Runs(w[1:])
+    rest = runs_state(w[1:])
     for i in range(2, len(w)):
         s = rest.top_sum(i)
         while top < s:
@@ -205,7 +215,7 @@ def roe_tau_runs(z) -> int:
     ``_Runs.lower`` sweeps on any input, the sum carried by the drops."""
     w = as_spec(z).positive or (0,)
     top = w[0]
-    rest = _Runs(w[1:])
+    rest = runs_state(w[1:])
     for i in range(1, len(w) - 1):
         s = rest.top_sum(i + 1)
         while top < s - 1:
@@ -220,7 +230,7 @@ def roe_tau_per_step(z) -> int:
     afresh on every step of stage i instead of carrying the sum."""
     w = as_spec(z).positive or (0,)
     top = w[0]
-    rest = _Runs(w[1:])
+    rest = runs_state(w[1:])
     for i in range(1, len(w) - 1):
         while top < rest.top_sum(i + 1) - 1:
             top += 1

@@ -1,7 +1,8 @@
 import random
+from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints.lattice import (DivisorClass, FatPointSpec, WeylWord,
@@ -206,6 +207,27 @@ def test_fat_point_spec_validation():
     z = FatPointSpec((2, 2))
     assert z.divisor_class(3) == DivisorClass(3, (2, 2))
     assert z.n == 2 and z.positive == (2, 2)
+
+
+_padded = st.integers(0, 3).map(lambda k: [0] * k)
+_run_vectors = st.one_of(
+    st.lists(st.integers(0, 12), max_size=30),
+    st.builds(lambda m, n, pad: [m] * n + pad, st.integers(1, 12), st.integers(1, 20), _padded),
+    st.builds(lambda m, a, b, gap, pad: [m + gap] * a + [m] * b + pad,
+              st.integers(1, 12), st.integers(1, 10), st.integers(1, 10),
+              st.sampled_from((1, 2, 97)), _padded),
+).flatmap(st.permutations)
+
+
+@settings(max_examples=300)
+@given(_run_vectors)
+@example([])
+@example([0, 0])
+def test_runs_group_the_positive_multiplicities(mults):
+    # Zero-padded, empty, all equal, two adjacent values and two far
+    # apart, in any order.
+    runs = [(v, len(list(g))) for v, g in groupby(sorted((m for m in mults if m), reverse=True))]
+    assert FatPointSpec(mults).runs == (tuple(v for v, _ in runs), tuple(c for _, c in runs))
 
 
 def test_big_magnitudes_are_exact():

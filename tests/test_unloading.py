@@ -1,12 +1,14 @@
 """The unloading procedures against a plain sort-and-clamp reference.
 
-Every procedure runs over ``alpha_bounds._Runs``, which holds the
-multiplicities as runs of equal values; those with a fixed r read its
-lowering sequence ``alpha_bounds._Lowerings``, and plain and modified
-unloading take closed forms over it.  The references below re-sort a
-Python list on every step and scan the degrees upward instead, and share
-no code with the library; both must agree on every input, including
-zeros, uniform vectors with and without trailing zeros, and n <= 2.
+Every procedure runs over ``alpha_bounds._Runs``, a copy of the spec's
+runs of equal values (``FatPointSpec.runs``); those with a fixed r read
+the lowering sequence ``alpha_bounds._Lowerings`` of the spec, and plain
+and modified unloading take closed forms over it.  Both iterated
+unloading bounds run on one stage routine, ``alpha_bounds._roe``.  The
+references below re-sort a Python list on every step and scan the
+degrees upward instead, and share no code with the library; both must
+agree on every input, including zeros, uniform vectors with and without
+trailing zeros, and n <= 2.
 The parameter search skips every pair whose proven cap cannot beat the
 running best; the cap is checked against the bound, and the search
 against a copy of itself without the cap.
@@ -14,6 +16,7 @@ against a copy of itself without the cap.
 
 import json
 import random
+from itertools import groupby
 from math import isqrt
 
 import pytest
@@ -120,7 +123,7 @@ _vectors = st.one_of(_mixed, _uniform, _zeros, _short).flatmap(st.permutations)
 def test_state_matches_sort_and_clamp(mults, steps):
     w = sorted(mults, reverse=True)
     for form in (w, w + [0]):
-        state = ab._Runs(form)
+        state = ab._Runs(*FatPointSpec(form).runs)
         ref = form
         for r in steps:
             r = min(r, len(form))
@@ -154,7 +157,7 @@ def _tied_runs_and_r(draw):
 @example(([2, 1, 0], 3), 2)  # r past the positive count
 def test_lower_returns_the_drop_of_the_top_sum(case, steps):
     w, r = case
-    state, ref = ab._Runs(w), w
+    state, ref = ab._Runs(*FatPointSpec(w).runs), w
     for _ in range(steps):
         before = sum(ref[:r])
         ref = _lowered(ref, r)
@@ -168,11 +171,18 @@ def test_lower_returns_the_drop_of_the_top_sum(case, steps):
 @example(([2, 1, 0], 3), 2)  # r past the positive count
 def test_lower_returns_the_drop_of_the_next_top_sum(case, steps):
     w, r = case
-    state, ref = ab._Runs(w), w
+    state, ref = ab._Runs(*FatPointSpec(w).runs), w
     for _ in range(steps):
         before = sum(ref[:r + 1])
         ref = _lowered(ref, r)
         assert state.lower(r, 1) == (ref[0], before - sum(ref[:r + 1])), (w, r)
+
+
+def _lowerings(z, r):
+    # The lowering sequence of z for r; an r past the positive count
+    # lowers every positive entry, as r = that count does.
+    z = FatPointSpec(z)
+    return ab._Lowerings(z, min(r, len(z.positive)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,9 +190,8 @@ def test_lower_returns_the_drop_of_the_next_top_sum(case, steps):
 def test_lowering_sequence_matches_repeated_lowering(z, reads):
     # Reads out of order first, then every k <= 40 in order.
     v0 = sorted(z, reverse=True)
-    w = FatPointSpec(z).positive
     for r in range(1, len(z) + 1):
-        seq = ab._Lowerings(w, min(r, len(w)))
+        seq = _lowerings(z, r)
         expected, v = [], v0
         for _ in range(41):
             expected.append((v[0], sum(v[:r])))
@@ -219,10 +228,9 @@ def test_unloading_matches_reference(z, d):
 def test_early_stopped_minimum_decides_against_best(z, d, best):
     # Exact when the bound beats best, and at most best otherwise.
     v = sorted(z, reverse=True)
-    w = FatPointSpec(z).positive
     for r in range(1, len(z) + 1):
         value = _first_t(lambda t: _unloading_certifies_ref(t, v, r, d))
-        got = ab._unloading_min(ab._Lowerings(w, min(r, len(w))), d, best)
+        got = ab._unloading_min(_lowerings(z, r), d, best)
         if value > best:
             assert got == value, (z, r, d, best)
         else:
@@ -249,6 +257,23 @@ def test_modified_unloading_tau_matches_reference(z, d):
         value = _first_t(lambda t: not _hr_tau_succeeds_ref(t, v, r, d, g))
         assert tb.modified_unloading_tau(z, r, d).value == value, (z, r, d)
     _rejects_past_the_positive_count(tb.modified_unloading_tau, z, d)
+
+
+_tops_over_balanced = st.builds(lambda top, ups, downs, m: [top] + [m + 1] * ups + [m] * downs,
+                                st.integers(1, 40), st.integers(0, 8), st.integers(0, 8),
+                                st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_vectors, _tops_over_balanced))
+def test_balanced_total_holds_exactly_when_entries_differ_by_at_most_one(z):
+    # On the whole vector and on the rest past its top entry, grouped
+    # into runs here.
+    w = FatPointSpec(z).positive
+    for v in (w, w[1:]):
+        runs = [(x, len(list(g))) for x, g in groupby(v)]
+        expected = sum(v) if v and v[0] - v[-1] <= 1 else None
+        assert ab._balanced_total([x for x, _ in runs], [c for _, c in runs]) == expected, v
 
 
 def test_tri_root_matches_capped_loop():
@@ -281,7 +306,9 @@ def test_roe_tau_matches_the_per_step_sum(z):
         assert tb.roe_tau(z).value == roe_tau_per_step(z), z
 
 
-def test_roe_tau_matches_the_per_step_sum_on_pool_sized_vectors():
+def test_roe_matches_the_references_on_pool_sized_vectors():
+    # roe_alpha against the sort-and-clamp reference, roe_tau against the
+    # per-step sum: both run on one stage loop.
     rng = random.Random(40)
     cases = [[m] * n for n, m in [(50, 7), (120, 3), (97, 13), (200, 15)]]
     cases += [[rng.randint(1, 11) for _ in range(rng.randint(10, 100))] for _ in range(60)]
@@ -289,6 +316,7 @@ def test_roe_tau_matches_the_per_step_sum_on_pool_sized_vectors():
               for length, step in ((9, 10), (9, 6), (10, 8), (10, 4), (11, 6), (12, 6),
                                    (12, 3), (14, 4))]
     for z in cases:
+        assert ab.roe_alpha(z).value == _roe_alpha_ref(z), z
         assert tb.roe_tau(z).value == roe_tau_per_step(z), z
 
 
@@ -328,7 +356,7 @@ def test_lowering_empties_after_the_lemma_count_and_caps_bound_each_pair(z, data
     w = sorted(z, reverse=True)
     r = data.draw(st.one_of(st.just(len(w)), st.integers(1, len(w))))
     steps = max(w[0], -(-sum(w) // r))
-    seq = ab._Lowerings(w, r)
+    seq = _lowerings(w, r)
     assert seq.at(steps) == (0, 0), (w, r)
     if steps:
         assert seq.at(steps - 1)[0] > 0, (w, r)
@@ -348,10 +376,11 @@ def test_lowering_empties_after_the_lemma_count_and_caps_bound_each_pair(z, data
 def _search_before_cap(z):
     # The search without the cap: every r builds a lowering sequence and
     # every d with d^2 <= r walks it until it cannot beat the best.
-    w = FatPointSpec(z).positive
+    spec = FatPointSpec(z)
+    w = spec.positive
     best, best_r, best_d = 0, 0, 0
     for r in range(1, len(w) + 1):
-        seq = ab._Lowerings(w, r)
+        seq = ab._Lowerings(spec, r)
         d = 1
         while d * d <= r:
             if ab._unloading_min(seq, d, best) > best:
@@ -379,9 +408,9 @@ def test_one_state_build_per_call(monkeypatch):
     class Counted(ab._Runs):
         __slots__ = ()
 
-        def __init__(self, w):
-            builds.append(len(w))
-            super().__init__(w)
+        def __init__(self, values, counts):
+            builds.append(sum(counts))
+            super().__init__(values, counts)
 
     monkeypatch.setattr(ab, "_Runs", Counted)
     z = [9] * 20 + [4] * 15 + [0] * 3
@@ -399,9 +428,9 @@ def test_one_state_build_per_call(monkeypatch):
     lowered, scans = [], []
     lowerings, unloading_alpha = ab._Lowerings, ab.unloading_alpha
 
-    def counted_lowerings(w, r):
+    def counted_lowerings(z, r):
         lowered.append(r)
-        return lowerings(w, r)
+        return lowerings(z, r)
 
     monkeypatch.setattr(ab, "_Lowerings", counted_lowerings)
     monkeypatch.setattr(ab, "unloading_alpha",
@@ -436,9 +465,9 @@ def test_one_bounds_query_builds_each_fixed_r_sequence_once(monkeypatch, capsys)
     built, kept_after_search = [], []
     build, search = ab._Lowerings.__init__, ab.best_unloading_search
 
-    def counted_build(seq, w, r):
+    def counted_build(seq, z, r):
         built.append(r)
-        build(seq, w, r)
+        build(seq, z, r)
 
     def watched_search(z):
         rep = search(z)
@@ -475,8 +504,9 @@ def test_balanced_closed_form_matches_the_runs_at_every_step():
         n, m = rng.randint(1, 2000), rng.randint(0, 20)
         w = [m] * n if i % 2 else _balanced(rng, n, max(m, 1))
         r = rng.randint(1, n)
-        seq, ref = ab._Lowerings(w, r), RunsLowerings(w, r)
-        assert seq.total == sum(w), (n, m, r)
+        seq, ref = _lowerings(w, r), RunsLowerings(w, r)
+        # Zero points are not balanced: they have no runs.
+        assert seq.total == (sum(w) or None), (n, m, r)
         steps = max(w[0], -(-sum(w) // r))
         for k in range(steps + 2):
             assert seq.at(k) == ref.at(k), (n, m, r, k)
@@ -503,7 +533,7 @@ def test_windowed_min_matches_the_full_walk_on_uniform_vectors():
         for m in range(16):
             w = [m] * n
             for r in rs:
-                seq, ref = ab._Lowerings(w, r), RunsLowerings(w, r)
+                seq, ref = _lowerings(w, r), RunsLowerings(w, r)
                 for d in range(1, isqrt(r) + 1):
                     value = _full_min(ref, d)
                     assert ab._unloading_min(seq, d) == value, (n, m, r, d)
@@ -519,7 +549,7 @@ def test_windowed_min_matches_the_full_walk_on_balanced_vectors():
         n = rng.randint(1, 200)
         w = _balanced(rng, n, rng.randint(1, 12))
         r = rng.randint(1, n)
-        seq, ref = ab._Lowerings(w, r), RunsLowerings(w, r)
+        seq, ref = _lowerings(w, r), RunsLowerings(w, r)
         for d in range(1, isqrt(r) + 1):
             assert ab._unloading_min(seq, d) == _full_min(ref, d), (w, r, d)
 
@@ -604,8 +634,12 @@ def test_roe_and_modified_unloading_match_the_runs_on_a_top_over_a_balanced_rest
 
 
 def test_balanced_closed_forms_at_the_edges(capsys):
-    # At most two positive entries: the rest is one entry or none.
-    for z in [(0,), (7,), (5, 0), (5, 3), (3, 3), (4, 5), (0, 0, 7), (1, 1), (9, 0, 2)]:
+    # At most two positive entries: the rest is one entry or none.  Then
+    # a first run of one entry and of more, over a balanced rest and over
+    # a mixed one: the rest is the spec's runs less one entry of the first.
+    for z in [(0,), (7,), (5, 0), (5, 3), (3, 3), (4, 5), (0, 0, 7), (1, 1), (9, 0, 2),
+              (9, 4, 4, 3), (4, 9, 0, 4, 3), (5, 5, 4), (0, 5, 4, 5), (7, 7, 7, 6, 6, 0),
+              (9, 5, 2), (2, 0, 9, 5, 5), (6, 6, 2, 6, 1), (8, 8, 3, 0, 3, 1, 8)]:
         assert ab.roe_alpha(z).value == roe_alpha_runs(z), z
         if len(z) >= 2:
             assert tb.roe_tau(z).value == roe_tau_runs(z), z
@@ -652,12 +686,11 @@ def test_balanced_input_lowers_no_runs_and_reads_only_the_first_step(monkeypatch
     class Counted(ab._Runs):
         __slots__ = ()
 
-        def __init__(self, w):
-            built.append(len(w))
-            super().__init__(w)
+        def __init__(self, values, counts):
+            built.append(sum(counts))
+            super().__init__(values, counts)
 
     monkeypatch.setattr(ab, "_Runs", Counted)
-    monkeypatch.setattr(tb, "_Runs", Counted)
     for mults in ([13] * 2000, [40] + [3] * 30 + [2] * 12, [1, 1], [9, 2]):
         ab.roe_alpha(mults)
         tb.roe_tau(mults + [0])
