@@ -6,7 +6,9 @@ tables (`hilb`, `res`, `oracle`), single characters (`alpha`, `tau`,
 and the full bound suite (`bounds`).  Every command accepts either
 `--mults m1,m2,...` or `--uniform N:M`, prints a human-readable report
 by default and a canonical JSON document with `--json` (integers and
-p/q strings only, fixed key order, byte-stable under parse/re-serialize).
+p/q strings only, fixed key order, byte-stable under parse/re-serialize):
+`_reports_json` writes the reports of `alpha`, `tau`, `beta`, `psi` and
+`bounds` from fixed templates, `canonical_json` the other documents.
 
 Exit codes: 0 success, 2 usage error, 3 precondition violation.
 
@@ -117,92 +119,93 @@ def _input_block(z: FatPointSpec) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """The one serializer both emit and round-trip tests use.
+    """The serializer of `hilb`, `res`, `decomp`, `oracle` and the tests.
 
     Byte-identical to json.dumps(obj, indent=2, separators=(",", ": "))
     plus a newline, for documents of int, str, bool, None, list and
     dict with str keys; anything else raises TypeError.  json.dumps runs
     its pure-Python encoder whenever it indents; this writer dispatches
     on the exact type and takes a third to two thirds of its time on
-    the documents the commands print.
-
-    A dict that occurs more than once in the document, such as the one
-    input block every `bounds` report holds, is rendered once per
-    indentation: a later occurrence at the same indentation copies the
-    text of the first.  The saved text is keyed by the dict's id and its
-    indentation; the document keeps every object alive for the whole
-    call, so no id is reused.
+    the documents the commands print.  `_reports_json` writes the reports.
     """
     parts = []
-    _write_json(obj, "\n", parts.append, parts, {})
+    _write_json(obj, "\n", parts.append)
     parts.append("\n")
     return "".join(parts)
 
 
-_JSON_LITERALS = {True: "true", False: "false", None: "null"}
-
-
-def _write_json(obj, newline: str, emit, parts: list, rendered: dict) -> None:
-    # emit is parts.append; rendered maps (id, newline) of each dict
-    # written so far to the slice of parts that holds its text, or to
-    # that text once joined.
+def _write_json(obj, newline: str, emit) -> None:
     kind = type(obj)
     if kind is int:
         emit(int.__repr__(obj))
     elif kind is str:
         emit(encode_basestring_ascii(obj))
     elif kind is list:
-        if not obj:
-            emit("[]")
-            return
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
             emit(sep)
-            _write_json(item, inner, emit, parts, rendered)
+            _write_json(item, inner, emit)
             sep = "," + inner
-        emit(newline + "]")
+        emit(newline + "]" if obj else "[]")
     elif kind is dict:
-        if not obj:
-            emit("{}")
-            return
-        at = (id(obj), newline)
-        text = rendered.get(at)
-        if text is not None:
-            if type(text) is slice:
-                text = rendered[at] = "".join(parts[text])
-            emit(text)
-            return
-        start = len(parts)
         inner = newline + "  "
         sep = "{" + inner
         for key, value in obj.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             emit(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, emit, parts, rendered)
+            _write_json(value, inner, emit)
             sep = "," + inner
-        emit(newline + "}")
-        rendered[at] = slice(start, len(parts))
+        emit(newline + "}" if obj else "{}")
     elif kind is bool or obj is None:
-        emit(_JSON_LITERALS[obj])
+        emit("null" if obj is None else "true" if obj else "false")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _report_json(block: dict, rep: BoundReport) -> dict:
-    # block is the input block; the reports of one document share it.
-    params = {}
-    for k, v in rep.params:
-        params[k] = list(v) if isinstance(v, tuple) else v
-    return {
-        "input": block,
-        "method": rep.method,
-        "direction": rep.direction,
-        "value": rep.value,
-        "params": params,
-        "validity": list(rep.validity),
-    }
+def _reports_json(block: dict, reports: list[BoundReport], listed: bool) -> str:
+    """canonical_json of the reports as dicts {"input": block, "method", ...,
+    "validity"}: their list when listed, else the one report.  The block is
+    rendered once, into one head string that every report refers to."""
+    newline = "\n  " if listed else "\n"
+    inner = newline + "  "
+    parts = ["{" + inner + '"input": ']
+    _write_json(block, inner, parts.append)
+    head, parts = "".join(parts), ["[" + newline] if listed else []
+    fields = ("," + inner).join(["", '"method": %s', '"direction": %s', '"value": %s',
+                                 '"params": %s', '"validity": %s']) + newline + "}"
+    for rep in reports:
+        parts += (head, _report_text(rep, fields, inner), "," + newline)
+    parts[-1] = "\n]\n" if listed else "\n"
+    return "".join(parts)
+
+
+def _report_text(rep: BoundReport, fields: str, inner: str) -> str:
+    # The fields of rep after its input block, at indentation inner, filled
+    # into the template fields.  A params value is an int, a str or a tuple
+    # of them.
+    params = "{}"
+    if rep.params:
+        deep = inner + "  "
+        params = "{" + deep + ("," + deep).join([
+            encode_basestring_ascii(key) + ": "
+            + (_json_list(value, deep) if type(value) is tuple else _json_scalar(value))
+            for key, value in rep.params]) + inner + "}"
+    return fields % (encode_basestring_ascii(rep.method), encode_basestring_ascii(rep.direction),
+                     _json_scalar(rep.value), params, _json_list(rep.validity, inner))
+
+
+def _json_list(items: tuple, newline: str) -> str:
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(_json_scalar, items)) + newline + "]"
+
+
+def _json_scalar(value) -> str:
+    # An int or a str: encode_basestring_ascii raises TypeError on any other type.
+    return int.__repr__(value) if type(value) is int else encode_basestring_ascii(value)
 
 
 def _print_report(rep: BoundReport) -> None:
@@ -236,7 +239,7 @@ def _cmd_single(args, kind: str) -> int:
     flag = ALPHA_LOWER if kind == "psi" else exactness_flag(len(z.positive))
     rep = BoundReport(method, flag, value, (), validity)
     if args.json:
-        sys.stdout.write(canonical_json(_report_json(_input_block(z), rep)))
+        sys.stdout.write(_reports_json(_input_block(z), [rep], listed=False))
     else:
         label = "Value" if exact else "Expected value (SHGH)"
         if kind == "psi":
@@ -464,12 +467,9 @@ def _cmd_bounds(args) -> int:
     tau_reports = _run_methods(tau_makers)
     if args.json:
         direction = exactness_flag(n)
-        block = _input_block(z)
-        docs = [_report_json(block, BoundReport("expected-alpha", direction, ea))]
-        docs += [_report_json(block, rep) for rep in alpha_reports]
-        docs.append(_report_json(block, BoundReport("expected-tau", direction, et)))
-        docs += [_report_json(block, rep) for rep in tau_reports]
-        sys.stdout.write(canonical_json(docs))
+        reports = [BoundReport("expected-alpha", direction, ea), *alpha_reports,
+                   BoundReport("expected-tau", direction, et), *tau_reports]
+        sys.stdout.write(_reports_json(_input_block(z), reports, listed=True))
         return 0
     print(f"n = {z.n} general points, multiplicities {list(z.mults)}")
     print(f"{label} of alpha: {ea}")

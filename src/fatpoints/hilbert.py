@@ -27,9 +27,10 @@ there.  Hence alpha lies in [m_1, max(T, least t with P(t) > 0)], since
 no curve of degree below m_1 has a point of multiplicity m_1, and tau
 lies in [max(0, alpha - 1, least t >= 0 with P(t) >= 0), max(alpha - 1,
 T, least t with P(t) >= 0)].  Past 9 positive multiplicities e is only
-conjectural, and the searches step forward from m_1 and from max(0,
-alpha - 1), except on uniform input, where they are closed forms in P
-alone; e(t) = 0 below m_1 on any input (proof in ``_alpha_tau``).
+conjectural, and the searches step forward from m_1 and from the lower
+end of that bracket, except on uniform input, where they are closed
+forms in P alone; e(t) = 0 below m_1 on any input, and e(t) = P(t) needs
+P(t) >= 0 (proofs in ``_alpha_tau``).
 
 *Known values and shared e in tables.*  The same two facts give a table
 on at most 9 positive multiplicities its values outside [alpha, tau):
@@ -154,8 +155,12 @@ def _alpha_tau(z: FatPointSpec, with_tau: bool = True) -> tuple[int, int | None]
 
     On at most 9 positive multiplicities both searches bisect the brackets
     of the module docstring.  Past 9 they are closed forms in P on uniform
-    input, and otherwise scans from m_1 and from max(0, alpha - 1), as
-    find_tau documents.
+    input, and otherwise scans from m_1 and from the lower end of the tau
+    bracket, max(0, alpha - 1, least t >= 0 with P(t) >= 0).
+
+    The tau scan may start there.  e(t) >= 0, so e(t) = P(t) needs
+    P(t) >= 0; below ``_least_above(s - 1)``, t^2 + 3t + 2 <= s - 1 and
+    P(t) < 0.
 
     The alpha scan may start at m_1, since e(t) = 0 for 0 <= t < m_1.
     Let M be the largest entry of a class (d; m) with d >= 0.
@@ -186,10 +191,9 @@ def _alpha_tau(z: FatPointSpec, with_tau: bool = True) -> tuple[int, int | None]
                             max(top, _least_above(s)))
     if not with_tau:
         return alpha, None
-    start = max(0, alpha - 1)
+    lo = max(0, alpha - 1, _least_above(s - 1))
     if len(w) > EXACT_POINT_LIMIT:
-        return alpha, next(t for t in count(start) if _e(z, t) == hilbert_polynomial(z, t))
-    lo = max(start, _least_above(s - 1))
+        return alpha, next(t for t in count(lo) if _e(z, t) == hilbert_polynomial(z, t))
     return alpha, _least_true(lambda t: _e(z, t) == hilbert_polynomial(z, t),
                               lo, max(lo, top))
 
@@ -214,7 +218,8 @@ def find_tau(z) -> int:
 
     Exact for n <= 9 (the point where conditions become independent);
     for n > 9 a lower bound equal to the conjectured value.  The search
-    starts at max(0, alpha - 1); the result does not depend on the start.
+    starts at max(0, alpha - 1, least t >= 0 with P(t) >= 0): e(t) >= 0,
+    so no degree with P(t) < 0 has e(t) = P(t).
     """
     return _alpha_tau(as_spec(z))[1]
 

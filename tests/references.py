@@ -10,7 +10,7 @@ from math import isqrt
 
 from fatpoints.alpha_bounds import (_ceil_div, _check_uniform_rd, _modified_x, _prefix_spread_bound,
                                     _Runs, _u_rho)
-from fatpoints.hilbert import find_alpha
+from fatpoints.hilbert import expected_dim, find_alpha, hilbert_polynomial
 from fatpoints.lattice import DivisorClass, WeylWord, as_spec, cremona_quad, reduce_fundamental_raw
 from fatpoints.report import ALPHA_LOWER, BoundReport, PreconditionError
 
@@ -246,3 +246,29 @@ def hirschowitz_tau_loop(z) -> int:
     while _ceil_div(d + 3, 2) * _ceil_div(d + 2, 2) * 2 <= z.condition_sum:
         d += 1
     return d
+
+
+def tau_scan_from_alpha(z) -> int:
+    """The expected tau, by a scan over every degree from max(0, alpha - 1)
+    up to the first with e(t) = P(t), each e reduced afresh."""
+    z = as_spec(z)
+    t = max(0, find_alpha(z) - 1)
+    while expected_dim(z.divisor_class(t)) != hilbert_polynomial(z, t):
+        t += 1
+    return t
+
+
+def report_json(block: dict, rep: BoundReport) -> dict:
+    """A report as the dict its --json text serializes, with the input
+    block first; canonical_json of these is the text of a report."""
+    params = {}
+    for k, v in rep.params:
+        params[k] = list(v) if isinstance(v, tuple) else v
+    return {
+        "input": block,
+        "method": rep.method,
+        "direction": rep.direction,
+        "value": rep.value,
+        "params": params,
+        "validity": list(rep.validity),
+    }

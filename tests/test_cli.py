@@ -20,7 +20,8 @@ from fatpoints import cli, hilbert, lattice, oracle, resolution
 from fatpoints import tau_bounds as tb
 from fatpoints.cli import canonical_json, main
 from fatpoints.lattice import FatPointSpec
-from fatpoints.report import PreconditionError
+from fatpoints.report import BoundReport, PreconditionError
+from references import report_json
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference"
@@ -558,21 +559,66 @@ def _shared_docs():
 
 @pytest.mark.parametrize("doc", list(_shared_docs()))
 def test_canonical_json_renders_shared_dicts_at_every_depth(doc):
-    # A dict met again is copied from its first text only at the same
-    # indentation; at another depth it is rendered afresh.
+    # A dict met again is written in full at each occurrence, at that
+    # occurrence's indentation.
     expected = json.dumps(doc, indent=2, separators=(",", ": ")) + "\n"
     assert canonical_json(doc) == expected
     assert canonical_json(doc) == expected
 
 
 def test_bounds_reports_share_one_input_block(capsys, monkeypatch):
-    docs = []
-    write = cli.canonical_json
-    monkeypatch.setattr(cli, "canonical_json", lambda doc: docs.append(doc) or write(doc))
+    # The input block of a bounds document is rendered once for all its
+    # reports: one _write_json call receives it, no canonical_json call.
+    block = {"mults": [4] * 60, "n": 60}
+    written, serialized = [], []
+    write, serialize = cli._write_json, cli.canonical_json
+    monkeypatch.setattr(cli, "_write_json",
+                        lambda obj, *rest: written.append(obj) or write(obj, *rest))
+    monkeypatch.setattr(cli, "canonical_json", lambda doc: serialized.append(doc) or serialize(doc))
     code, out, _ = run(capsys, "bounds", "--uniform", "60:4", "--json")
-    assert code == 0 and len(docs) == 1 and len(docs[0]) > 20
-    assert len({id(report["input"]) for report in docs[0]}) == 1
-    assert out == json.dumps(json.loads(out), indent=2, separators=(",", ": ")) + "\n"
+    docs = json.loads(out)
+    assert code == 0 and len(docs) > 20 and all(doc["input"] == block for doc in docs)
+    assert [obj for obj in written if obj == block] == [block] and serialized == []
+    assert out == json.dumps(docs, indent=2, separators=(",", ": ")) + "\n"
+
+
+_text = (st.text() | st.text(alphabet=st.characters(max_codepoint=0x1f))
+         | st.text(alphabet=st.characters(min_codepoint=0x80)))
+_ints = st.integers() | st.integers(-10 ** 60, 10 ** 60)
+_param_values = (_ints | st.builds(lambda p, q: f"{p}/{q}", st.integers(), st.integers(1))
+                 | st.lists(_ints, max_size=4).map(tuple) | st.lists(_text, max_size=4).map(tuple))
+_reports = st.builds(
+    BoundReport, _text | st.sampled_from(['nef-"d"', "back\\slash", "tab\there"]),
+    st.sampled_from(["alpha-lower", "tau-upper", "exact"]) | _text, _ints,
+    st.lists(st.tuples(_text, _param_values), max_size=4, unique_by=lambda kv: kv[0]).map(tuple),
+    st.lists(_text, max_size=3).map(tuple))
+_blocks = st.lists(st.integers(0, 10 ** 20), max_size=12).map(
+    lambda mults: {"mults": mults, "n": len(mults)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_reports, min_size=1, max_size=3), _blocks)
+@example([BoundReport("nef-test", "alpha-lower", -10 ** 59,
+                      (("r", 3), ("c", "-7/2"), ("weights", ("1", "1/2")), ("w", ()), ("j", (-1, 0))),
+                      ("", "\x00\x1f ctrl", "non-ASCII \u00e9\u2261\U0001f600")),
+          BoundReport('"quoted" \\ method', "tau-upper", 10 ** 60 - 1)],
+         {"mults": [5, 4, 3], "n": 3})
+def test_reports_json_matches_the_reference_dicts(reports, block):
+    # At both depths: the bounds list, and one report at top level.
+    docs = [report_json(block, rep) for rep in reports]
+    listed = json.dumps(docs, indent=2, separators=(",", ": ")) + "\n"
+    assert cli._reports_json(block, reports, listed=True) == canonical_json(docs) == listed
+    single = json.dumps(docs[0], indent=2, separators=(",", ": ")) + "\n"
+    assert cli._reports_json(block, reports[:1], listed=False) == canonical_json(docs[0]) == single
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), True, None, [1, 2], ((1, 2),),
+                                   ("1", ("2",)), (1, 1.5), (Fraction(1, 2),)])
+def test_reports_json_rejects_other_param_types(value):
+    rep = BoundReport("nef-test", "alpha-lower", 1, (("weights", value),))
+    for listed in (True, False):
+        with pytest.raises(TypeError):
+            cli._reports_json({"mults": [1], "n": 1}, [rep], listed)
 
 
 def test_canonical_json_rejects_other_types():

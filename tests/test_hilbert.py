@@ -14,7 +14,7 @@ from fatpoints.hilbert import (beta_expected, expected_dim, find_alpha,
 from fatpoints.lattice import (DivisorClass, FatPointSpec, canonical_class,
                                decompose, intersection, reduce_fundamental_raw)
 from fatpoints.report import PreconditionError
-from references import uniform_alpha_closed_form
+from references import tau_scan_from_alpha, uniform_alpha_closed_form
 
 specs = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=9)
 
@@ -425,6 +425,30 @@ def test_mixed_alpha_scan_from_the_top_multiplicity_matches_the_scan_from_0():
             mixed += 1
             at_top += alpha == z.positive[0]
     assert mixed > 500 and at_top > 50, (mixed, at_top)
+
+
+def test_mixed_tau_scan_from_the_least_nonnegative_p_matches_the_scan_from_alpha():
+    # Past nine mixed multiplicities the tau scan starts at
+    # max(0, alpha - 1, least t >= 0 with P(t) >= 0), since e(t) = P(t)
+    # needs P(t) >= 0 (proof in hilbert._alpha_tau).  Seeded vectors of
+    # 10 to 150 entries: random values 1..11, some with zeros, and
+    # progressions of wide spread.
+    rng = random.Random(16)
+    later = 0
+    for i in range(160):
+        n = rng.randint(10, 150)
+        if i % 4 == 3:
+            step = rng.randint(1, 4)
+            mults = [step * (n - k) for k in range(n)]
+        else:
+            mults = [rng.randint(0 if i % 4 == 2 else 1, 11) for _ in range(n)]
+        rng.shuffle(mults)
+        z = FatPointSpec(mults)
+        if len(z.positive) <= 9 or z.is_uniform():
+            continue
+        assert find_tau(mults) == tau_scan_from_alpha(mults), mults
+        later += _least_above(z.condition_sum - 1) > find_alpha(mults) - 1
+    assert later > 100, later
 
 
 def test_alpha_bisection_evaluates_e_logarithmically(monkeypatch):
