@@ -10,21 +10,26 @@ points at seeded random coordinates over F_p and compute actual ranks:
 * the number of degree-t minimal generators is dim I_t minus the rank
   of the span of x*f, y*f, z*f over a basis f of I_{t-1}.
 
-The matrix columns are ordered by total degree, and an entry does not
-depend on t, so the matrix of every degree s <= t is, up to zero rows,
-a column prefix of the degree-t one.  `oracle_table` therefore builds and row-reduces one
-matrix per degree window, at its top degree: each degree's rank is the
-number of pivots inside its prefix.  The heaviest point is first moved
-to the origin by a translation, which keeps every dimension and
-generator count; there its conditions are, up to units, the unit
-vectors of the columns of degree below its multiplicity, so those
-columns are pivots without elimination and only the other points'
-conditions on the later columns are reduced.  For generator counts, one
-back-substitution over the free columns yields the RREF kernel basis of
-I_{s-1} for every s in the window; nu_s reduces to the rank of the x*f
-and y*f rows on the free columns of degree exactly s, which read only
-the degree-(s-1) block of that basis.  Eliminations defer the reduction
-mod p while int64 cannot overflow.
+`oracle_table` first moves the three heaviest points to the coordinate
+vertices [0:0:1], [1:0:0] and [0:1:0] by a projective change of
+coordinates, which keeps every dimension and generator count (only the
+heaviest, by a translation to the origin, when the three are collinear
+or another point lands on the line through the second and third).  At a
+vertex the conditions say that the coefficients of some monomials
+vanish, so those columns are left out and those points' rows never
+enter the elimination; only the other points' conditions on the
+remaining columns are reduced.  A monomial x^a y^b z^(s-a-b) with
+a + b >= m1 survives in degree s exactly when its join degree
+J = max(a + b, a + m2, b + m3) is at most s, and an entry does not
+depend on s, so with the columns sorted by J the matrix of every degree
+s is, up to zero rows, a column prefix of the top degree's.  One matrix
+is therefore built and row-reduced per degree window: each degree's
+rank is the number of pivots inside its prefix.  For generator counts,
+one back-substitution over the free columns yields the RREF kernel
+basis of I_{s-1} for every s in the window; nu_s reduces to the rank of
+the x*f and y*f rows on the free columns of join degree exactly s,
+which read only the join-degree-(s-1) block of that basis.
+Eliminations defer the reduction mod p while int64 cannot overflow.
 `actual_hilbert` and `actual_nu` are windows of a single degree.
 
 Working in the affine chart z = 1 identifies degree-t forms with
@@ -197,6 +202,13 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
+def _free(pivots: list[int], cols: int) -> np.ndarray:
+    """The non-pivot columns of range(cols), in increasing order."""
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
 def _back_substitute(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     """Free columns of the reduced row echelon form of `_echelon` output.
 
@@ -209,8 +221,7 @@ def _back_substitute(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     The reduction mod p is deferred as in `_echelon`: row i is reduced
     before it is used, the rows above it every `_budget(p)` updates.
     """
-    free = np.setdiff1d(np.arange(m.shape[1]), pivots)
-    tail = m[:len(pivots), free]
+    tail = m[:len(pivots), _free(pivots, m.shape[1])]
     budget, pending = _budget(p), 0
     for i in range(len(pivots) - 1, 0, -1):
         above = np.nonzero(m[:i, pivots[i]])[0]
@@ -235,39 +246,35 @@ def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     column of the RREF, 1 there, minus that column of the RREF at the
     pivots, 0 elsewhere."""
     m, pivots = _echelon(a, p)
-    free = np.setdiff1d(np.arange(m.shape[1]), pivots)
+    free = _free(pivots, m.shape[1])
     basis = np.zeros((free.size, m.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -_back_substitute(m, pivots, p).T % p
     return basis
 
 
-def _ncols(t: int) -> int:
-    # Monomials of degree <= t in the chart z = 1: a basis of R_t.
-    return (t + 1) * (t + 2) // 2 if t >= 0 else 0
-
-
 def _exponents(t: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents (a, b) of the columns x^a y^b, a + b <= t, graded: degree d
     takes columns d(d+1)/2 + b for b = 0..d, so the monomials of degree <= s
-    are the first _ncols(s) columns for every s <= t."""
+    are the first (s+1)(s+2)/2 columns for every s <= t."""
     deg = np.repeat(np.arange(t + 1), np.arange(1, t + 2))
     b = np.arange(deg.size) - deg * (deg + 1) // 2
     return deg - b, b
 
 
-def _condition_matrix(cfg: PointConfig, mults: Sequence[int], t: int,
-                      origin: tuple[int, int]) -> np.ndarray:
+def _condition_matrix(p: int, points: Sequence[tuple[int, int]], mults: Sequence[int],
+                      t: int, cols: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Rows (point, dx, dy) with dx + dy below min(m, t + 1), m the point's
     multiplicity, in that order; the entry in column x^a y^b is the dx-th
-    x- and dy-th y-derivative of x^a y^b at the point minus `origin`, mod p.
-    Orders above t are left out: every column has degree <= t, so their
-    rows would be zero."""
+    x- and dy-th y-derivative of x^a y^b at the point, mod p.  The columns
+    are the exponents `cols` = (a, b), each of degree a + b <= t, and by
+    default all of them in graded order (`_exponents(t)`).  Orders above t
+    are left out: every column has degree <= t, so their rows would be
+    zero."""
     if t < 0:  # no monomials, so no conditions
         return np.zeros((0, 0), dtype=np.int64)
-    p = cfg.prime
-    a, b = _exponents(t)
-    live = [(pt, min(m, t + 1)) for pt, m in zip(cfg.points, mults) if m > 0]
+    a, b = _exponents(t) if cols is None else cols
+    live = [(pt, min(m, t + 1)) for pt, m in zip(points, mults) if m > 0]
     if not live:
         return np.zeros((0, a.size), dtype=np.int64)
     depth = max(m for _, m in live)
@@ -276,11 +283,9 @@ def _condition_matrix(cfg: PointConfig, mults: Sequence[int], t: int,
     falling = np.ones((t + 1, depth), dtype=np.int64)
     for d in range(1, depth):
         falling[:, d] = falling[:, d - 1] * ((e - d + 1) % p) % p
-    # powers[i, v, k] = (coordinate v of point i, minus origin)^k mod p.
+    # powers[i, v, k] = (coordinate v of point i)^k mod p.
     powers = np.ones((len(live), 2, t + 1), dtype=np.int64)
-    x0, y0 = origin
-    coords = np.array([((x - x0) % p, (y - y0) % p) for (x, y), _ in live],
-                      dtype=np.int64)
+    coords = np.array([pt for pt, _ in live], dtype=np.int64) % p
     for k in range(1, t + 1):
         powers[:, :, k] = powers[:, :, k - 1] * coords % p
     # deriv[i, v, d, k] = d-th derivative of (coordinate v)^k at point i.
@@ -291,34 +296,83 @@ def _condition_matrix(cfg: PointConfig, mults: Sequence[int], t: int,
     return deriv[pts, 0, dxs][:, a] * deriv[pts, 1, dys][:, b] % p
 
 
+def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _place(points: Sequence[tuple[int, int]], mults: Sequence[int],
+           p: int) -> tuple[tuple[int, ...], list[tuple[int, int]], list[int]]:
+    """Move the three heaviest positive points to the coordinate vertices.
+
+    Returns ((m1, m2, m3), chart, rest): the multiplicities placed at
+    [0:0:1], [1:0:0] and [0:1:0], and the chart coordinates (u/w, v/w) and
+    multiplicities of the other positive points, in their order.
+
+    P1, P2, P3 are the heaviest positive points, the first one on ties,
+    as vectors (x, y, 1).  B = [P2 | P3 | P1] sends the vertices to them,
+    so A = adj B = det B * B^-1 sends P1, P2, P3 to the vertices as
+    projective points; the rows of adj B are the cross products of B's
+    columns, in Python ints mod p.  A slot with no positive point keeps
+    its vertex as B's column.  If det B = 0 or some other positive point
+    lands on the line w = 0, that of P2 and P3, only P1 is placed:
+    B = [e1 | e2 | P1], A is the translation by -P1 with w = 1 everywhere,
+    and m2 = m3 = 0.
+    """
+    live = [i for i, m in enumerate(mults) if m > 0]
+    heavy = sorted(live, key=lambda i: -mults[i])[:3]
+    for placed in (heavy, heavy[:1]):
+        cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        for slot, i in zip((2, 0, 1), placed):
+            cols[slot] = (*points[i], 1)
+        adj = (_cross(cols[1], cols[2]), _cross(cols[2], cols[0]), _cross(cols[0], cols[1]))
+        rest = [i for i in live if i not in placed]
+        images = [[(r[0] * x + r[1] * y + r[2]) % p for r in adj]
+                  for x, y in (points[i] for i in rest)]
+        # adj[0] . cols[0] is det B; the translation always passes.
+        if sum(r * c for r, c in zip(adj[0], cols[0])) % p and all(w for _, _, w in images):
+            break
+    chart = []
+    for u, v, w in images:
+        inv = pow(w, -1, p)
+        chart.append((u * inv % p, v * inv % p))
+    return tuple(([mults[i] for i in placed] + [0, 0, 0])[:3]), chart, [mults[i] for i in rest]
+
+
 def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> list[list[int]]:
     """Rows [t, dim I_t], plus nu_t with `nu`, for t in [lo, hi] at the seeded points.
 
-    One condition matrix M = M_hi is built and eliminated per call.  Its
-    columns are graded (`_exponents`) and an entry depends on the point,
-    (dx, dy) and (a, b) but not on the degree, so M_s, the first
-    c_s = (s+1)(s+2)/2 columns of M, is the degree-s matrix for every
-    s <= hi up to the zero rows of the derivative orders above s, which
-    change neither its rank nor its row space.
+    One condition matrix M is built and eliminated per call, at the top
+    degree hi.
 
-    * The heaviest point k (the first one on a tie) is moved to the origin
-      and its conditions never enter the elimination.  The translation
-      [x:y:z] -> [x - x0 z : y - y0 z : z] by point k = (x0, y0) is a
-      graded automorphism of R that fixes z: it maps I(Z)_s onto the
-      degree-s piece of the ideal of the translated scheme for every s,
-      and so keeps every dim I_s; it maps R_1 onto itself, hence
-      R_1 I_{s-1} onto the same product space of the translated ideal,
-      and keeps every nu_s = dim I_s - dim R_1 I_{s-1} too.  At
-      the origin the row (dx, dy) of point k is dx! dy! times the unit
-      vector of column x^dx y^dy, and dx! dy! is invertible mod p as
-      dx, dy <= hi < p.  Its rows, the orders dx + dy < min(m_k, hi + 1),
-      thus span exactly the unit vectors of the first
-      c = c_{min(m_k - 1, hi)} columns; clearing those columns from the
-      other points' rows with them leaves the later columns unchanged, so
-      M is row-equivalent to [I_c 0; 0 M'], M' the other points' rows on
-      the columns from c on.  The pivots of M are 0, ..., c-1 followed by
-      c plus the pivots of M', and its RREF is I_c above the RREF of M'
-      shifted right by c columns; only M' is eliminated.
+    * `_place` takes a projective change of coordinates A that sends the
+      three heaviest positive points to [0:0:1], the origin of the chart
+      z = 1, [1:0:0] and [0:1:0] with multiplicities m1, m2, m3, and the
+      other positive points into the chart.  The substitution by A^-1 is
+      a graded automorphism of R: it maps I(Z)_s onto the degree-s piece
+      of the ideal of the moved scheme for every s, and so keeps every
+      dim I_s; it maps R_1 onto itself, hence R_1 I_{s-1} onto the same
+      product space of the moved ideal, and keeps every
+      nu_s = dim I_s - dim R_1 I_{s-1} too.  It maps a fat point to one
+      of the same multiplicity.
+    * Write a degree-s form as the sum of c_ab x^a y^b z^(s-a-b).  At a
+      vertex, vanishing to order m is the vanishing of the coefficients of
+      the monomials of degree below m in the local coordinates: at
+      [0:0:1], in x and y, the c_ab with a + b < m1; at [1:0:0], in y and
+      z, those with s - a < m2; at [0:1:0], in x and z, those with
+      s - b < m3.  So I_s is the forms supported on the columns
+      C_s = {x^a y^b : a + b >= m1, J(a, b) <= s}, with
+      J(a, b) = max(a + b, a + m2, b + m3) >= a + b, that meet the other
+      points' conditions.  Those are the rows (point, dx, dy) of
+      `_condition_matrix`: in the chart z = 1 a degree-s form is a
+      polynomial of degree <= s in x and y, and the entry of a row at
+      column x^a y^b does not depend on s.  The columns of M are C_hi,
+      graded and then sorted stably by J, so for every s <= hi the set
+      C_s is a prefix of c_s = |C_s| columns and M_s, the first c_s
+      columns of M, is the degree-s matrix up to the zero rows of the
+      orders above s, which change neither its rank nor its row space.
+      The placed points' conditions are the columns left out, and none of
+      their rows enters the elimination.  Placing only P1, at the origin,
+      is the case m2 = m3 = 0, where J is the degree.
     * The pivot columns of an echelon form are the greedy column basis:
       a column is a pivot iff it is not in the span of the columns before
       it.  So rank M_s is the number of pivots below c_s, and
@@ -338,25 +392,29 @@ def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> lis
       is injective and the products' rank is the rank of their F_t
       columns.  Pivots of M_{t-1} are the pivots of M_t below c_{t-1}, so
       F_{t-1} = F_t & [0, c_{t-1}), and F_t is F_{t-1} followed by N_t,
-      the free columns of degree exactly t.  z keeps a column in the
-      graded order, so the z*f rows project to [I_k | 0] on
-      (F_{t-1}, N_t), k = dim I_{t-1}.  Clearing the F_{t-1} columns of
-      the x*f and y*f rows with them leaves their N_t columns unchanged,
-      so the rank is k plus the rank of the 2k x |N_t| matrix of x*f and
-      y*f on N_t, and, as dim I_t = k + |N_t|,
-      nu_t = |N_t| - rank(x*f, y*f on N_t).  x and y raise the degree of
-      a column by one, so that matrix reads only the degree-(t-1) block
-      of the kernel basis: there x^a y^b goes to column b of the degree-t
-      block under x and to column b + 1 under y.
-    * Only free columns are read.  Let g start the first degree block
-      that has free columns: every column before g is a pivot, and every
-      F_{t-1} is empty unless t - 1 reaches g's degree.  Rows of R whose
+      the free columns with J = t.  z keeps x^a y^b, so the z*f rows
+      project to [I_k | 0] on (F_{t-1}, N_t), k = dim I_{t-1}.  Clearing
+      the F_{t-1} columns of the x*f and y*f rows with them leaves their
+      N_t columns unchanged, so the rank is k plus the rank of the
+      2k x |N_t| matrix of x*f and y*f on N_t, and, as
+      dim I_t = k + |N_t|, nu_t = |N_t| - rank(x*f, y*f on N_t).
+    * At column x^a y^b, x*f reads f at its x-source x^(a-1) y^b and y*f
+      at its y-source x^a y^(b-1), and a source outside C_{t-1} reads 0.
+      Each term of J drops by at most 1 from a column to a source, so a
+      source of an N_t column has J = t - 1 or lies outside C_{t-1}: the
+      matrix reads only the J = t - 1 block of the kernel basis.  There
+      the row of a free column phi of an earlier block is 0, since it is 1
+      at phi alone and row i of R is 0 before its pivot, so only the free
+      columns of the block have rows.
+    * Only the blocks J = t - 1, t in [lo, hi], that hold a free column
+      are read.  Let g start the block of J = max(J(first free column),
+      lo - 1): each of those blocks starts at or after g.  Rows of R whose
       pivot is at or after g are zero before it, and clearing pivot i
       upwards reads only rows i and above; so back-substituting
       R[s:rank M_{hi-1}, g:c_{hi-1}], s the first row with a pivot at or
-      after g, gives every entry the degree-(t-1) blocks read.  The first
-      c columns are pivots, so g >= c and s >= c, and that block is the
-      same block of the echelon form of M', c rows up and c columns left.
+      after g, gives every entry the blocks read.  Starting at the first
+      free column itself would leave out the rows of the pivots before it
+      in its block, and those pivots are sources.
     """
     z = as_spec(z)
     if lo > hi:
@@ -366,44 +424,55 @@ def oracle_table(cfg: PointConfig, z, lo: int, hi: int, nu: bool = False) -> lis
     if len(z.mults) != len(cfg.points):
         raise ValueError(f"{len(z.mults)} multiplicities but {len(cfg.points)} points")
     p = cfg.prime
-    mults, c, origin = list(z.mults), 0, (0, 0)
-    if mults:
-        heavy = mults.index(max(mults))
-        c, origin = _ncols(min(mults[heavy] - 1, hi)), cfg.points[heavy]
-        mults[heavy] = 0
-    m, rest = _echelon(_condition_matrix(cfg, mults, hi, origin)[:, c:], p)
-    pivots = list(range(c)) + [c + q for q in rest]
+    (m1, m2, m3), chart, rest = _place(cfg.points, z.mults, p)
+    # A multiplicity above hi + 1 drops no more columns than hi + 1; the clip keeps
+    # J inside int64.
+    m1, m2, m3 = (min(m, hi + 1) for m in (m1, m2, m3))
+    a, b = _exponents(hi)
+    join = np.maximum(a + b, np.maximum(a + m2, b + m3))
+    keep = np.flatnonzero((a + b >= m1) & (join <= hi))
+    keep = keep[np.argsort(join[keep], kind="stable")]
+    a, b, join = a[keep], b[keep], join[keep]
+    # c_s = |C_s| for lo - 2 <= s <= hi.
+    sizes = np.searchsorted(join, np.arange(lo - 2, hi + 1), side="right").tolist()
+    m, pivots = _echelon(_condition_matrix(p, chart, rest, hi, (a, b)), p)
+
+    def size(s: int) -> int:
+        return sizes[s - lo + 2]
 
     def rank(s: int) -> int:
-        return bisect_left(pivots, _ncols(s))
+        return bisect_left(pivots, size(s))
 
-    rows = [[t, _ncols(t) - rank(t)] for t in range(lo, hi + 1)]
+    rows = [[t, size(t) - rank(t)] for t in range(lo, hi + 1)]
     if nu:
-        free = np.setdiff1d(np.arange(_ncols(hi)), pivots)
-        # Column j has degree d with d(d+1)/2 <= j < (d+1)(d+2)/2.
-        g = _ncols((isqrt(8 * int(free[0]) + 1) - 1) // 2 - 1) if free.size else _ncols(hi)
-        s, r = bisect_left(pivots, g), rank(hi - 1)
-        # m is the echelon form of the block after the first c rows and
-        # columns; s >= c and g >= c, while r and c_{hi-1} fall below c
-        # only when every column is a pivot.
-        red = _back_substitute(m[s - c:max(r - c, 0), g - c:max(_ncols(hi - 1) - c, 0)],
-                               [q - g for q in pivots[s:r]], p)
+        free = _free(pivots, join.size)
+        top, r = size(hi - 1), rank(hi - 1)
+        g = size(max(int(join[free[0]]), lo - 1) - 1) if free.size else top
+        s = bisect_left(pivots, g)
+        f = g - s  # the free columns before g
+        red = _back_substitute(m[s:r, g:top], [q - g for q in pivots[s:r]], p)
+        # pos[a, b] is the column of x^a y^b, or -1; the padding row and
+        # column answer the sources a - 1 = -1 and b - 1 = -1.
+        pos = np.full((hi + 2, hi + 2), -1, dtype=np.int64)
+        pos[a, b] = np.arange(join.size)
         for row in rows:
             t, dim = row
-            k = _ncols(t - 1) - rank(t - 1)
+            c0, c1, i0, i1 = size(t - 2), size(t - 1), rank(t - 2), rank(t - 1)
+            k0, k = c0 - i0, c1 - i1
             n = dim - k
-            if k and n:
-                # The degree-(t-1) block of the kernel basis of I_{t-1}.
-                start, i0, i1 = _ncols(t - 2), rank(t - 2), rank(t - 1)
-                k0 = start - i0
-                block = np.zeros((k, t), dtype=np.int64)
-                block[:, np.array(pivots[i0:i1], dtype=np.int64) - start] = \
-                    -red[i0 - s:i1 - s, :k].T % p
-                block[np.arange(k0, k), free[k0:k] - start] = 1
-                prods = np.zeros((2 * k, t + 1), dtype=np.int64)
-                prods[:k, :t] = block
-                prods[k:, 1:] = block
-                n -= rank_mod_p(prods[:, free[k:k + n] - _ncols(t - 1)], p)
+            if k > k0 and n:
+                # The J = t - 1 block of the kernel rows of the block's free
+                # columns, with a zero column last for the sources outside it.
+                width = c1 - c0
+                block = np.zeros((k - k0, width + 1), dtype=np.int64)
+                block[:, np.array(pivots[i0:i1], dtype=np.int64) - c0] = \
+                    -red[i0 - s:i1 - s, k0 - f:k - f].T % p
+                block[np.arange(k - k0), free[k0:k] - c0] = 1
+                new = free[k:k + n]
+                src = np.stack((pos[a[new] - 1, b[new]], pos[a[new], b[new] - 1])) - c0
+                src[(src < 0) | (src >= width)] = width
+                # Rows x*f and y*f in turn on the columns N_t.
+                n -= rank_mod_p(block[:, src].reshape(-1, n), p)
             row.append(n)
     return rows
 

@@ -4,14 +4,18 @@ Each one is an independent statement of something the package computes
 another way: they check the package, and no command reaches them.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import groupby
 from math import isqrt
+
+import numpy as np
 
 from fatpoints.alpha_bounds import (_ceil_div, _check_uniform_rd, _modified_x, _prefix_spread_bound,
                                     _Runs, _u_rho)
 from fatpoints.hilbert import expected_dim, find_alpha, hilbert_polynomial
 from fatpoints.lattice import DivisorClass, WeylWord, as_spec, cremona_quad, reduce_fundamental_raw
+from fatpoints.oracle import _back_substitute, _condition_matrix, _echelon, rank_mod_p
 from fatpoints.report import ALPHA_LOWER, BoundReport, PreconditionError
 
 # alpha(Z) = ceil(c_n * m) for Z = m * (p_1 + ... + p_n), n <= 9.
@@ -272,3 +276,54 @@ def report_json(block: dict, rep: BoundReport) -> dict:
         "params": params,
         "validity": list(rep.validity),
     }
+
+
+def translation_oracle_table(cfg, z, lo, hi, nu=False):
+    """`oracle.oracle_table` with only the heaviest point placed, by a
+    translation to the origin: the columns stay in graded order, the
+    first c = (m+1)m/2 of them (m the heaviest multiplicity, at most
+    hi + 1) are that point's pivots, and only the other points' rows on
+    the later columns are eliminated; nu_t reads the degree-(t-1) block of
+    the kernel basis of every free column of degree below t."""
+    def ncols(t):
+        return (t + 1) * (t + 2) // 2 if t >= 0 else 0
+
+    z = as_spec(z)
+    p = cfg.prime
+    mults, c, (x0, y0) = list(z.mults), 0, (0, 0)
+    if mults:
+        heavy = mults.index(max(mults))
+        c, (x0, y0) = ncols(min(mults[heavy] - 1, hi)), cfg.points[heavy]
+        mults[heavy] = 0
+    moved = [((x - x0) % p, (y - y0) % p) for x, y in cfg.points]
+    m, rest = _echelon(_condition_matrix(p, moved, mults, hi)[:, c:], p)
+    pivots = list(range(c)) + [c + q for q in rest]
+
+    def rank(s):
+        return bisect_left(pivots, ncols(s))
+
+    rows = [[t, ncols(t) - rank(t)] for t in range(lo, hi + 1)]
+    if nu:
+        free = np.setdiff1d(np.arange(ncols(hi)), pivots)
+        # Column j has degree d with d(d+1)/2 <= j < (d+1)(d+2)/2.
+        g = ncols((isqrt(8 * int(free[0]) + 1) - 1) // 2 - 1) if free.size else ncols(hi)
+        s, r = bisect_left(pivots, g), rank(hi - 1)
+        red = _back_substitute(m[s - c:max(r - c, 0), g - c:max(ncols(hi - 1) - c, 0)],
+                               [q - g for q in pivots[s:r]], p)
+        for row in rows:
+            t, dim = row
+            k = ncols(t - 1) - rank(t - 1)
+            n = dim - k
+            if k and n:
+                start, i0, i1 = ncols(t - 2), rank(t - 2), rank(t - 1)
+                k0 = start - i0
+                block = np.zeros((k, t), dtype=np.int64)
+                block[:, np.array(pivots[i0:i1], dtype=np.int64) - start] = \
+                    -red[i0 - s:i1 - s, :k].T % p
+                block[np.arange(k0, k), free[k0:k] - start] = 1
+                prods = np.zeros((2 * k, t + 1), dtype=np.int64)
+                prods[:k, :t] = block
+                prods[k:, 1:] = block
+                n -= rank_mod_p(prods[:, free[k:k + n] - ncols(t - 1)], p)
+            row.append(n)
+    return rows

@@ -235,7 +235,9 @@ def test_golden_oracle_nine_tens_bytes_and_runtime():
     # One elimination and the generator counts of four degrees: 0.43 s
     # before the deferred reduction and the degree-t counts, 0.20-0.32 s
     # after, with a 495 x 528 matrix; 0.13 s once the heaviest point sits
-    # at the origin, and the matrix is 440 x 473 (best of 5 in process,
+    # at the origin, and the matrix is 440 x 473; 0.07 s (0.15-0.18 s
+    # before, same series) once the three heaviest sit at the coordinate
+    # vertices, and the matrix is 330 x 363 (best of 5 CPU in process,
     # 2 cores, Python 3.11.7).
     argv = ["oracle", "--mults", "10,10,10,10,10,10,10,10,10", "--window", "28:31",
             "--nu", "--json"]

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from fatpoints import oracle
 from fatpoints.cli import main
-from fatpoints.hilbert import expected_dim, hilbert_polynomial
+from fatpoints.hilbert import expected_dim, find_alpha, find_tau, hilbert_polynomial
 from fatpoints.lattice import DivisorClass
 from fatpoints.oracle import (MAX_PRIME, PointConfig, actual_hilbert, actual_nu,
                               nullspace_mod_p, oracle_table, rank_mod_p)
+from references import translation_oracle_table
 
 
 def _gauss_jordan_nullspace(a, p):
@@ -182,10 +183,10 @@ def test_nullspace_mod_p():
 
 @st.composite
 def _windows(draw):
-    p = draw(st.sampled_from([13, 101, 31991, 3037000493]))
+    p = draw(st.sampled_from([7, 13, 37, 101, 31991, 3037000493]))
     n = draw(st.integers(1, 8))
     mults = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
-    lo = draw(st.integers(-2, 11))
+    lo = draw(st.integers(-2, min(11, p - 1)))
     hi = draw(st.integers(lo, min(lo + 5, p - 1)))
     cfg = PointConfig.random(n, seed=draw(st.integers(0, 3)), prime=p)
     return cfg, tuple(mults), lo, hi, draw(st.booleans())
@@ -211,11 +212,29 @@ def _windows(draw):
 @example((PointConfig.random(0, seed=0), (), 0, 3, True))
 # The smallest primes, where every degree is below p, and the largest.
 @example((PointConfig.random(4, seed=0, prime=2), (1, 2, 0, 1), 0, 1, True))
+@example((PointConfig.random(4, seed=1, prime=2), (1, 1, 2, 1), 0, 1, True))
 @example((PointConfig.random(3, seed=1, prime=3), (2, 1, 1), 0, 2, True))
+@example((PointConfig.random(6, seed=2, prime=3), (2, 1, 2, 1, 1, 2), 0, 2, True))
 @example((PointConfig.random(5, seed=0, prime=3037000493), (4, 3, 3, 1, 4), 2, 9, True))
+# The three heaviest points collinear: det B = 0, so only the heaviest is
+# placed.
+@example((PointConfig(31991, 0, ((1, 1), (2, 2), (3, 3), (5, 7))), (4, 3, 3, 2), 2, 8, True))
+# A fourth point on the line through the second and third heaviest lands
+# on w = 0, so only the heaviest is placed.
+@example((PointConfig(31991, 0, ((5, 5), (1, 2), (2, 4), (3, 6))), (4, 3, 3, 2), 2, 8, True))
+# Ties among the second and third heaviest, and with the heaviest.
+@example((PointConfig.random(5, seed=1), (5, 3, 3, 3, 2), 3, 9, True))
+@example((PointConfig.random(6, seed=2), (3, 4, 4, 2, 4, 1), 3, 9, True))
+# Exactly 2 and exactly 3 positive points: every condition is a column
+# left out, so the elimination has no rows.
+@example((PointConfig.random(4, seed=0), (4, 0, 3, 0), 0, 8, True))
+@example((PointConfig.random(5, seed=1), (3, 0, 2, 2, 0), 0, 6, True))
+# Placed multiplicities above hi + 1.
+@example((PointConfig.random(5, seed=0), (9, 8, 7, 2, 1), 0, 5, True))
 def test_table_matches_per_degree_reference(case):
-    # One graded matrix per window against a matrix per degree in monomial
-    # order: ranks as prefix pivot counts, kernels cut from one RREF.
+    # One matrix per window, its columns sorted by join degree, against a
+    # matrix per degree in monomial order: ranks as prefix pivot counts,
+    # kernels cut from one RREF.
     cfg, mults, lo, hi, nu = case
     assert oracle_table(cfg, mults, lo, hi, nu) == _ref_table(cfg, mults, lo, hi, nu)
 
@@ -245,7 +264,8 @@ def test_condition_matrix_matches_python_ints(p, seed, t, data):
     mults = data.draw(st.lists(st.integers(0, max(t, 0) + 4), min_size=n, max_size=n))
     cfg = PointConfig.random(n, seed=seed, prime=p)
     origin = data.draw(st.sampled_from([(0, 0)] + list(cfg.points)))
-    built = oracle._condition_matrix(cfg, mults, t, origin)
+    moved = [((x - origin[0]) % p, (y - origin[1]) % p) for x, y in cfg.points]
+    built = oracle._condition_matrix(p, moved, mults, t)
     assert built.dtype == np.int64
     if t < 0:
         assert built.shape == (0, 0)
@@ -259,8 +279,12 @@ def test_condition_matrix_matches_python_ints(p, seed, t, data):
     # Every lower degree's matrix is a column prefix, less the orders above it.
     for s in range(t):
         low = [i for i, (order, _) in enumerate(kept) if order <= s]
-        assert (oracle._condition_matrix(cfg, mults, s, origin)
+        assert (oracle._condition_matrix(p, moved, mults, s)
                 == built[low, :(s + 1) * (s + 2) // 2]).all()
+    # Any columns, in any order, are those columns of the graded matrix.
+    cols = data.draw(st.lists(st.integers(0, built.shape[1] - 1), max_size=12))
+    a, b = (e[cols] for e in oracle._exponents(t))
+    assert (oracle._condition_matrix(p, moved, mults, t, (a, b)) == built[:, cols]).all()
 
 
 @pytest.mark.parametrize("z, lo, hi", [
@@ -278,7 +302,8 @@ def test_multiplicities_above_the_degree_act_as_degree_plus_one(z, lo, hi):
     for nu in (False, True):
         assert oracle_table(cfg, z, lo, hi, nu) == oracle_table(cfg, clipped, lo, hi, nu)
     rows = sum((m + 1) * m // 2 for m in clipped)
-    assert oracle._condition_matrix(cfg, z, hi, (0, 0)).shape == (rows, (hi + 1) * (hi + 2) // 2)
+    assert oracle._condition_matrix(cfg.prime, cfg.points, z, hi).shape == \
+        (rows, (hi + 1) * (hi + 2) // 2)
 
 
 @pytest.mark.parametrize("z, lo, hi", [
@@ -300,9 +325,9 @@ def test_table_builds_one_matrix_at_top_degree(monkeypatch):
     built = []
     real = oracle._condition_matrix
 
-    def counting(cfg, mults, t, origin):
+    def counting(p, points, mults, t, cols=None):
         built.append(t)
-        return real(cfg, mults, t, origin)
+        return real(p, points, mults, t, cols)
 
     monkeypatch.setattr(oracle, "_condition_matrix", counting)
     cfg = PointConfig.random(5, seed=0)
@@ -312,9 +337,10 @@ def test_table_builds_one_matrix_at_top_degree(monkeypatch):
         assert built == [9]
 
 
-def test_heaviest_point_stays_out_of_the_elimination(monkeypatch):
-    # Five triple points in degree 9: 30 conditions on 55 monomials, of
-    # which the point at the origin's 6 are the first 6 columns' pivots.
+def test_three_heaviest_points_stay_out_of_the_elimination(monkeypatch):
+    # Five triple points in degree 9: 30 conditions on 55 monomials.  The
+    # points at [0:0:1], [1:0:0] and [0:1:0] each leave out 6 columns and
+    # their 6 rows, so the other two points' 12 rows meet 37 columns.
     shapes = []
     real = oracle._echelon
 
@@ -327,7 +353,52 @@ def test_heaviest_point_stays_out_of_the_elimination(monkeypatch):
     for nu in (True, False):
         shapes.clear()
         oracle_table(cfg, (3, 3, 3, 3, 3), 6, 9, nu=nu)
-        assert shapes[0] == (24, 49)
+        assert shapes[0] == (12, 37)
+    # With two or three positive points nothing is left to eliminate.
+    for z in ((3, 0, 3, 0, 2), (0, 3, 0, 3, 0)):
+        shapes.clear()
+        oracle_table(cfg, z, 6, 9)
+        assert shapes[0][0] == 0
+
+
+def test_placement_falls_back_to_the_translation():
+    # The heaviest point goes to [0:0:1], the next two to [1:0:0] and
+    # [0:1:0] (the first one on ties), and the rest into the chart z = 1.
+    cfg = PointConfig.random(5, seed=1)
+    placed, chart, rest = oracle._place(cfg.points, (2, 3, 3, 1, 3), cfg.prime)
+    assert placed == (3, 3, 3) and rest == [2, 1] and len(chart) == 2
+    # Collinear heaviest points, or a fourth point on the line through the
+    # second and third: only the heaviest is placed, by a translation.
+    for points in (((1, 1), (2, 2), (3, 3), (5, 7)), ((5, 5), (1, 2), (2, 4), (3, 6))):
+        placed, chart, rest = oracle._place(points, (4, 3, 3, 2), 31991)
+        x0, y0 = points[0]
+        assert placed == (4, 0, 0) and rest == [3, 3, 2]
+        assert chart == [((x - x0) % 31991, (y - y0) % 31991) for x, y in points[1:]]
+
+
+def test_placement_matches_the_translation_reference():
+    # Seeded schemes of n <= 9 points with multiplicities up to 8 at seeds
+    # 0-2, on the window alpha - 1..tau + 1 and a wider one, both cut below
+    # p.  At p = 7, 13 and 37 the heaviest three are often collinear or a
+    # fourth point lies on the line w = 0, and the translation runs.
+    rng = random.Random(28)
+    fallbacks = 0
+    for _ in range(20):
+        n = rng.randint(1, 9)
+        z = tuple(rng.randint(0, 8) for _ in range(n))
+        alpha, tau = find_alpha(z), find_tau(z)
+        for p in (7, 13, 37, 31991):
+            for seed in (0, 1, 2):
+                cfg = PointConfig.random(n, seed=seed, prime=p)
+                placed = oracle._place(cfg.points, z, p)[0]
+                fallbacks += sum(m > 0 for m in z) >= 3 and placed[1:] == (0, 0)
+                for lo, hi in ((alpha - 1, tau + 1), (alpha - 3, tau + 3)):
+                    hi = min(hi, p - 1)
+                    lo = min(lo, hi)
+                    for nu in (False, True):
+                        assert oracle_table(cfg, z, lo, hi, nu) == \
+                            translation_oracle_table(cfg, z, lo, hi, nu), (z, p, seed, lo, hi)
+    assert fallbacks
 
 
 def test_point_config_validation():
