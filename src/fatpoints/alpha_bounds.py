@@ -33,19 +33,24 @@ Every unloading procedure runs over one multiplicity state, a copy of
 the spec's runs of equal values (``FatPointSpec.runs``) lowered without
 re-sorting, and one lowering step is one pass over those runs that also
 yields the drop of the sum of the r largest entries.  Those with a
-fixed r take their bound in one walk over its lowering sequence, which
-depends only on the multiplicities and r.
-The sequence is kept on the ``FatPointSpec`` by r, so plain and modified
-unloading and the modified unloading tau bound of one query share it,
-and each step is lowered once per query.  On balanced multiplicities
-(entries differing by at most 1, so every uniform scheme) each step has
-a closed form and needs no state, and the plain and modified unloading
-walks visit only the steps that a linear bound on their terms admits
-(proofs in ``_Lowerings``, ``_balanced_min``, ``_balanced_modified_min``
-and ``tau_bounds._balanced_modified_max``).  Iterated unloading, for
-alpha and for tau, runs on one stage routine, ``_roe``; over a balanced
-rest it takes each stage in closed form and visits only the stages that
-sweep (proof in ``_roe_balanced``).
+fixed r take their bound in one walk over its lowering sequence
+(``_Lowerings``), which depends only on the multiplicities and r.  This
+module is the one reader of a sequence.  Its ``empty`` slot holds the
+step E_r at which every entry is 0 (the lemma is proven at
+``_Lowerings``), and the three walks, ``_unloading_min``,
+``_modified_min`` and ``_modified_max`` (the last for
+``tau_bounds.modified_unloading_tau``), each seed with their k = 0 and
+k = E_r terms on every input.  The sequence is kept on the
+``FatPointSpec`` by r, so the three fixed-r bounds of one query share
+it, and each step is lowered once per query.  On balanced multiplicities
+(entries differing by at most 1, so every uniform scheme) each step is
+the closed form ``_balanced_top_sum`` and needs no state, and each walk
+visits only the steps that a linear bound on its terms admits (proofs in
+``_Lowerings``, ``_balanced_min``, ``_balanced_modified_min`` and
+``_balanced_modified_max``).  Iterated unloading, for alpha and for
+tau, runs on one stage routine, ``_roe``; over a balanced rest it takes
+each stage in closed form and visits only the stages that sweep (proof
+in ``_roe_balanced``).
 
 Both parameter searches start their running best one below the value of
 a seed pair and skip every pair whose proven cap cannot beat it, which
@@ -464,41 +469,59 @@ def _balanced_total(values: Sequence[int], counts: Sequence[int]) -> int | None:
     return None
 
 
+def _balanced_top_sum(t: int, n: int, w: int) -> tuple[int, int]:
+    # (largest entry, sum of the w largest) of n entries that sum to
+    # max(0, t) and differ by at most 1: t mod n of them are q + 1 and the
+    # rest q, q = floor(t / n).  The one statement of the balanced closed
+    # form (proof at _Lowerings); only _balanced_min's hot loop inlines it.
+    if t <= 0:
+        return 0, 0
+    q, s = divmod(t, n)
+    return q + (s > 0), w * q + (s if s < w else w)
+
+
 class _Lowerings:
     """The lowering sequence of a spec's multiplicities w for one r <= len(w).
 
-    at(k) is (tops[k], sums[k]): the largest entry and the sum of the r
+    Step k is (tops[k], sums[k]): the largest entry and the sum of the r
     largest after the r largest were lowered by one (clamped at 0) k
-    times.  The lists grow only through at(), so every reader of the
-    sequence computes each step once; the hot walks index them directly
-    and call at() when they reach the end.  A balanced sequence's walks
-    take their windowed steps from the closed form below instead, so its
-    lists keep only step 0.  ``_lowerings`` keeps one sequence per r on
-    the spec for its fixed-r readers.
+    times.  Step 0 is (w[0], sums[r]) of the spec on every input, and
+    ``empty`` is E_r, the step at which every entry is 0.
+    ``_lowerings`` keeps one sequence per r on the spec, and the three
+    fixed-r walks (``_unloading_min``, ``_modified_min``,
+    ``_modified_max``) read it and seed with its k = 0 and k = E_r terms.
 
-    Step 0 is (w[0], sums[r]) of the spec on every input.  Mixed w: the
-    state is a ``_Runs`` of the spec's runs, each step is one
-    ``_Runs.lower`` pass, and sums[k + 1] is sums[k] less the drop that
-    pass returns: r - min(inside, outside), the entries of the boundary
-    run inside and outside the first r, when more than r entries are
-    positive, else the number of positive entries (proof at ``_Runs``).
+    Mixed w: ``total`` is None and the state is a ``_Runs`` of the spec's
+    runs.  at(k) grows the lists to step k, one ``_Runs.lower`` pass per
+    step, sums[k + 1] being sums[k] less the drop that pass returns
+    (proof at ``_Runs``), so every reader computes each step once; the
+    walks of plain unloading and of the tau bound index the lists
+    directly and call at() at their end.
 
     Balanced w (entries differ by at most 1, so every uniform vector):
-    ``total`` is the sum of w, and each step is closed-form arithmetic
-    with no state.  With n = len(w) and T_k = max(0, total - k r),
-
-        tops[k] = ceil(T_k / n),  sums[k] = r floor(T_k / n) + min(r, T_k mod n).
-
+    ``total`` is the sum T of w, there is no state and at() is never
+    called: with n = len(w), step k is ``_balanced_top_sum(T - k r, n, r)``.
     Proof.  A balanced w of sum T has T mod n entries q + 1 and the rest
-    q, q = floor(T / n), sorted, which gives both formulas at T.  Lowering
+    q, q = floor(T / n), sorted, which gives both values at T.  Lowering
     its r largest: if r <= T mod n, r entries go from q + 1 to q;
     otherwise every q + 1 entry goes to q and r - (T mod n) entries of
     value q go to q - 1, clamped at 0 when q = 0.  Either way the result
     is balanced, with sum T - r, or 0 when q = 0 and r > T mod n = T.
-    For mixed w ``total`` is None.
+
+    Lemma.  On every input the sequence empties after exactly
+    E_r = max(w[0], ceil(T / r)) steps: tops[k] > 0 for k < E_r, and
+    every entry is 0 from E_r on.  Proof: a step lowers the top entry by
+    at most 1 and T by at most r, so M = max(w[0], ceil(T / r)) drops by
+    at most 1.  It drops by exactly 1 while w is not empty: if at most r
+    entries are positive, all of them drop and T <= r w[0] before and
+    T <= r (w[0] - 1) after; otherwise T drops by exactly r, and the top
+    drops by 1 unless more than r entries equal w[0], when
+    T >= (r + 1) w[0] makes ceil(T / r) > w[0] the maximum.  M is 0
+    exactly when w is empty, which takes M steps.  On balanced w,
+    w[0] = ceil(T / n) <= ceil(T / r), so E_r = ceil(T / r).
     """
 
-    __slots__ = ("tops", "sums", "total", "n", "r", "_state")
+    __slots__ = ("tops", "sums", "total", "n", "r", "empty", "_state")
 
     def __init__(self, z: FatPointSpec, r: int):
         w = z.positive
@@ -506,19 +529,14 @@ class _Lowerings:
         self.total = _balanced_total(*z.runs)
         self._state = None if self.total is not None else _Runs(*z.runs)
         self.tops, self.sums = [w[0] if w else 0], [z.sums[r]]
+        self.empty = max(w[0], _ceil_div(z.sums[-1], r)) if w else 0
 
     def at(self, k: int) -> tuple[int, int]:
         tops, sums, state, r = self.tops, self.sums, self._state, self.r
         while len(tops) <= k:
-            if state is None:
-                t = self.total - len(tops) * r
-                q, s = divmod(t, self.n) if t > 0 else (0, 0)
-                tops.append(q + (s > 0))
-                sums.append(r * q + min(r, s))
-            else:
-                top, drop = state.lower(r)
-                tops.append(top)
-                sums.append(sums[-1] - drop)
+            top, drop = state.lower(r)
+            tops.append(top)
+            sums.append(sums[-1] - drop)
         return tops[k], sums[k]
 
 
@@ -532,15 +550,23 @@ def _lowerings(z: FatPointSpec, r: int) -> _Lowerings:
     return seq
 
 
+# The three fixed-r walks take the closed forms proved in unloading_alpha,
+# modified_unloading_alpha and tau_bounds.modified_unloading_tau, seeded
+# with the k = 0 and k = E terms, E = seq.empty; a balanced sequence walks
+# the window that its _balanced_* routine proves.
+
+
 def _unloading_min(seq: _Lowerings, d: int, best: int = -1) -> int:
-    # min over k of k d + max(tops[k], ceil(sums[k] / d)), walked until
-    # k d reaches the running minimum (a balanced sequence walks the
-    # window of _balanced_min instead); returns early, with a value at
-    # most best, once the running minimum is at most best.
-    if seq.total is not None:
-        return _balanced_min(seq, d, best)
+    # min over k of V(k) = k d + max(tops[k], ceil(sums[k] / d)), seeded
+    # with V(0) and V(E) = E d and walked while k d is below the running
+    # minimum; returns early, with a value at most best, once the running
+    # minimum is at most best.
     tops, sums = seq.tops, seq.sums
     low = max(tops[0], -(-sums[0] // d))
+    if seq.empty * d < low:
+        low = seq.empty * d
+    if seq.total is not None:
+        return _balanced_min(seq, d, best, low)
     k, kd = 1, d
     while kd < low and low > best:
         if k == len(tops):
@@ -554,17 +580,45 @@ def _unloading_min(seq: _Lowerings, d: int, best: int = -1) -> int:
     return low
 
 
-def _balanced_min(seq: _Lowerings, d: int, best: int) -> int:
-    """``_unloading_min`` of a balanced sequence, over the k that can win.
+def _modified_min(seq: _Lowerings, d: int, g: int) -> int:
+    # min over k of k d + x_k, seeded with x_0 and E d (x_E = 0) and
+    # walked while k d is below the running minimum.
+    low = min(_modified_x(seq.tops[0], seq.sums[0], d, g), seq.empty * d)
+    if seq.total is not None:
+        return _balanced_modified_min(seq, d, g, low)
+    k, kd = 1, d
+    while kd < low:
+        term = kd + _modified_x(*seq.at(k), d, g)
+        if term < low:
+            low = term
+        k, kd = k + 1, kd + d
+    return low
 
-    With n entries, total T and T_k = max(0, T - k r), the closed form of
-    ``_Lowerings`` gives every step without lowering, and the minimum
-    over k of V(k) = k d + max(tops[k], ceil(sums[k] / d)) is seeded
-    with V(0) and V(E) = E d, E = ceil(T / r) the first step at which
-    everything is 0 (r <= n).  Every later k has V(k) = k d >= E d.
 
-    Window.  For 0 < k < E, T_k = T - k r > 0 and the r largest of n
-    entries summing to T_k sum to at least r T_k / n, so
+def _modified_max(seq: _Lowerings, d: int, g: int) -> int:
+    # max(0, max over k < E of k d + max(d - 2, ceil((sums[k] + g - 1) / d))):
+    # the k d + d - 2 terms peak at k = E - 1, at E d - 2, which seeds the
+    # maximum, and the walk takes the other term of every k < E.
+    t = max(0, seq.empty * d - 2)
+    if seq.total is not None:
+        return _balanced_modified_max(seq, d, g, t)
+    sums = seq.sums
+    for k in range(seq.empty):
+        if k == len(sums):
+            seq.at(k)
+        t = max(t, k * d + _ceil_div(sums[k] + g - 1, d))
+    return t
+
+
+def _balanced_min(seq: _Lowerings, d: int, best: int, low: int) -> int:
+    """``_unloading_min`` of a balanced sequence from its seed low, over
+    the k that can win.
+
+    With n entries, total T, E = seq.empty and T_k = T - k r, every k > E
+    has V(k) = k d > E d, so the minimum is over 0 < k < E.
+
+    Window.  For 0 < k < E, T_k > 0 and the r largest of n entries
+    summing to T_k sum to at least r T_k / n, so
     V(k) >= L(k) = k d + r T_k / (n d), and
 
         n d L(k) = r T + k (n d^2 - r^2)
@@ -576,22 +630,86 @@ def _balanced_min(seq: _Lowerings, d: int, best: int) -> int:
     along the walk and the minimum only falls.  It also stops, with a
     value at most best, once the minimum is at most best.
     """
-    n, total, r = seq.n, seq.total, seq.r
-    low = max(seq.tops[0], -(-seq.sums[0] // d))
-    e = -(-total // r)
-    if e * d < low:
-        low = e * d
+    n, total, r, e = seq.n, seq.total, seq.r, seq.empty
     base, slope, scale = r * total, n * d * d - r * r, n * d
     for k in range(1, e) if slope >= 0 else range(e - 1, 0, -1):
         if low <= best or base + k * slope >= scale * low:
             break
-        q, s = divmod(total - k * r, n)
+        q, s = divmod(total - k * r, n)  # _balanced_top_sum, inline in the hot loop
         term, top = -(-(r * q + min(r, s)) // d), q + (s > 0)
         if term < top:
             term = top
         if term + k * d < low:
             low = term + k * d
     return low
+
+
+def _balanced_modified_min(seq: _Lowerings, d: int, g: int, low: int) -> int:
+    """``_modified_min`` of a balanced sequence from its seed low, over a
+    window.
+
+    With n entries, total T, E = seq.empty and T_k = T - k r, every k > E
+    has V(k) = k d + x_k >= k d > E d, so the minimum is over 0 < k < E.
+
+    Window.  For 0 < k < E, T_k > 0.  If tops[k] >= d - 2, then
+    x_k >= d - 2 lies outside I_k = [d - 2, U_k], so x_k > U_k, that is
+    x_k > (sums[k] + g - 1) / d, and the r largest of n entries summing
+    to T_k sum to at least r T_k / n, so V(k) > L(k) with
+
+        n d L(k) = r T + n (g - 1) + k (n d^2 - r^2),
+
+    linear in k.  V(k) is an integer, so a k with L(k) >= low - 1 cannot
+    lower the running minimum low.  tops[k] = ceil(T_k / n) >= d - 2
+    exactly when k < K = ceil((T - n (d - 3)) / r), so for the k below
+    min(K, E) the walk starts at the end where L is smaller, k = 1 when
+    n d^2 >= r^2 and the last such k otherwise, and stops at the first k
+    with L(k) >= low - 1: L only rises along the walk and the minimum only
+    falls.  For d <= 2 (and d = 3) K >= E, so that is every k.  The k from
+    K to E - 1 have V(k) >= k d and are walked upward until k d >= low.
+    """
+    n, total, r, e = seq.n, seq.total, seq.r, seq.empty
+    split = min(e, max(1, _ceil_div(total - n * (d - 3), r)))
+    base, slope, scale = r * total + n * (g - 1), n * d * d - r * r, n * d
+    for k in range(1, split) if slope >= 0 else range(split - 1, 0, -1):
+        if base + k * slope >= scale * (low - 1):
+            break
+        low = min(low, k * d + _modified_x(*_balanced_top_sum(total - k * r, n, r), d, g))
+    k = split
+    while k < e and k * d < low:
+        low = min(low, k * d + _modified_x(*_balanced_top_sum(total - k * r, n, r), d, g))
+        k += 1
+    return low
+
+
+def _balanced_modified_max(seq: _Lowerings, d: int, g: int, t: int) -> int:
+    """``_modified_max`` of a balanced sequence from its seed t, over a
+    window.
+
+    With n entries, total T and E = seq.empty, the seed holds every
+    k d + d - 2 term, which leaves the maximum over k < E of
+    G(k) = k d + ceil((sums[k] + g - 1) / d).
+
+    Window.  With (q, s) = divmod(T - k r, n), sums[k] = r q + min(r, s)
+    exceeds r (T - k r) / n by min(r, s) - r s / n, which is s (n - r) / n
+    <= r (n - r) / n when s <= r and r (n - s) / n < r (n - r) / n when
+    s > r.  With ceil(a / d) <= (a + d - 1) / d, G(k) <= H(k) where
+
+        n d H(k) = r T + r (n - r) + n (g + d - 2) + k (n d^2 - r^2),
+
+    linear in k.  G(k) is an integer, so a k with H(k) < t + 1 cannot
+    raise the running maximum t.  So the walk starts at the end of
+    0..E-1 where H is larger, k = E - 1 when n d^2 >= r^2 and k = 0
+    otherwise, and stops at the first k with H(k) < t + 1: H only falls
+    along the walk and the maximum only rises.
+    """
+    n, total, r, e = seq.n, seq.total, seq.r, seq.empty
+    base = r * total + r * (n - r) + n * (g + d - 2)
+    slope, scale = n * d * d - r * r, n * d
+    for k in range(e - 1, -1, -1) if slope >= 0 else range(e):
+        if base + k * slope < scale * (t + 1):
+            break
+        t = max(t, k * d + _ceil_div(_balanced_top_sum(total - k * r, n, r)[1] + g - 1, d))
+    return t
 
 
 def unloading_alpha(z, r: int, d: int) -> BoundReport:
@@ -611,9 +729,10 @@ def unloading_alpha(z, r: int, d: int) -> BoundReport:
     by at most 1 and d >= 1.  So t fails iff some k has L_k <= t and
     U_k < t: then L_j <= t for every j <= k, so the walk stops at k or
     earlier without ruling t out.  The least such t is
-    min_k max(L_k, U_k + 1).  Every term is at least k d, so the walk
-    ends once k d reaches the running minimum; on balanced multiplicities
-    it visits only the steps of the window proven in ``_balanced_min``.
+    min_k max(L_k, U_k + 1).  Every term is at least k d, so
+    ``_unloading_min`` ends once k d reaches the running minimum; it is
+    seeded with the term E d of the step E = E_r at which every entry is
+    0 (``_Lowerings``).
     """
     z = as_spec(z)
     _check_rd(r, len(z.positive), d)
@@ -650,20 +769,11 @@ def best_unloading_search(z) -> BoundReport:
     ``modified_unloading_alpha`` keeps both), else builds one that is
     not kept; the scan reuses it.
 
-    Lemma.  Let w be sorted nonincreasing with sum T.  Lowering its r
-    largest entries by one (clamped at 0) empties it after exactly
-    E_r = max(w[0], ceil(T / r)) steps.  Proof: a step lowers the top
-    entry by at most 1 and T by at most r, so M = max(w[0], ceil(T / r))
-    drops by at most 1.  It drops by exactly 1 while w is not empty: if
-    at most r entries are positive, all of them drop and T <= r w[0]
-    before and T <= r (w[0] - 1) after; otherwise T drops by exactly r,
-    and the top drops by 1 unless more than r entries equal w[0], when
-    T >= (r + 1) w[0] makes ceil(T / r) > w[0] the maximum.  M is 0
-    exactly when w is empty, which takes M steps.
-
-    Cap.  With P[r] the sum of the r largest entries, the closed form of
-    ``unloading_alpha`` has the term max(w[0], ceil(P[r] / d)) at k = 0
-    and the term d E_r at k = E_r, where everything is 0, so
+    Cap.  With P[r] the sum of the r largest entries and T the sum of
+    all, the closed form of ``unloading_alpha`` has the term
+    max(w[0], ceil(P[r] / d)) at k = 0 and the term d E_r at the step
+    E_r = max(w[0], ceil(T / r)) at which everything is 0 (lemma at
+    ``_Lowerings``), so
 
         V(r, d) <= min(max(w[0], ceil(P[r] / d)), d E_r).
 
@@ -674,11 +784,12 @@ def best_unloading_search(z) -> BoundReport:
     surviving d: the one a fixed-r method kept on the spec if there is
     one, else a new one that is not kept, since keeping a sequence for
     every r would hold them all at once.  A pair stops as soon as its
-    running minimum is at most the best (at once, if its k = 0 term is,
-    so the interval is not narrowed after a win), and a pair that beats
-    the best ran its walk to the end, so the walk gives its value.  The
-    reported pair is recomputed once by ``unloading_alpha``, which keeps
-    the sequence of its r; it is handed the one the search walked.
+    running minimum is at most the best (at once if its cap is, since
+    ``_unloading_min`` seeds with the cap's two terms, so the interval is
+    not narrowed after a win), and a pair that beats the best ran its
+    walk to the end, so the walk gives its value.  The reported pair is
+    recomputed once by ``unloading_alpha``, which keeps the sequence of
+    its r; it is handed the one the search walked.
     """
     z = as_spec(z)
     w, sums = z.positive, z.sums
@@ -694,7 +805,7 @@ def best_unloading_search(z) -> BoundReport:
             best = max(best, _unloading_min(seq, d) - 1)
     best_r, best_d, best_seq = 0, 0, None
     for r in range(1, n + 1):
-        low = best // max(w0, _ceil_div(sums[-1], r))
+        low = best // max(w0, _ceil_div(sums[-1], r))  # best // E_r
         top = isqrt(r) if w0 > best else min(isqrt(r), (sums[r] - 1) // best)
         if low >= top:
             continue
@@ -765,8 +876,8 @@ def _roe_balanced(top: int, n: int, total: int, e: int) -> tuple[int, int]:
     Proof.  By the proof in ``_Lowerings`` a balanced rest stays balanced
     under a sweep, with sum max(0, T - i), so with (q, s) = divmod(T, n)
     the rest is s entries q + 1 and n - s entries q, and
-    S(W) = W q + min(W, s).  S(W) does not fall as W rises, and does not
-    rise as T falls.
+    S(W) = W q + min(W, s), the second value of ``_balanced_top_sum``.
+    S(W) does not fall as W rises, and does not rise as T falls.
 
     Skip.  A stage with b = top + e >= S(i + e) does not sweep and changes
     nothing.  S(W) > b holds for every W from W* = b // (q + 1) + 1 when
@@ -799,10 +910,7 @@ def _roe_balanced(top: int, n: int, total: int, e: int) -> tuple[int, int]:
             break
         width = i + e
         c = max(1, _ceil_div(width * total - b * n, n + width * i))
-        while True:
-            q, s = divmod(max(0, total - c * i), n)
-            if b + c >= width * q + min(width, s):
-                break
+        while b + c < _balanced_top_sum(total - c * i, n, width)[1]:
             c += 1
         top, total, i = top + c, max(0, total - c * i), i + 1
     return top, total
@@ -855,78 +963,17 @@ def modified_unloading_alpha(z, r: int, d: int) -> BoundReport:
     j <= k, since x_k lies outside I_k and J_k, and a lowering drops the
     top entry by at most 1 with d >= 1, so
     t - j d >= tops[k] + (k - j) d >= tops[j].  Every term is at least
-    k d, so the walk ends once k d reaches the running minimum; on
-    balanced multiplicities it visits only the steps of the window
-    proven in ``_balanced_modified_min``.
+    k d, so ``_modified_min`` ends once k d reaches the running minimum.
+    It is seeded with the term E d of the step E = E_r at which every
+    entry is 0 (``_Lowerings``): there tops = sums = 0 and S_E = -1, so
+    J_E is empty, and U_E = floor((g - 1) / d) is below d - 2 for d >= 3
+    and is -1 for d <= 2, so 0 lies outside I_E and x_E = 0.
     """
     z = as_spec(z)
     _check_rd(r, len(z.positive), d)
-    g = (d - 1) * (d - 2) // 2
-    seq = _lowerings(z, r)
-    if seq.total is not None:
-        low = _balanced_modified_min(seq, d, g)
-    else:
-        low = _modified_x(seq.tops[0], seq.sums[0], d, g)
-        k, kd = 1, d
-        while kd < low:
-            term = kd + _modified_x(*seq.at(k), d, g)
-            if term < low:
-                low = term
-            k, kd = k + 1, kd + d
-    return BoundReport("modified-unloading", ALPHA_LOWER, low,
+    value = _modified_min(_lowerings(z, r), d, (d - 1) * (d - 2) // 2)
+    return BoundReport("modified-unloading", ALPHA_LOWER, value,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
-
-
-def _balanced_modified_min(seq: _Lowerings, d: int, g: int) -> int:
-    """``modified_unloading_alpha`` of a balanced sequence, over a window.
-
-    With n entries, total T and T_k = max(0, T - k r), the closed form of
-    ``_Lowerings`` gives every step without lowering.  The minimum over k
-    of V(k) = k d + x_k is seeded with V(0) and V(E) = E d,
-    E = ceil(T / r) the first step at which everything is 0: there
-    tops = sums = 0 and S_E = -1, so J_E is empty, and
-    U_E = floor((g - 1) / d) is below d - 2 for d >= 3 and is -1 for
-    d <= 2, so 0 lies outside I_E and x_E = 0.  Every later k has
-    V(k) = k d.
-
-    Window.  For 0 < k < E, T_k = T - k r > 0.  If tops[k] >= d - 2, then
-    x_k >= d - 2 lies outside I_k = [d - 2, U_k], so x_k > U_k, that is
-    x_k > (sums[k] + g - 1) / d, and the r largest of n entries summing
-    to T_k sum to at least r T_k / n, so V(k) > L(k) with
-
-        n d L(k) = r T + n (g - 1) + k (n d^2 - r^2),
-
-    linear in k.  V(k) is an integer, so a k with L(k) >= low - 1 cannot
-    lower the running minimum low.  tops[k] = ceil(T_k / n) >= d - 2
-    exactly when k < K = ceil((T - n (d - 3)) / r), so for the k below
-    min(K, E) the walk starts at the end where L is smaller, k = 1 when
-    n d^2 >= r^2 and the last such k otherwise, and stops at the first k
-    with L(k) >= low - 1: L only rises along the walk and the minimum only
-    falls.  For d <= 2 (and d = 3) K >= E, so that is every k.  The k from
-    K to E - 1 have V(k) >= k d and are walked upward until k d >= low.
-    """
-    n, total, r = seq.n, seq.total, seq.r
-    low = _modified_x(seq.tops[0], seq.sums[0], d, g)
-    e = _ceil_div(total, r)
-    if e * d < low:
-        low = e * d
-    split = min(e, max(1, _ceil_div(total - n * (d - 3), r)))
-    base, slope, scale = r * total + n * (g - 1), n * d * d - r * r, n * d
-    for k in range(1, split) if slope >= 0 else range(split - 1, 0, -1):
-        if base + k * slope >= scale * (low - 1):
-            break
-        q, s = divmod(total - k * r, n)
-        term = k * d + _modified_x(q + (s > 0), r * q + min(r, s), d, g)
-        if term < low:
-            low = term
-    k = split
-    while k < e and k * d < low:
-        q, s = divmod(total - k * r, n)
-        term = k * d + _modified_x(q + (s > 0), r * q + min(r, s), d, g)
-        if term < low:
-            low = term
-        k += 1
-    return low
 
 
 def modified_unloading_alpha_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:

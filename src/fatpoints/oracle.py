@@ -110,8 +110,10 @@ class PointConfig(_Record):
     @classmethod
     def random(cls, n: int, seed: int = 0, prime: int = DEFAULT_PRIME) -> "PointConfig":
         """Draw n distinct affine points from a deterministic seeded stream."""
-        _check_prime(prime)
-        if n > prime * prime:
+        if prime < 2 or n > prime * prime:
+            # No draw is possible: a bad prime is named before the count.
+            # Any other prime is checked once, by __init__.
+            _check_prime(prime)
             raise ValueError(f"{n} distinct points do not fit in the "
                              f"{prime * prime} points of the affine plane over F_{prime}")
         rng = random.Random(f"fatpoints:{prime}:{seed}")
@@ -263,17 +265,17 @@ def _exponents(t: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _condition_matrix(p: int, points: Sequence[tuple[int, int]], mults: Sequence[int],
-                      t: int, cols: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                      t: int, cols: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Rows (point, dx, dy) with dx + dy below min(m, t + 1), m the point's
     multiplicity, in that order; the entry in column x^a y^b is the dx-th
     x- and dy-th y-derivative of x^a y^b at the point, mod p.  The columns
-    are the exponents `cols` = (a, b), each of degree a + b <= t, and by
-    default all of them in graded order (`_exponents(t)`).  Orders above t
-    are left out: every column has degree <= t, so their rows would be
+    are the exponents `cols` = (a, b), each of degree a + b <= t, such as
+    all of them in graded order, `_exponents(t)`.  Orders above t are
+    left out: every column has degree <= t, so their rows would be
     zero."""
     if t < 0:  # no monomials, so no conditions
         return np.zeros((0, 0), dtype=np.int64)
-    a, b = _exponents(t) if cols is None else cols
+    a, b = cols
     live = [(pt, min(m, t + 1)) for pt, m in zip(points, mults) if m > 0]
     if not live:
         return np.zeros((0, a.size), dtype=np.int64)

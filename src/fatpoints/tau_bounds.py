@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
-from .alpha_bounds import (_ceil_div, _check_rd, _check_uniform_rd, _lowerings, _roe, _tri_root,
-                           _u_rho)
+from .alpha_bounds import (_ceil_div, _check_rd, _check_uniform_rd, _lowerings, _modified_max, _roe,
+                           _tri_root, _u_rho)
 from .hilbert import _least_above, _least_true
 from .lattice import FatPointSpec, as_spec
 from .report import TAU_UPPER, CHAR_ZERO, BoundReport, PreconditionError, fmt_rational
@@ -181,70 +181,22 @@ def modified_unloading_tau(z, r: int, d: int) -> BoundReport:
     degree stays at least d - 2 and the intersection stays at least
     genus - 1 (so no first cohomology appears along the way); succeeds
     when all multiplicities reach zero.  Characteristic 0 only.  With
-    g = (d-1)(d-2)/2, the lowering sequence (tops, sums) and K the first
-    step with tops[K] = 0, the bound is
+    g = (d-1)(d-2)/2, the lowering sequence (tops, sums) and E = E_r the
+    step at which every entry is 0 (``alpha_bounds._Lowerings``), before
+    which tops[k] > 0, the bound is
 
-        max(0, max over k < K of k d + max(d - 2, ceil((sums[k] + g - 1) / d))).
+        max(0, max over k < E of k d + max(d - 2, ceil((sums[k] + g - 1) / d))).
 
-    Proof.  Degree t succeeds iff the walk takes every step k < K, and
+    Proof.  Degree t succeeds iff the walk takes every step k < E, and
     step k is taken iff deg = t - k d satisfies deg >= d - 2 and
-    deg d >= sums[k] + g - 1, i.e. t is at least the k-th term.  On
-    balanced multiplicities only the steps of the window proven in
-    ``_balanced_modified_max`` are evaluated.
+    deg d >= sums[k] + g - 1, i.e. t is at least the k-th term.  The
+    maximum is taken by ``alpha_bounds._modified_max``.
     """
     z = as_spec(z)
     _check_rd(r, len(z.positive), d)
-    g = (d - 1) * (d - 2) // 2
-    seq = _lowerings(z, r)
-    if seq.total is not None:
-        t = _balanced_modified_max(seq, d, g)
-    else:
-        tops, sums = seq.tops, seq.sums
-        t, k, kd = 0, 0, 0
-        while tops[k] > 0:
-            t = max(t, kd + d - 2, kd + _ceil_div(sums[k] + g - 1, d))
-            k, kd = k + 1, kd + d
-            if k == len(tops):
-                seq.at(k)
-    return BoundReport("modified-unloading", TAU_UPPER, t,
+    value = _modified_max(_lowerings(z, r), d, (d - 1) * (d - 2) // 2)
+    return BoundReport("modified-unloading", TAU_UPPER, value,
                        (("r", r), ("d", d)), (CHAR_ZERO,))
-
-
-def _balanced_modified_max(seq, d: int, g: int) -> int:
-    """``modified_unloading_tau`` of a balanced sequence, over a window.
-
-    With n entries, total T > 0 and T_k = max(0, T - k r), the closed form
-    of ``alpha_bounds._Lowerings`` gives tops[k] = ceil(T_k / n), so
-    K = E = ceil(T / r), and the terms k d + d - 2 for k < E have the
-    maximum E d - 2.  That leaves the maximum over k < E of
-    G(k) = k d + ceil((sums[k] + g - 1) / d).
-
-    Window.  With (q, s) = divmod(T_k, n), sums[k] = r q + min(r, s)
-    exceeds r T_k / n by min(r, s) - r s / n, which is s (n - r) / n
-    <= r (n - r) / n when s <= r and r (n - s) / n < r (n - r) / n when
-    s > r.  With ceil(a / d) <= (a + d - 1) / d, G(k) <= H(k) where
-
-        n d H(k) = r T + r (n - r) + n (g + d - 2) + k (n d^2 - r^2),
-
-    linear in k.  G(k) is an integer, so a k with H(k) < t + 1 cannot
-    raise the running maximum t.  So the walk starts at the end of
-    0..E-1 where H is larger, k = E - 1 when n d^2 >= r^2 and k = 0
-    otherwise, and stops at the first k with H(k) < t + 1: H only falls
-    along the walk and the maximum only rises.
-    """
-    n, total, r = seq.n, seq.total, seq.r
-    e = _ceil_div(total, r)
-    t = max(0, e * d - 2)
-    base = r * total + r * (n - r) + n * (g + d - 2)
-    slope, scale = n * d * d - r * r, n * d
-    for k in range(e - 1, -1, -1) if slope >= 0 else range(e):
-        if base + k * slope < scale * (t + 1):
-            break
-        q, s = divmod(total - k * r, n)
-        term = k * d + _ceil_div(r * q + min(r, s) + g - 1, d)
-        if term > t:
-            t = term
-    return t
 
 
 def modified_unloading_tau_formula_a(n: int, m: int, r: int, d: int) -> BoundReport:

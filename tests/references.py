@@ -15,7 +15,7 @@ from fatpoints.alpha_bounds import (_ceil_div, _check_uniform_rd, _modified_x, _
                                     _Runs, _u_rho)
 from fatpoints.hilbert import expected_dim, find_alpha, hilbert_polynomial
 from fatpoints.lattice import DivisorClass, WeylWord, as_spec, cremona_quad, reduce_fundamental_raw
-from fatpoints.oracle import _back_substitute, _condition_matrix, _echelon, rank_mod_p
+from fatpoints.oracle import _back_substitute, _condition_matrix, _echelon, _exponents, rank_mod_p
 from fatpoints.report import ALPHA_LOWER, BoundReport, PreconditionError
 
 # alpha(Z) = ceil(c_n * m) for Z = m * (p_1 + ... + p_n), n <= 9.
@@ -296,7 +296,7 @@ def translation_oracle_table(cfg, z, lo, hi, nu=False):
         c, (x0, y0) = ncols(min(mults[heavy] - 1, hi)), cfg.points[heavy]
         mults[heavy] = 0
     moved = [((x - x0) % p, (y - y0) % p) for x, y in cfg.points]
-    m, rest = _echelon(_condition_matrix(p, moved, mults, hi)[:, c:], p)
+    m, rest = _echelon(_condition_matrix(p, moved, mults, hi, _exponents(hi))[:, c:], p)
     pivots = list(range(c)) + [c + q for q in rest]
 
     def rank(s):

@@ -265,7 +265,7 @@ def test_condition_matrix_matches_python_ints(p, seed, t, data):
     cfg = PointConfig.random(n, seed=seed, prime=p)
     origin = data.draw(st.sampled_from([(0, 0)] + list(cfg.points)))
     moved = [((x - origin[0]) % p, (y - origin[1]) % p) for x, y in cfg.points]
-    built = oracle._condition_matrix(p, moved, mults, t)
+    built = oracle._condition_matrix(p, moved, mults, t, oracle._exponents(t))
     assert built.dtype == np.int64
     if t < 0:
         assert built.shape == (0, 0)
@@ -279,7 +279,7 @@ def test_condition_matrix_matches_python_ints(p, seed, t, data):
     # Every lower degree's matrix is a column prefix, less the orders above it.
     for s in range(t):
         low = [i for i, (order, _) in enumerate(kept) if order <= s]
-        assert (oracle._condition_matrix(p, moved, mults, s)
+        assert (oracle._condition_matrix(p, moved, mults, s, oracle._exponents(s))
                 == built[low, :(s + 1) * (s + 2) // 2]).all()
     # Any columns, in any order, are those columns of the graded matrix.
     cols = data.draw(st.lists(st.integers(0, built.shape[1] - 1), max_size=12))
@@ -302,7 +302,7 @@ def test_multiplicities_above_the_degree_act_as_degree_plus_one(z, lo, hi):
     for nu in (False, True):
         assert oracle_table(cfg, z, lo, hi, nu) == oracle_table(cfg, clipped, lo, hi, nu)
     rows = sum((m + 1) * m // 2 for m in clipped)
-    assert oracle._condition_matrix(cfg.prime, cfg.points, z, hi).shape == \
+    assert oracle._condition_matrix(cfg.prime, cfg.points, z, hi, oracle._exponents(hi)).shape == \
         (rows, (hi + 1) * (hi + 2) // 2)
 
 
@@ -325,7 +325,7 @@ def test_table_builds_one_matrix_at_top_degree(monkeypatch):
     built = []
     real = oracle._condition_matrix
 
-    def counting(p, points, mults, t, cols=None):
+    def counting(p, points, mults, t, cols):
         built.append(t)
         return real(p, points, mults, t, cols)
 
@@ -402,14 +402,29 @@ def test_placement_matches_the_translation_reference():
 
 
 def test_point_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^10 is not prime$"):
         PointConfig(10, 0, ((1, 2), (3, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^points must be pairwise distinct$"):
         PointConfig(31991, 0, ((1, 2), (1, 2)))
     cfg = PointConfig.random(5, seed=1)
     assert len(set(cfg.points)) == 5
     assert cfg == PointConfig.random(5, seed=1)
     assert cfg != PointConfig.random(5, seed=2)
+
+
+def test_random_checks_the_prime_once(monkeypatch):
+    # The record checks its prime; random checks it itself only when no
+    # draw is possible, to name a bad prime before the point count.
+    calls = []
+    is_prime = oracle._is_prime
+    monkeypatch.setattr(oracle, "_is_prime", lambda p: calls.append(p) or is_prime(p))
+    cfg = PointConfig.random(8, seed=1)
+    assert calls == [oracle.DEFAULT_PRIME]
+    assert cfg == PointConfig(cfg.prime, 1, cfg.points)
+    calls.clear()
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        PointConfig.random(17, prime=4)
+    assert calls == [4]
 
 
 def test_degree_guards():

@@ -1,9 +1,14 @@
 """The unloading procedures against a plain sort-and-clamp reference.
 
 Every procedure runs over ``alpha_bounds._Runs``, a copy of the spec's
-runs of equal values (``FatPointSpec.runs``); those with a fixed r read
-the lowering sequence ``alpha_bounds._Lowerings`` of the spec, and plain
-and modified unloading take closed forms over it.  Both iterated
+runs of equal values (``FatPointSpec.runs``).  Those with a fixed r take
+closed forms over the lowering sequence ``alpha_bounds._Lowerings`` of
+the spec, in the three walks that live beside it in ``alpha_bounds``
+(``_unloading_min``, ``_modified_min`` and ``_modified_max``, the last
+for the tau bound); each seeds with its terms at k = 0 and at the step
+E_r at which the sequence empties (``_Lowerings.empty``), and a
+balanced sequence takes its steps
+from the one closed form ``_balanced_top_sum``.  Both iterated
 unloading bounds run on one stage routine, ``alpha_bounds._roe``.  The
 references below re-sort a Python list on every step and scan the
 degrees upward instead, and share no code with the library; both must
@@ -185,6 +190,14 @@ def _lowerings(z, r):
     return ab._Lowerings(z, min(r, len(z.positive)))
 
 
+def _step(seq, k):
+    # Step k of a lowering sequence: over its runs when it is mixed, from
+    # the closed form when it is balanced (it has no runs to step).
+    if seq.total is None:
+        return seq.at(k)
+    return ab._balanced_top_sum(seq.total - k * seq.r, seq.n, seq.r)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_vectors, st.lists(st.integers(0, 40), max_size=8))
 def test_lowering_sequence_matches_repeated_lowering(z, reads):
@@ -197,7 +210,7 @@ def test_lowering_sequence_matches_repeated_lowering(z, reads):
             expected.append((v[0], sum(v[:r])))
             v = _lowered(v, r)
         for k in reads + list(range(41)):
-            assert seq.at(k) == expected[k], (z, r, k)
+            assert _step(seq, k) == expected[k], (z, r, k)
 
 
 def _r_ranges(z):
@@ -357,9 +370,10 @@ def test_lowering_empties_after_the_lemma_count_and_caps_bound_each_pair(z, data
     r = data.draw(st.one_of(st.just(len(w)), st.integers(1, len(w))))
     steps = max(w[0], -(-sum(w) // r))
     seq = _lowerings(w, r)
-    assert seq.at(steps) == (0, 0), (w, r)
+    assert seq.empty == steps, (w, r)
+    assert _step(seq, steps) == (0, 0), (w, r)
     if steps:
-        assert seq.at(steps - 1)[0] > 0, (w, r)
+        assert _step(seq, steps - 1)[0] > 0, (w, r)
     for d in range(1, isqrt(r) + 1):
         # The closed form of the pair: w may hold zeros, which
         # unloading_alpha rejects past the positive count.
@@ -371,6 +385,19 @@ def test_lowering_empties_after_the_lemma_count_and_caps_bound_each_pair(z, data
             top = min(top, (sum(w[:r]) - 1) // best)
         beating = [d for d in range(1, isqrt(r) + 1) if _cap(w, r, d) > best]
         assert beating == list(range(best // max(steps, 1) + 1, top + 1)), (w, r, best)
+
+
+def test_the_emptying_step_seeds_the_walks_on_mixed_input():
+    # (3, 3, 1, 1) with r = 3 empties at E = 3, and at d = 1 the term
+    # E d = 3 is below every earlier one (7, 6 and 4): the seed is the
+    # value of both alpha walks.
+    z = (3, 3, 1, 1)
+    seq = _lowerings(z, 3)
+    assert seq.total is None and seq.empty == 3
+    assert [seq.at(k) for k in range(4)] == [(3, 7), (2, 5), (1, 2), (0, 0)]
+    assert ab.unloading_alpha(z, 3, 1).value == 3
+    assert ab.modified_unloading_alpha(z, 3, 1).value == modified_alpha_walk(z, 3, 1) == 3
+    assert tb.modified_unloading_tau(z, 3, 1).value == modified_tau_walk(z, 3, 1)
 
 
 def _search_before_cap(z):
@@ -509,7 +536,7 @@ def test_balanced_closed_form_matches_the_runs_at_every_step():
         assert seq.total == (sum(w) or None), (n, m, r)
         steps = max(w[0], -(-sum(w) // r))
         for k in range(steps + 2):
-            assert seq.at(k) == ref.at(k), (n, m, r, k)
+            assert _step(seq, k) == ref.at(k), (n, m, r, k)
 
 
 def _full_min(seq, d):
