@@ -18,7 +18,9 @@ every value a separate token that does not start with "-".  Every other
 spelling (an abbreviation like `--mult`, the `--mults=3,2,2` form, a
 value starting with "-", a repeated option), `--help` and every usage
 error go through argparse, with unchanged results and text.  Both
-paths read one grammar: the actions of the one argparse parser.
+paths read one grammar, the table `_COMMANDS`: `_parser` builds argparse
+from it with public calls only, and `_grammar` derives the canonical
+path's lookup from it.
 
 Imports: `import fatpoints.cli` loads `fatpoints`, `cli`, `lattice`,
 `hilbert` and `report`, the modules every command runs, and no more.
@@ -64,20 +66,15 @@ def _parse_mults(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"malformed multiplicity list: {text!r}")
 
 
-def _parse_uniform(text: str) -> tuple[int, int]:
-    try:
-        n, m = text.split(":")
-        return int(n), int(m)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N:M, got {text!r}")
-
-
-def _parse_window(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
+def _parse_pair(label: str):
+    # The type of an option whose value is two integers written as label.
+    def parse(text: str) -> tuple[int, int]:
+        try:
+            a, b = text.split(":")
+            return int(a), int(b)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {label}, got {text!r}")
+    return parse
 
 
 def _parse_weights(text: str) -> tuple:
@@ -86,23 +83,6 @@ def _parse_weights(text: str) -> tuple:
         return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"malformed weight list: {text!r}")
-
-
-# argparse reads "-3:-1" or "-1,2" as an option, so a negative number at
-# the start of an N:M, LO:HI or comma-separated value needs the = form.
-_MULTS_HELP = "comma-separated multiplicities m1,m2,...; write a negative m1 as --mults=m1,m2,..."
-_UNIFORM_HELP = ("N general points of equal multiplicity M; "
-                 "write a negative N as --uniform=N:M")
-_WINDOW_HELP = "degree window; write a negative LO as --window=LO:HI"
-_WEIGHTS_HELP = ("full nef weight vector a0,a1,...,an (rationals allowed); "
-                 "write a negative a0 as --weights=a0,a1,...")
-
-
-def _add_input_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--mults", type=_parse_mults, help=_MULTS_HELP)
-    g.add_argument("--uniform", type=_parse_uniform, metavar="N:M", help=_UNIFORM_HELP)
-    p.add_argument("--json", action="store_true", help="structured output")
 
 
 def _spec_of(args) -> FatPointSpec:
@@ -490,125 +470,127 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The grammar, declared once: per command its help, its handler and its
+# options, each (name, type, metavar, help, default).  A flag has type
+# None; a tuple of options is a mutually exclusive group, required when it
+# is the input group every command starts with.  argparse reads "-3:-1" or
+# "-1,2" after a space as an option, so a negative number at the start of
+# an N:M, LO:HI or comma-separated value needs the = form.
+_INPUT_GROUP = (
+    ("--mults", _parse_mults, None,
+     "comma-separated multiplicities m1,m2,...; write a negative m1 as --mults=m1,m2,...", None),
+    ("--uniform", _parse_pair("N:M"), "N:M",
+     "N general points of equal multiplicity M; write a negative N as --uniform=N:M", None))
+_INPUT = (_INPUT_GROUP, ("--json", None, None, "structured output", False))
+_WINDOW = ("--window", _parse_pair("lo:hi"), "LO:HI",
+           "degree window; write a negative LO as --window=LO:HI", None)
+
+_COMMANDS = {
+    "alpha": ("least degree of a curve through the scheme",
+              functools.partial(_cmd_single, kind="alpha"), _INPUT),
+    "tau": ("least degree of independent conditions",
+            functools.partial(_cmd_single, kind="tau"), _INPUT),
+    "beta": ("least degree with zero-dimensional base locus",
+             functools.partial(_cmd_single, kind="beta"), _INPUT),
+    "psi": ("semigroup-membership lower bound on alpha",
+            functools.partial(_cmd_single, kind="psi"), _INPUT),
+    "hilb": ("expected Hilbert-function table", _cmd_hilb, _INPUT + (_WINDOW,)),
+    "res": ("Betti numbers for up to 8 points", _cmd_res, _INPUT),
+    "decomp": ("semigroup decomposition of one class", _cmd_decomp,
+               _INPUT + (("--t", int, None, "degree of the class", None),)),
+    "bounds": ("run the full bound suite", _cmd_bounds, _INPUT + (
+        ("--r", int, None, "curve passes through the first r points", None),
+        ("--d", int, None, "degree of the unloading curve", None),
+        ("--j", int, None, "tail width for the prefix-spread family", None),
+        ("--weights", _parse_weights, None,
+         "full nef weight vector a0,a1,...,an (rationals allowed); "
+         "write a negative a0 as --weights=a0,a1,...", None))),
+    "oracle": ("finite-field interpolation oracle", _cmd_oracle, _INPUT + (
+        (_WINDOW, ("--t", int, None, "single degree", None)),
+        ("--nu", None, None, "also report generator counts", False),
+        ("--seed", int, None, None, 0),
+        ("--prime", int, None, None, DEFAULT_PRIME))),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # Built on the first call and reused: parse_args returns a fresh
-    # Namespace each time, and no default or type callable keeps state.
+    # Built from _COMMANDS on the first call and reused: parse_args returns
+    # a fresh Namespace each time, and no default or type callable keeps state.
     top = argparse.ArgumentParser(
         prog="fatpoints",
         description="numerical characters of fat-point subschemes of the plane")
     sub = top.add_subparsers(dest="command", required=True)
-
-    for name, help_text in [("alpha", "least degree of a curve through the scheme"),
-                            ("tau", "least degree of independent conditions"),
-                            ("beta", "least degree with zero-dimensional base locus"),
-                            ("psi", "semigroup-membership lower bound on alpha")]:
-        p = sub.add_parser(name, help=help_text)
-        _add_input_args(p)
-        p.set_defaults(func=lambda a, kind=name: _cmd_single(a, kind))
-
-    p = sub.add_parser("hilb", help="expected Hilbert-function table")
-    _add_input_args(p)
-    p.add_argument("--window", type=_parse_window, metavar="LO:HI", help=_WINDOW_HELP)
-    p.set_defaults(func=_cmd_hilb)
-
-    p = sub.add_parser("res", help="Betti numbers for up to 8 points")
-    _add_input_args(p)
-    p.set_defaults(func=_cmd_res)
-
-    p = sub.add_parser("decomp", help="semigroup decomposition of one class")
-    _add_input_args(p)
-    p.add_argument("--t", type=int, help="degree of the class")
-    p.set_defaults(func=_cmd_decomp)
-
-    p = sub.add_parser("bounds", help="run the full bound suite")
-    _add_input_args(p)
-    p.add_argument("--r", type=int, help="curve passes through the first r points")
-    p.add_argument("--d", type=int, help="degree of the unloading curve")
-    p.add_argument("--j", type=int, help="tail width for the prefix-spread family")
-    p.add_argument("--weights", type=_parse_weights, help=_WEIGHTS_HELP)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("oracle", help="finite-field interpolation oracle")
-    _add_input_args(p)
-    degrees = p.add_mutually_exclusive_group()
-    degrees.add_argument("--window", type=_parse_window, metavar="LO:HI", help=_WINDOW_HELP)
-    degrees.add_argument("--t", type=int, help="single degree")
-    p.add_argument("--nu", action="store_true", help="also report generator counts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.set_defaults(func=_cmd_oracle)
+    for command, (summary, handler, entries) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for entry in entries:
+            group = isinstance(entry[0], tuple)
+            adder = p.add_mutually_exclusive_group(required=entry is _INPUT_GROUP) if group else p
+            for name, kind, metavar, text, default in (entry if group else (entry,)):
+                if kind is None:
+                    adder.add_argument(name, action="store_true", default=default, help=text)
+                else:
+                    adder.add_argument(name, type=kind, metavar=metavar, default=default,
+                                       help=text)
+        p.set_defaults(func=handler)
     return top
 
 
 @functools.cache
-def _grammar() -> dict:
-    # Per command: the namespace parse_args starts from (the top-level
-    # defaults, the command's name, then the subparser's action and
-    # set_defaults values, in argparse's order), the exact option strings
-    # of its actions that store one value or a constant (not -h, which
-    # also takes no value), its mutually exclusive groups and its required
-    # actions, all read from _parser()'s own actions.
-    top = _parser()
-    commands = next(a for a in top._actions if a.nargs == argparse.PARSER)
-    grammar = {}
-    for name, sub in commands.choices.items():
-        defaults = {**_defaults(top), commands.dest: name, **_defaults(sub)}
-        options = {string: action for action in sub._actions
-                   if isinstance(action, argparse._StoreConstAction)
-                   or isinstance(action, argparse._StoreAction) and action.nargs is None
-                   for string in action.option_strings}
-        groups = [(g.required, g._group_actions) for g in sub._mutually_exclusive_groups]
-        required = [action for action in sub._actions if action.required]
-        grammar[name] = defaults, options, groups, required
-    return grammar
-
-
-def _defaults(parser: argparse.ArgumentParser) -> dict:
-    values = {a.dest: a.default for a in parser._actions
-              if a.dest != argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
-    for dest, value in parser._defaults.items():
-        values.setdefault(dest, value)
-    return values
+def _grammar(command: str) -> tuple:
+    # One row of _COMMANDS as the canonical path reads it: the namespace
+    # parse_args starts from (the command, each option's default, then
+    # func), option -> (dest, type), and the mutually exclusive groups as
+    # (required, dests).  A lone option is no group.
+    _, handler, entries = _COMMANDS[command]
+    defaults, options, groups = {"command": command}, {}, []
+    for entry in entries:
+        group = isinstance(entry[0], tuple)
+        for name, kind, _, _, default in (entry if group else (entry,)):
+            defaults[name[2:]] = default
+            options[name] = name[2:], kind
+        if group:
+            groups.append((entry is _INPUT_GROUP, frozenset(name[2:] for name, *_ in entry)))
+    defaults["func"] = handler
+    return defaults, options, groups
 
 
 def _recognize(argv) -> argparse.Namespace | None:
     """The Namespace parse_args would return for a canonical argv, else None.
 
-    Canonical: a command, then exact option strings, each at most once;
-    a flag stands alone and any other option takes the next token, which
-    must not start with "-" and must convert by the option's type (an
-    option without a type declines, by the TypeError).  The
-    mutually exclusive and required checks are argparse's: a group member
-    counts as given when its value is not its default object.  Every
-    other argv, and every one argparse would reject, gets None.
+    Canonical: a command, then exact option names of its row in
+    `_COMMANDS`, each at most once; a flag stands alone and any other
+    option takes the next token, which must not start with "-" and must
+    convert by the option's type.  No type returns None, the default of
+    every group member, so a member counts as given, as argparse counts
+    it, exactly when it was named.  A group takes at most one member, and
+    the input group exactly one.  Every other argv, and every one argparse
+    would reject, gets None.
     """
-    command = _grammar().get(argv[0]) if argv else None
-    if command is None:
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    defaults, options, groups, required = command
+    defaults, options, groups = _grammar(argv[0])
     values, i = {}, 1
     while i < len(argv):
-        action = options.get(argv[i])
-        if action is None or action.dest in values:
+        option = options.get(argv[i])
+        if option is None or option[0] in values:
             return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        dest, kind = option
+        if kind is None:
+            values[dest] = True
             i += 1
             continue
         if i + 1 == len(argv) or argv[i + 1].startswith("-"):
             return None
         try:
-            values[action.dest] = action.type(argv[i + 1])
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            values[dest] = kind(argv[i + 1])
+        except (argparse.ArgumentTypeError, ValueError):
             return None
         i += 2
-    for group_required, members in groups:
-        given = sum(a.dest in values and values[a.dest] is not a.default for a in members)
-        if given > 1 or group_required and not given:
+    for required, dests in groups:
+        given = len(values.keys() & dests)
+        if given > 1 or required and not given:
             return None
-    if any(action.dest not in values for action in required):
-        return None
     return argparse.Namespace(**{**defaults, **values})
 
 

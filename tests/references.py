@@ -4,6 +4,7 @@ Each one is an independent statement of something the package computes
 another way: they check the package, and no command reaches them.
 """
 
+import argparse
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import groupby
@@ -13,9 +14,11 @@ import numpy as np
 
 from fatpoints.alpha_bounds import (_ceil_div, _check_uniform_rd, _modified_x, _prefix_spread_bound,
                                     _Runs, _u_rho)
+from fatpoints.cli import _parse_mults, _parse_weights
 from fatpoints.hilbert import expected_dim, find_alpha, hilbert_polynomial
 from fatpoints.lattice import DivisorClass, WeylWord, as_spec, cremona_quad, reduce_fundamental_raw
-from fatpoints.oracle import _back_substitute, _condition_matrix, _echelon, _exponents, rank_mod_p
+from fatpoints.oracle import (DEFAULT_PRIME, _back_substitute, _condition_matrix, _echelon,
+                              _exponents, rank_mod_p)
 from fatpoints.report import ALPHA_LOWER, BoundReport, PreconditionError
 
 # alpha(Z) = ceil(c_n * m) for Z = m * (p_1 + ... + p_n), n <= 9.
@@ -327,3 +330,81 @@ def translation_oracle_table(cfg, z, lo, hi, nu=False):
                 n -= rank_mod_p(prods[:, free[k:k + n] - ncols(t - 1)], p)
             row.append(n)
     return rows
+
+
+def _parse_uniform(text: str) -> tuple[int, int]:
+    try:
+        n, m = text.split(":")
+        return int(n), int(m)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N:M, got {text!r}")
+
+
+def _parse_window(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = text.split(":")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
+
+
+# argparse reads "-3:-1" or "-1,2" as an option, so a negative number at
+# the start of an N:M, LO:HI or comma-separated value needs the = form.
+_MULTS_HELP = "comma-separated multiplicities m1,m2,...; write a negative m1 as --mults=m1,m2,..."
+_UNIFORM_HELP = ("N general points of equal multiplicity M; "
+                 "write a negative N as --uniform=N:M")
+_WINDOW_HELP = "degree window; write a negative LO as --window=LO:HI"
+_WEIGHTS_HELP = ("full nef weight vector a0,a1,...,an (rationals allowed); "
+                 "write a negative a0 as --weights=a0,a1,...")
+
+
+def _add_input_args(p: argparse.ArgumentParser) -> None:
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--mults", type=_parse_mults, help=_MULTS_HELP)
+    g.add_argument("--uniform", type=_parse_uniform, metavar="N:M", help=_UNIFORM_HELP)
+    p.add_argument("--json", action="store_true", help="structured output")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command line's parser written out call by call, without the
+    handlers: its help, usage errors and namespaces (func aside) are the
+    ones `cli._parser` builds from its table."""
+    top = argparse.ArgumentParser(
+        prog="fatpoints",
+        description="numerical characters of fat-point subschemes of the plane")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    for name, help_text in [("alpha", "least degree of a curve through the scheme"),
+                            ("tau", "least degree of independent conditions"),
+                            ("beta", "least degree with zero-dimensional base locus"),
+                            ("psi", "semigroup-membership lower bound on alpha")]:
+        p = sub.add_parser(name, help=help_text)
+        _add_input_args(p)
+
+    p = sub.add_parser("hilb", help="expected Hilbert-function table")
+    _add_input_args(p)
+    p.add_argument("--window", type=_parse_window, metavar="LO:HI", help=_WINDOW_HELP)
+
+    p = sub.add_parser("res", help="Betti numbers for up to 8 points")
+    _add_input_args(p)
+
+    p = sub.add_parser("decomp", help="semigroup decomposition of one class")
+    _add_input_args(p)
+    p.add_argument("--t", type=int, help="degree of the class")
+
+    p = sub.add_parser("bounds", help="run the full bound suite")
+    _add_input_args(p)
+    p.add_argument("--r", type=int, help="curve passes through the first r points")
+    p.add_argument("--d", type=int, help="degree of the unloading curve")
+    p.add_argument("--j", type=int, help="tail width for the prefix-spread family")
+    p.add_argument("--weights", type=_parse_weights, help=_WEIGHTS_HELP)
+
+    p = sub.add_parser("oracle", help="finite-field interpolation oracle")
+    _add_input_args(p)
+    degrees = p.add_mutually_exclusive_group()
+    degrees.add_argument("--window", type=_parse_window, metavar="LO:HI", help=_WINDOW_HELP)
+    degrees.add_argument("--t", type=int, help="single degree")
+    p.add_argument("--nu", action="store_true", help="also report generator counts")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    return top

@@ -21,7 +21,7 @@ from fatpoints import tau_bounds as tb
 from fatpoints.cli import canonical_json, main
 from fatpoints.lattice import FatPointSpec
 from fatpoints.report import BoundReport, PreconditionError
-from references import report_json
+from references import reference_parser, report_json
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference"
@@ -659,7 +659,8 @@ def test_one_parser_answers_every_call_as_a_fresh_one_would(capsys, monkeypatch)
     cli._grammar.cache_clear()
     reused = [run(capsys, *argv) for _, argv in _SESSION]
     assert cli._parser.cache_info().misses == 1
-    assert cli._grammar.cache_info().misses == 1
+    # One grammar entry per command, built at its first query.
+    assert cli._grammar.cache_info().misses == cli._grammar.cache_info().currsize == len(_COMMANDS)
     assert [code for code, _, _ in reused] == [code for code, _ in _SESSION]
     monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
     monkeypatch.setattr(cli, "_grammar", cli._grammar.__wrapped__)
@@ -669,7 +670,7 @@ def test_one_parser_answers_every_call_as_a_fresh_one_would(capsys, monkeypatch)
 
 
 def test_importing_cli_builds_no_parser():
-    # Neither the parser nor the grammar the canonical path reads from it.
+    # Neither the parser nor any command's grammar entry.
     src = Path(cli.__file__).resolve().parents[1]
     probe = ("import fatpoints.cli as c; "
              "print(*(f.cache_info().misses + f.cache_info().currsize"
@@ -728,16 +729,13 @@ def test_each_command_imports_only_its_own_modules(capsys):
 
 
 def test_prime_default_is_the_oracles():
-    commands = next(a for a in cli._parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    assert commands.choices["oracle"].get_default("prime") == oracle.DEFAULT_PRIME
+    argv = ["oracle", "--mults", "1"]
+    assert cli._parser().parse_args(argv).prime == oracle.DEFAULT_PRIME
+    assert cli._recognize(argv).prime == oracle.DEFAULT_PRIME
 
 
 def _parsed(argv):
-    # vars() of what the cached parser returns for argv, None on a usage
-    # error, after the grammar is rebuilt from that same parser (a test may
-    # have cleared the parser's cache, and func defaults compare by identity).
-    cli._grammar.cache_clear()
+    # vars() of what the cached parser returns for argv, None on a usage error.
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(cli._parser().parse_args(argv))
@@ -746,6 +744,40 @@ def _parsed(argv):
 
 
 _COMMANDS = ["alpha", "tau", "beta", "psi", "hilb", "res", "decomp", "bounds", "oracle"]
+_REFERENCE_PARSER = reference_parser()
+
+
+def _outcome(parser, argv):
+    # parser.parse_args(argv) as its exit code (None when it returns), its
+    # stdout and stderr, and its namespace without func.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+    if parsed is not None:
+        parsed = {key: value for key, value in parsed.items() if key != "func"}
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["--help"]),
+    *((0, [command, "--help"]) for command in _COMMANDS),
+    (2, ["alpha"]), (2, ["alpha", "--mults", "1", "--uniform", "2:1"]),
+    (2, ["oracle", "--mults", "2,2", "--window", "0:3", "--t", "2"]),
+    (2, ["hilb", "--mults", "2", "--window", "1"]),
+    *((None, [command, "--mults", "2"]) for command in _COMMANDS),
+])
+def test_the_table_parser_matches_the_reference(monkeypatch, code, argv):
+    # Both sides of the differential below read the table; this checks the
+    # table against the parser written out call by call: help, usage errors
+    # and each command's defaults.
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _outcome(cli._parser(), argv)
+    assert got[0] == code and got == _outcome(_REFERENCE_PARSER, argv), argv
+
+
 # Each option that takes a value, with values its type accepts.
 _GOOD = {"--mults": ["3,2", "3,2,2"], "--uniform": ["4:2", "5:3"], "--window": ["0:4", "5:3"],
          "--t": ["7", "0"], "--r": ["2"], "--d": ["1"], "--j": ["0"], "--weights": ["1/2,1", "7"],
@@ -772,7 +804,8 @@ _INPUT = st.sampled_from([["--mults", "3,2"], ["--uniform", "4:2"], []])
        st.lists(st.one_of(_PAIRS, _FLAGS, _TOKENS), max_size=4))
 def test_the_canonical_path_agrees_with_argparse_or_declines(command, inputs, at, parts):
     # The canonical path never accepts an argv that argparse rejects, and
-    # what it accepts it parses exactly as argparse does.
+    # what it accepts it parses exactly as argparse does; the parser built
+    # from the table answers every argv as the reference parser does.
     parts.insert(at, inputs)
     argv = ([command] if command else []) + sum(parts, [])
     want = _parsed(argv)
@@ -780,6 +813,7 @@ def test_the_canonical_path_agrees_with_argparse_or_declines(command, inputs, at
     if got is not None:
         assert want is not None, argv
         assert vars(got) == want, argv
+    assert _outcome(cli._parser(), argv) == _outcome(_REFERENCE_PARSER, argv), argv
 
 
 def test_every_recorded_query_takes_the_canonical_path():
