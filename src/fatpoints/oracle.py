@@ -29,7 +29,10 @@ one back-substitution over the free columns yields the RREF kernel
 basis of I_{s-1} for every s in the window; nu_s reduces to the rank of
 the x*f and y*f rows on the free columns of join degree exactly s,
 which read only the join-degree-(s-1) block of that basis.
-Eliminations defer the reduction mod p while int64 cannot overflow.
+The condition matrix is eliminated in numpy, one update of the whole
+slab below each pivot, deferring the reduction mod p while int64 cannot
+overflow; the small, sparse nu rank matrices are eliminated in Python
+ints, where numpy's cost per pivot would outweigh the arithmetic.
 `actual_hilbert` and `actual_nu` are windows of a single degree.
 
 Working in the affine chart z = 1 identifies degree-t forms with
@@ -141,15 +144,20 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     zeros below that entry; every later row is zero.  Every entry is in
     [0, p).
 
+    Each pivot takes one rank-1 update x - c*r of the contiguous slab of
+    rows below it, from the pivot column on; a row with a zero in the
+    pivot column takes a zero update, which at these sizes costs less
+    than gathering the rows that need one.
+
     The reduction mod p is deferred.  Each step reduces only the pivot
     column, whose residues pick the pivot and are the multipliers, and the
-    pivot row; the rank-1 update x - c*r of the rows below is left
-    unreduced.  Every later step reads and writes only the trailing block
-    (rows below the pivot, columns after it), so once `_budget(p)` updates
-    have piled up since its last reduction that block is reduced in full.
-    No reduction is left for the end: the scan reduces each column from
-    the current row down when it reaches it, a pivot row when it takes it,
-    and updates touch neither again.
+    pivot row; the update of the rows below is left unreduced.  Every
+    later step reads and writes only the trailing block (rows below the
+    pivot, columns after it), so once `_budget(p)` updates have piled up
+    since its last reduction that block is reduced in full.  No reduction
+    is left for the end: the scan reduces each column from the current row
+    down when it reaches it, a pivot row when it takes it, and updates
+    touch neither again.
 
     Overflow bound: c and r are in [0, p), so c*r <= (p-1)^2 < 2^63 for
     p <= MAX_PRIME, and an update lowers an entry by at most (p-1)^2.  An
@@ -185,20 +193,12 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         prow %= p
         prow *= pow(int(prow[0]), -1, p)
         prow %= p
-        # Row r was zero in column c if it was swapped, so the rows below
-        # the pivot with an entry there are the rest of the scan's hits.
-        below = nz[1:] + r
-        if below.size:
+        if nz.size > 1:
             if pending == budget:
                 m[r + 1:, c + 1:] %= p
                 pending = 0
-            if below.size == rows - r - 1:
-                # Every row below has an entry in column c: update the
-                # contiguous slab in place, not a gathered copy.
-                slab = m[r + 1:, c:]
-                slab -= slab[:, :1] * prow
-            else:
-                m[below, c:] -= np.outer(m[below, c], prow)
+            slab = m[r + 1:, c:]
+            slab -= slab[:, :1] * prow
             pending += 1
         pivots.append(c)
     return m, pivots
@@ -239,8 +239,35 @@ def _back_substitute(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
 
 
 def rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p."""
-    return len(_echelon(a, p)[1])
+    """Rank of an integer matrix over F_p, eliminated in Python ints.
+
+    The generator-count matrices are small and mostly zero, where numpy's
+    cost per pivot outweighs the arithmetic, so rows are lists of residues:
+    first-nonzero pivoting as in `_echelon`, and a row whose multiplier is
+    zero is not touched.  Python ints cannot overflow; the prime is still
+    checked against MAX_PRIME, so the same primes are rejected everywhere.
+    """
+    _check_prime_size(p)
+    m = [[x % p for x in row] for row in a.tolist()]
+    rank = 0
+    for c in range(a.shape[1]):
+        for i in range(rank, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        # Rows rank..i-1 are zero in column c, so after the swap only the
+        # rows past i can need clearing.
+        prow = m[i]
+        m[i], m[rank] = m[rank], prow
+        neg_inv = p - pow(prow[c], -1, p)
+        for j in range(i + 1, len(m)):
+            row = m[j]
+            f = row[c] * neg_inv % p
+            if f:
+                m[j] = [(x + f * y) % p for x, y in zip(row, prow)]
+        rank += 1
+    return rank
 
 
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:

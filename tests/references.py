@@ -18,7 +18,7 @@ from fatpoints.cli import _parse_mults, _parse_weights
 from fatpoints.hilbert import expected_dim, find_alpha, hilbert_polynomial
 from fatpoints.lattice import DivisorClass, WeylWord, as_spec, cremona_quad, reduce_fundamental_raw
 from fatpoints.oracle import (DEFAULT_PRIME, _back_substitute, _condition_matrix, _echelon,
-                              _exponents, rank_mod_p)
+                              _exponents)
 from fatpoints.report import ALPHA_LOWER, BoundReport, PreconditionError
 
 # alpha(Z) = ceil(c_n * m) for Z = m * (p_1 + ... + p_n), n <= 9.
@@ -287,7 +287,9 @@ def translation_oracle_table(cfg, z, lo, hi, nu=False):
     first c = (m+1)m/2 of them (m the heaviest multiplicity, at most
     hi + 1) are that point's pivots, and only the other points' rows on
     the later columns are eliminated; nu_t reads the degree-(t-1) block of
-    the kernel basis of every free column of degree below t."""
+    the kernel basis of every free column of degree below t, and ranks
+    it with `_echelon`, not the package's `rank_mod_p`, so the two nu
+    eliminations are checked against each other."""
     def ncols(t):
         return (t + 1) * (t + 2) // 2 if t >= 0 else 0
 
@@ -327,7 +329,7 @@ def translation_oracle_table(cfg, z, lo, hi, nu=False):
                 prods = np.zeros((2 * k, t + 1), dtype=np.int64)
                 prods[:k, :t] = block
                 prods[k:, 1:] = block
-                n -= rank_mod_p(prods[:, free[k:k + n] - ncols(t - 1)], p)
+                n -= len(_echelon(prods[:, free[k:k + n] - ncols(t - 1)], p)[1])
             row.append(n)
     return rows
 

@@ -11,7 +11,7 @@ from fatpoints import oracle
 from fatpoints.cli import main
 from fatpoints.hilbert import expected_dim, find_alpha, find_tau, hilbert_polynomial
 from fatpoints.lattice import DivisorClass
-from fatpoints.oracle import (MAX_PRIME, PointConfig, actual_hilbert, actual_nu,
+from fatpoints.oracle import (MAX_PRIME, PointConfig, _echelon, actual_hilbert, actual_nu,
                               nullspace_mod_p, oracle_table, rank_mod_p)
 from references import translation_oracle_table
 
@@ -166,6 +166,69 @@ def test_rank_mod_p_basics():
     b = np.array([[1, 2], [3, 11]], dtype=np.int64)
     assert rank_mod_p(b, 5) == 1
     assert rank_mod_p(b, 7) == 2
+
+
+# The largest prime below MAX_PRIME (itself 3037000499, not prime): its
+# reduction budget is 1, as at MAX_PRIME.
+_TOP_PRIME = 3037000493
+
+
+def _cells(rows, cols, cell):
+    # Python ints, so products cannot overflow before the reduction mod p.
+    return np.array([cell() for _ in range(rows * cols)], dtype=object).reshape(rows, cols)
+
+
+def _sparse(rng, rows, cols, p):
+    # Shaped like the generator-count blocks: mostly 0, some 1, a few
+    # other residues, some of them outside [0, p).
+    def cell():
+        u = rng.random()
+        return 0 if u < 0.75 else 1 if u < 0.9 else rng.randint(-p, 2 * p)
+    return _cells(rows, cols, cell)
+
+
+def _rank_cases(p, rng):
+    def dense(rows, cols):
+        return _cells(rows, cols, lambda: rng.randint(-2 * p, 2 * p))
+
+    yield from (np.zeros((0, 5), dtype=object), np.zeros((5, 0), dtype=object),
+                np.zeros((0, 0), dtype=object))
+    for rows, cols in ((1, 1), (3, 17), (17, 3), (12, 12), (32, 18), (10, 14)):
+        yield dense(rows, cols)
+        yield _sparse(rng, rows, cols, p)
+        k = rng.randint(0, min(rows, cols))
+        # Rank at most k; reduced into int64's reach, keeping 0 as 0.
+        yield dense(rows, k) @ dense(k, cols) % (2 * p) - p
+        yield _sparse(rng, rows, k, p) @ _sparse(rng, k, cols, p) % p
+
+
+@pytest.mark.parametrize("p", [2, 31991, 1000000007, _TOP_PRIME])
+def test_python_rank_matches_echelon(p):
+    # rank_mod_p eliminates in Python ints, _echelon in int64 with deferred
+    # reduction: they agree with each other and on the transpose.
+    rng = random.Random(p)
+    for a in _rank_cases(p, rng):
+        a = a.astype(np.int64)
+        assert rank_mod_p(a, p) == len(_echelon(a, p)[1]) == rank_mod_p(a.T, p), (a, p)
+
+
+@pytest.mark.parametrize("p", [2, 31991, 1000000007, _TOP_PRIME])
+def test_echelon_contract_on_sparse_inputs(p):
+    # Most rows are zero in each pivot column, so most rows of the slab
+    # below a pivot take a zero update.
+    rng = random.Random(p + 1)
+    for rows, cols in ((40, 30), (30, 40), (64, 18), (18, 64)):
+        for _ in range(3):
+            a = _sparse(rng, rows, cols, p).astype(np.int64)
+            m, pivots = _echelon(a, p)
+            r = len(pivots)
+            assert r == rank_mod_p(a, p)
+            assert m.shape == a.shape and m.dtype == np.int64
+            assert ((m >= 0) & (m < p)).all()
+            assert pivots == sorted(set(pivots))
+            for i, c in enumerate(pivots):
+                assert m[i, c] == 1 and not m[i, :c].any() and not m[i + 1:, c].any()
+            assert not m[r:].any()
 
 
 def test_nullspace_mod_p():
