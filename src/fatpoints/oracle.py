@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from functools import cache
 from math import isqrt
 from typing import Sequence
 
@@ -74,6 +75,7 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+@cache  # every query checks the same prime again
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -11,24 +11,21 @@ kernel dimension is unchanged), or the class is orthogonal to the line
 through the first two points (two correction terms), or it sits on one
 special ray (kernel r+1, cokernel r), or the map has maximal rank.
 
-Most of that analysis needs no new expected dimension.  An exceptional
-curve E with F.E < 0 is a fixed component of the system of F, so F and
-F - E have the same h^0, and for n <= 8 the same e.  Clamping a
-negative multiplicity -a to 0 removes a copies of E_i from a class that
-meets E_i in -a, again a fixed part.  So after such a subtraction e is
-kept and the next emptiness test is skipped.
-
-The most common of these is the line L = E0 - E1 - E2, tested last,
-which often fires many times over: a whole run of lines goes in one
-step.  Let m1 >= m2 >= m3 be the largest multiplicities.  After j lines
-F.L has risen by j, and m1 - j and m2 - j stay on top while
-m2 - j >= m3.  The conic, cubic and quartic representatives meet L in
-0, so their test values do not move; the quintic Q5 and the sextic Q6
-meet L in 1, so theirs fall by j.  So the loop subtracts L again for
-j = 1, ..., k - 1 with k = min(-F.L, m2 - m3 + 1, F.Q6 - 3 + 1,
-F.Q5 - 2 + 1), each bound at least 1 when the line test fires, and
-subtracting k lines at once matches k passes of the loop.
-F - (k-1)L still meets L negatively, so e is kept across the run.
+One rule peels every fixed curve.  Let C be the first representative
+(in the order of ``_EXC_TESTS``) that the sorted class F meets below its
+threshold.  If F.C = -a < 0, then since C.C = -1 the class F - jC meets C
+in j - a < 0 for every j < a, so each of the a copies is a fixed
+component: multiplying by the equation of C maps the system of F - (j+1)C
+onto that of F - jC, one to one, and commutes with multiplication by
+linear forms, so the kernels of the two multiplication maps correspond.
+So F and F - aC have the same h^0, for n <= 8 the same e, and the same
+ker mu, and a copies of C come off in one step.  The loop is memoryless:
+each pass reads only (d, m) and e, so a later test on F - aC runs on a
+class its own rule already covers, as a call on F - aC would.  Clamping
+a negative multiplicity -b to 0 is the same rule for E_i, which the
+class meets in -b.  After such a step e is kept and the next emptiness
+test is skipped.  A C that is no fixed component (0 <= F.C below its
+threshold) comes off once, and e is evaluated again.
 
 The table reduces no degree twice.  Its Hilbert values are 0 below
 alpha and P from tau on, and only the degrees in [alpha, tau) are
@@ -96,11 +93,12 @@ def ker_mu_dim(f: DivisorClass, e: int | None = None, e_next: int | None = None)
     """Kernel dimension of the multiplication map out of the system of f.
 
     Case analysis for 8 general points: clamp and sort; an empty system
-    has zero kernel; subtract any exceptional representative the class
-    meets below its threshold and repeat, a run of lines in one step;
-    then either the two-term correction (class orthogonal to the line
-    through the first two points), the special ray (kernel r+1), or
-    maximal rank.
+    has zero kernel; subtract the first exceptional representative C
+    the class meets below its threshold and repeat, -F.C copies in one
+    step when F.C < 0 (a fixed component) and one otherwise; then
+    either the two-term correction (class orthogonal to the line through
+    the first two points), the special ray (kernel r+1), or maximal
+    rank.
 
     e and e_next, when given, are the expected dimensions of f and of f
     one degree up, which the caller may already know; they stand in for
@@ -121,27 +119,18 @@ def ker_mu_dim(f: DivisorClass, e: int | None = None, e_next: int | None = None)
         if here == 0:
             return 0
         sums = list(accumulate(m, initial=0))
-        meets = []
         for deg, c, lam, x, i, j in _EXC_STEPS:
             meet = deg * d - x * m[0] - sums[i] - sums[j]
-            meets.append(meet)
             if meet < lam:
                 break
         else:
             break
-        if meet >= 0:
-            here = None  # c is no fixed component, so e may change
-        if deg == 1:
-            # A run of k = min(-F.L, m2 - m3 + 1, F.Q6 - 2, F.Q5 - 1) lines,
-            # as the module docstring proves.
-            q6, q5, *_, line = meets
-            k = min(-line, m[1] - m[2] + 1, q6 - 2, q5 - 1)
-            d -= k
-            m[0] -= k
-            m[1] -= k
+        if meet < 0:
+            k = -meet  # -F.C copies of a fixed component: e is kept
         else:
-            d -= deg
-            m = [a - b for a, b in zip(m, c)]
+            k, here = 1, None  # c is no fixed component, so e may change
+        d -= k * deg
+        m = [a - k * b for a, b in zip(m, c)]
     if d - m[0] - m[1] == 0:
         left = _expected_dim(d - 1, [m[0] - 1] + m[1:])
         if m[0] == m[1]:  # the two classes are one up to order
